@@ -2,16 +2,27 @@
 
 Three explicit families act on the place list: translations by curve
 points, scalings compatible with the defining equation's weighting, and
-the inversion swapping the infinite place with the origin.  Their BFS
-closure is the full automorphism group; its order, point stabilizer,
-orbits, and the induced action on the divisor class group are all
-computed exactly, never assumed.
+the inversion swapping the infinite place with the origin.  The group
+they generate is held as a base and strong generating set, built by
+deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
+Algorithms*, 2003).  Its order, point stabilizers, orbits, membership and
+the kernel of the induced action on the divisor class group are all
+computed exactly from the stabilizer chain, never assumed, and without
+listing the group.  ``closure`` lists every element by BFS and is kept as
+the independent oracle.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 
 from .curve import Curve
-from .errors import NotOnCurveError, OrderBudgetExceededError, ZeroScalarError
+from .errors import (
+    LatticeNotStableError,
+    NotOnCurveError,
+    OrderBudgetExceededError,
+    ZeroScalarError,
+)
 from .lattice import permute
 
 DEFAULT_ORDER_CAP = 10**6
@@ -112,8 +123,154 @@ def inversion(curve: Curve) -> PlacePerm:
     return PlacePerm(perm, "inversion")
 
 
-@dataclass(frozen=True)
+def _mul(a, b):
+    """a after b on image tuples: _mul(a, b)[i] = a[b[i]]."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inv(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+@dataclass(frozen=True, eq=False)
 class PermGroup:
+    """A permutation group as a base and strong generating set.
+
+    Level l of the stabilizer chain has base point base[l]; strong[l]
+    (image tuples) generates the pointwise stabilizer of base[:l], and
+    transversals[l] maps each point p of the basic orbit of base[l] to a
+    coset representative u with u(base[l]) = p.
+    """
+
+    degree: int
+    generators: tuple
+    base: tuple
+    transversals: tuple
+    strong: tuple
+    max_order: int = DEFAULT_ORDER_CAP
+
+    @property
+    def order(self) -> int:
+        return prod(len(t) for t in self.transversals)
+
+    def __contains__(self, perm: PlacePerm) -> bool:
+        """Sift perm through the chain."""
+        g = perm.image
+        if len(g) != self.degree:
+            return False
+        for b, t in zip(self.base, self.transversals):
+            u = t.get(g[b])
+            if u is None:
+                return False
+            g = _mul(_inv(u), g)
+        return all(i == j for i, j in enumerate(g))
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Every element, sorted by image; refused above max_order."""
+        if self.order > self.max_order:
+            raise OrderBudgetExceededError(
+                f"listing {self.order} elements exceeds cap {self.max_order}"
+            )
+        els = [tuple(range(self.degree))]
+        for t in reversed(self.transversals):
+            els = [_mul(u, g) for u in t.values() for g in els]
+        return tuple(PlacePerm(g, "element") for g in sorted(els))
+
+
+def _chain(gens, n: int, prefix=()):
+    """Deterministic Schreier-Sims on image tuples.
+
+    Returns (base, transversals, strong) with the base starting with
+    prefix.  Generators are added one at a time, each as its residue
+    after sifting, and only when that residue is not the identity.  Coset
+    representatives are only ever added, never replaced, so a Schreier
+    generator that has been sifted once never needs sifting again;
+    done[l] records those (point, generator) pairs.
+    """
+    ident = tuple(range(n))
+    base = list(prefix)
+    strong = [[] for _ in base]
+    trans = [{b: ident} for b in base]
+    invs = [{b: ident} for b in base]
+    done = [set() for _ in base]
+
+    def extend_orbit(l):
+        t, inv, pts = trans[l], invs[l], list(trans[l])
+        for p in pts:
+            for s in strong[l]:
+                r = s[p]
+                if r not in t:
+                    t[r] = u = _mul(s, t[p])
+                    inv[r] = _inv(u)
+                    pts.append(r)
+
+    def sift(g, start):
+        for l in range(start, len(base)):
+            u = invs[l].get(g[base[l]])
+            if u is None:
+                return g, l
+            g = _mul(u, g)
+        return g, len(base)
+
+    def add(h, top, j):
+        """Add h, which fixes base[:j], to levels top..j."""
+        if j == len(base):
+            b = next(i for i in range(n) if h[i] != i)
+            base.append(b)
+            strong.append([])
+            trans.append({b: ident})
+            invs.append({b: ident})
+            done.append(set())
+        for m in range(top, j + 1):
+            strong[m].append(h)
+            extend_orbit(m)
+
+    def schreier_generators(l):
+        t, inv = trans[l], invs[l]
+        for p, u in list(t.items()):
+            for k, s in enumerate(strong[l]):
+                if (p, k) not in done[l]:
+                    done[l].add((p, k))
+                    yield _mul(inv[s[p]], _mul(s, u))
+
+    def complete(l):
+        """Make levels l, l-1, ..., 0 complete, given that levels below l are."""
+        while l >= 0:
+            for h in schreier_generators(l):
+                h, j = sift(h, l + 1)
+                if j < len(base) or h != ident:
+                    add(h, l + 1, j)
+                    l = j
+                    break
+            else:
+                l -= 1
+
+    # generators that already sift through the chain so far are redundant
+    for g in gens:
+        h, j = sift(g, 0)
+        if j < len(base) or h != ident:
+            add(h, 0, j)
+            complete(j)
+    return tuple(base), tuple(trans), tuple(tuple(s) for s in strong)
+
+
+def schreier_sims(generators, base=(), max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
+    """The group generated by PlacePerms, as a BSGS whose base starts with `base`."""
+    generators = tuple(generators)
+    if not generators:
+        raise ValueError("need at least one generator")
+    n = len(generators[0].image)
+    return PermGroup(n, generators, *_chain([g.image for g in generators], n, base), max_order)
+
+
+@dataclass(frozen=True)
+class ListedGroup:
+    """A group given by the list of all its elements, sorted by image."""
+
     elements: tuple
     generators: tuple
 
@@ -121,12 +278,10 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, perm: PlacePerm) -> bool:
-        return perm in set(self.elements)
 
-
-def closure(generators, max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
-    """BFS closure of the generators under composition."""
+def closure(generators, max_order: int = DEFAULT_ORDER_CAP) -> ListedGroup:
+    """BFS closure of the generators under composition; the oracle for
+    the stabilizer chain."""
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
@@ -146,7 +301,7 @@ def closure(generators, max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
                 seen[nxt.image] = nxt
                 queue.append(nxt)
     elements = tuple(sorted(seen.values(), key=lambda p: p.image))
-    return PermGroup(elements, tuple(generators))
+    return ListedGroup(elements, tuple(generators))
 
 
 def translation_generators(curve: Curve):
@@ -164,29 +319,65 @@ def translation_generators(curve: Curve):
 
 
 def full_group(curve: Curve, max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
-    """Closure of translations, scalings, and the inversion."""
+    """The group generated by translations, scalings, and the inversion,
+    with the infinite place as first base point; refused when its order is
+    above max_order."""
     F = curve.field
     gens = translation_generators(curve)
     gens.append(scaling(curve, F.root_of_unity(F.order - 1)))
     gens.append(inversion(curve))
-    return closure(gens, max_order=max_order)
+    group = schreier_sims(gens, base=(0,), max_order=max_order)
+    if group.order > max_order:
+        raise OrderBudgetExceededError(f"group order {group.order} exceeds cap {max_order}")
+    return group
 
 
 def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
-    els = tuple(g for g in group.elements if g.image[index] == index)
-    return PermGroup(els, els)
+    """The stabilizer of one place: level 1 of a chain whose base starts
+    at index (the chain is rebuilt when it starts elsewhere)."""
+    if group.base[:1] != (index,):
+        gens = [g.image for g in group.generators]
+        group = PermGroup(
+            group.degree,
+            group.generators,
+            *_chain(gens, group.degree, (index,)),
+            group.max_order,
+        )
+    gens = group.strong[1] if len(group.strong) > 1 else ()
+    return PermGroup(
+        group.degree,
+        tuple(PlacePerm(s, "strong") for s in gens),
+        group.base[1:],
+        group.transversals[1:],
+        group.strong[1:],
+        group.max_order,
+    )
+
+
+def _orbit(generators, start, act):
+    """BFS orbit of start under the generators."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            y = act(x, g.image)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
 def orbit_of_index(group: PermGroup, index: int):
-    return {g.image[index] for g in group.elements}
+    return _orbit(group.generators, index, lambda i, g: g[i])
 
 
 def orbit_of_pair(group: PermGroup, i: int, j: int):
-    return {(g.image[i], g.image[j]) for g in group.elements}
+    return _orbit(group.generators, (i, j), lambda p, g: (g[p[0]], g[p[1]]))
 
 
 def orbit_of_vector(group: PermGroup, v):
-    return {permute(v, g.image) for g in group.elements}
+    return _orbit(group.generators, tuple(v), permute)
 
 
 def lattice_stable_under(group: PermGroup, L, generators_only: bool = False) -> bool:
@@ -209,22 +400,63 @@ def lattice_stable_under(group: PermGroup, L, generators_only: bool = False) -> 
 class ClassgroupAction:
     """The induced action on the quotient group A_{n-1}/L.
 
-    matrices[i] is the action of group.elements[i] on the nontrivial
-    quotient generators, rows mod the elementary divisors."""
+    matrices[i] is the action of group.generators[i] on the nontrivial
+    quotient generators, rows mod the elementary divisors.  kernel_size
+    is counted exactly on the stabilizer chain, and image_order is
+    |G| / kernel_size."""
 
     mods: tuple
     matrices: tuple
     kernel_size: int
     injective: bool
+    image_order: int
+
+
+def _kernel_size(group: PermGroup, cls, mods) -> int:
+    """Count the g with c[g(i)] - c[g(b0)] = c[i] - c[b0] for every place
+    i, where c is the class map and b0 the first base point.
+
+    Backtracking over the transversals: g = u_0 u_1 ... u_k ... and the
+    product of the first k + 1 factors already determines g(b_k), so a branch
+    survives only while the identity holds at every base point fixed so
+    far.  A leaf counts only if it holds at every place.
+    """
+    base, trans, n = group.base, group.transversals, group.degree
+    if not base:
+        return 1
+
+    def shift(c, d, sign=1):
+        return tuple((x + sign * y) % m for x, y, m in zip(c, d, mods))
+
+    ids = {}
+    cid = [ids.setdefault(c, len(ids)) for c in cls]
+    want = [shift(c, cls[base[0]], -1) for c in cls]  # c[i] - c[b0]
+    count = 0
+
+    def descend(level, g, anchor, targets):
+        nonlocal count
+        if level == len(base):
+            count += all(cls[g[i]] == shift(anchor, want[i]) for i in range(n))
+            return
+        t = targets[level]
+        for p, u in trans[level].items():
+            if cid[g[p]] == t:  # g(u(b_level)) = g(p)
+                descend(level + 1, _mul(g, u), anchor, targets)
+
+    for p0, u0 in trans[0].items():
+        anchor = cls[p0]
+        targets = [ids.get(shift(anchor, want[b]), -1) for b in base]
+        descend(1, u0, anchor, targets)
+    return count
 
 
 def induced_classgroup_action(group: PermGroup, L) -> ClassgroupAction:
+    """The action on A_{n-1}/L, after re-checking that the generators fix L."""
+    if not lattice_stable_under(group, L, generators_only=True):
+        raise LatticeNotStableError("a generator moves the lattice; no induced action")
     mods, gens = L.quotient_generators()
     _, cls = L.class_map()
     m = len(mods)
-    ident = tuple(
-        tuple(1 if s == t else 0 for s in range(m)) for t in range(m)
-    )
 
     def class_of(v):
         acc = [0] * m
@@ -235,16 +467,14 @@ def induced_classgroup_action(group: PermGroup, L) -> ClassgroupAction:
                     acc[s] += x * ci[s]
         return tuple(a % md for a, md in zip(acc, mods))
 
-    matrices = []
-    kernel = 0
-    for g in group.elements:
-        mat = tuple(class_of(permute(gen, g.image)) for gen in gens)
-        matrices.append(mat)
-        if mat == ident:
-            kernel += 1
+    matrices = tuple(
+        tuple(class_of(permute(gen, g.image)) for gen in gens) for g in group.generators
+    )
+    kernel = _kernel_size(group, cls, mods)
     return ClassgroupAction(
         mods=tuple(mods),
-        matrices=tuple(matrices),
+        matrices=matrices,
         kernel_size=kernel,
         injective=(kernel == 1),
+        image_order=group.order // kernel,
     )

@@ -70,8 +70,12 @@ class ZeroScalarError(Error):
 
 
 class OrderBudgetExceededError(Error):
-    """Group closure grew past the configured order cap."""
+    """A group's order is above the configured cap."""
 
 
 class InternalIdentityViolationError(Error):
     """A decomposition failed its own exact sum check; this is a defect."""
+
+
+class LatticeNotStableError(Error):
+    """A group moves the lattice, so it induces no action on the quotient."""

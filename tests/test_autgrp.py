@@ -1,12 +1,18 @@
-"""Curve automorphisms: explicit families, closure, and induced actions."""
+"""Curve automorphisms: explicit families, the stabilizer chain against
+the BFS closure, and induced actions."""
 
 import random
 
 import pytest
 
 from hfl import autgrp, hermlat
-from hfl.errors import NotOnCurveError, OrderBudgetExceededError, ZeroScalarError
-from hfl.lattice import permute
+from hfl.errors import (
+    LatticeNotStableError,
+    NotOnCurveError,
+    OrderBudgetExceededError,
+    ZeroScalarError,
+)
+from hfl.lattice import Lattice, permute
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +141,8 @@ def test_classgroup_action_q2(G2, hl2):
     assert act.mods == (3, 3)
     assert act.kernel_size == 9
     assert not act.injective
-    assert len(act.matrices) == G2.order
-    assert len(set(act.matrices)) == G2.order // act.kernel_size == 24
+    assert len(act.matrices) == len(G2.generators)
+    assert act.image_order == G2.order // act.kernel_size == 24
 
 
 def test_classgroup_action_q3(G3, hl3):
@@ -176,3 +182,183 @@ def test_closure_budget_and_validation(curve2):
         autgrp.closure(gens, max_order=3)
     with pytest.raises(ValueError):
         autgrp.closure([])
+
+
+# -- the stabilizer chain against the BFS closure -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def oracles(G2, G3):
+    """q -> (group, every element listed by BFS closure)."""
+    return {
+        2: (G2, autgrp.closure(G2.generators).elements),
+        3: (G3, autgrp.closure(G3.generators).elements),
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_chain_order_and_elements_match_closure(oracles, q):
+    G, listed = oracles[q]
+    assert G.order == len(listed) == full_order(q)
+    assert G.elements == listed
+    assert all(g in G for g in listed)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_stabilizer_at_every_index_matches_closure(oracles, q):
+    G, listed = oracles[q]
+    for i in range(G.degree):
+        stab = autgrp.stabilizer(G, i)
+        fixing = tuple(g for g in listed if g.image[i] == i)
+        assert stab.order == len(fixing) == q**3 * (q * q - 1)
+        assert all(g.image[i] == i for g in stab.generators)
+        if q == 2:
+            assert stab.elements == fixing
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_orbits_match_closure(oracles, q):
+    G, listed = oracles[q]
+    rng = random.Random(q)
+    for i in rng.sample(range(G.degree), 4):
+        assert autgrp.orbit_of_index(G, i) == {g.image[i] for g in listed}
+    assert autgrp.orbit_of_pair(G, 0, 1) == {(g.image[0], g.image[1]) for g in listed}
+    v = tuple(rng.randrange(-2, 3) for _ in range(G.degree))
+    assert autgrp.orbit_of_vector(G, v) == {permute(v, g.image) for g in listed}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_membership_of_products_and_random_perms(oracles, q):
+    G, listed = oracles[q]
+    els = set(listed)
+    rng = random.Random(5 + q)
+    for _ in range(50):
+        g = rng.choice(G.generators)
+        for _ in range(rng.randrange(1, 12)):
+            g = rng.choice(G.generators).compose(g)
+        assert g in els and g in G
+        assert g.inverse() in G
+    for _ in range(200):
+        image = list(range(G.degree))
+        rng.shuffle(image)
+        p = autgrp.PlacePerm(tuple(image), "random")
+        assert (p in G) == (p in els)
+    assert autgrp.PlacePerm(tuple(range(G.degree + 1)), "wrong degree") not in G
+
+
+def _kernel_by_matrices(listed, L):
+    """Elements acting as the identity on the quotient generators' classes,
+    one matrix per listed element."""
+    mods, gens = L.quotient_generators()
+    _, cls = L.class_map()
+
+    def class_of(v):
+        acc = [sum(x * cls[i][s] for i, x in enumerate(v)) for s in range(len(mods))]
+        return tuple(a % m for a, m in zip(acc, mods))
+
+    ident = tuple(class_of(gen) for gen in gens)
+    return sum(
+        1 for g in listed if tuple(class_of(permute(gen, g.image)) for gen in gens) == ident
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_kernel_matches_per_element_matrices(oracles, hl2, hl3, q):
+    G, listed = oracles[q]
+    L = {2: hl2, 3: hl3}[q].L
+    act = autgrp.induced_classgroup_action(G, L)
+    assert act.kernel_size == _kernel_by_matrices(listed, L) == {2: 9, 3: 1}[q]
+    assert act.image_order * act.kernel_size == G.order
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_chain_formulas_q4_q5(q):
+    hl = hermlat.build(q)
+    G = autgrp.full_group(hl.curve)
+    assert G.order == full_order(q)
+    assert autgrp.stabilizer(G, 0).order == q**3 * (q * q - 1)
+    assert autgrp.orbit_of_index(G, 0) == set(range(hl.curve.n))
+    act = autgrp.induced_classgroup_action(G, hl.L)
+    assert act.kernel_size == 1 and act.injective
+    assert act.image_order == G.order
+
+
+def test_order_cap_refuses_group_and_listing(curve2):
+    with pytest.raises(OrderBudgetExceededError):
+        autgrp.full_group(curve2, max_order=215)
+    G = autgrp.schreier_sims(autgrp.full_group(curve2).generators, max_order=100)
+    assert G.order == 216
+    with pytest.raises(OrderBudgetExceededError):
+        G.elements
+    with pytest.raises(ValueError):
+        autgrp.schreier_sims([])
+
+
+def test_classgroup_action_needs_stable_lattice(G2, curve2):
+    # second differences along the place order: a lattice that the
+    # translations move
+    n = curve2.n
+    rows = []
+    for i in range(1, n - 1):
+        v = [0] * n
+        v[i - 1], v[i], v[i + 1] = 1, -2, 1
+        rows.append(tuple(v))
+    L = Lattice.from_generators(rows, n)
+    assert not autgrp.lattice_stable_under(G2, L, generators_only=True)
+    with pytest.raises(LatticeNotStableError):
+        autgrp.induced_classgroup_action(G2, L)
+
+
+def _random_generators(rng, degree, count):
+    """Random permutations, some confined to blocks so that orders vary."""
+    gens = []
+    for _ in range(count):
+        image = list(range(degree))
+        if rng.random() < 0.5:
+            cut = rng.randrange(1, degree)
+            head, tail = image[:cut], image[cut:]
+            rng.shuffle(head)
+            rng.shuffle(tail)
+            image = head + tail
+        else:
+            rng.shuffle(image)
+        gens.append(autgrp.PlacePerm(tuple(image), "random"))
+    return gens
+
+
+def test_chain_matches_closure_on_random_groups():
+    rng = random.Random(17)
+    for _ in range(40):
+        degree = rng.randint(3, 7)
+        gens = _random_generators(rng, degree, rng.randint(1, 3))
+        listed = autgrp.closure(gens).elements
+        G = autgrp.schreier_sims(gens, base=(rng.randrange(degree),))
+        assert G.order == len(listed)
+        assert G.elements == listed
+        i = rng.randrange(degree)
+        assert autgrp.stabilizer(G, i).elements == tuple(g for g in listed if g.image[i] == i)
+
+
+def test_kernel_search_needs_every_place_at_the_leaves():
+    # random class maps on symmetric and smaller groups: the count must
+    # equal the definition, also where base points alone admit extra g
+    rng = random.Random(23)
+    for _ in range(30):
+        degree = rng.randint(3, 6)
+        gens = _random_generators(rng, degree, 2)
+        G = autgrp.schreier_sims(gens)
+        mods = rng.choice([(5,), (2, 4), (7,)])
+        cls = [tuple(rng.randrange(m) for m in mods) for _ in range(degree)]
+
+        def diff(a, b):
+            return tuple((x - y) % m for x, y, m in zip(a, b, mods))
+
+        expected = sum(
+            1
+            for g in G.elements
+            if all(
+                diff(cls[g.image[i]], cls[g.image[0]]) == diff(cls[i], cls[0])
+                for i in range(degree)
+            )
+        )
+        assert autgrp._kernel_size(G, cls, mods) == expected
