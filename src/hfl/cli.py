@@ -8,6 +8,7 @@ output that is not byte-stable across runs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -335,10 +336,9 @@ def run_checks(checks, verbose=True):
     return report
 
 
-def herm_checks(q: int, cap: int, workers: int, with_census: bool = True):
-    curve = curve_make(q)
-    hl = hermlat.HermitianLattice(curve)
-    n = curve.n
+def herm_checks(hl: hermlat.HermitianLattice, cap: int, workers: int, with_census: bool = True):
+    curve = hl.curve
+    q, n = curve.q, curve.n
 
     checks = [
         Check("places", "formula", q**3 + 1, lambda: n),
@@ -369,8 +369,12 @@ def herm_checks(q: int, cap: int, workers: int, with_census: bool = True):
         ),
     ]
 
+    @functools.cache
+    def families():
+        return hermlat.kissing_families(curve)
+
     def families_sizes():
-        fam = hermlat.kissing_families(curve)
+        fam = families()
         return {
             "pair_vertical": len(fam.pair_vertical),
             "vertical_slope": len(fam.vertical_slope),
@@ -379,7 +383,7 @@ def herm_checks(q: int, cap: int, workers: int, with_census: bool = True):
         }
 
     def families_valid():
-        fam = hermlat.kissing_families(curve)
+        fam = families()
         union = fam.union()
         if len(union) != fam.total:
             return "families overlap"
@@ -437,9 +441,8 @@ def herm_checks(q: int, cap: int, workers: int, with_census: bool = True):
         checks.append(Check("min_distance", "formula", 2 * q, min_dist))
 
         def census_superset():
-            fam = set(hermlat.kissing_families(curve).union())
             found = set(hermlat.census(hl, cap=cap, workers=workers))
-            return fam <= found
+            return families().union() <= found
 
         checks.append(Check("census_contains_families", "formula", True, census_superset))
         if q in CENSUS_SIZE:
@@ -454,15 +457,21 @@ def herm_checks(q: int, cap: int, workers: int, with_census: bool = True):
     return checks
 
 
-def aut_checks(q: int, max_order: int):
-    curve = curve_make(q)
-    hl = hermlat.HermitianLattice(curve)
+def aut_checks(hl: hermlat.HermitianLattice, max_order: int):
+    curve = hl.curve
+    q = curve.q
     expected_order = q**3 * (q * q - 1) * (q**3 + 1)
     state = {}
 
     def group():
+        # a refusal is kept too, so the chain is built at most once per run
         if "g" not in state:
-            state["g"] = autgrp.full_group(curve, max_order=max_order)
+            try:
+                state["g"] = autgrp.full_group(curve, max_order=max_order)
+            except OrderBudgetExceededError as e:
+                state["g"] = e
+        if isinstance(state["g"], OrderBudgetExceededError):
+            raise state["g"]
         return state["g"]
 
     checks = [
@@ -583,9 +592,8 @@ def cmd_herm_decompose(args):
 
 
 def cmd_herm_verify(args):
-    checks = herm_checks(
-        args.q, cap=_census_cap(args), workers=_threads(args), with_census=args.all
-    )
+    hl = hermlat.build(args.q)
+    checks = herm_checks(hl, cap=_census_cap(args), workers=_threads(args), with_census=args.all)
     report = run_checks(checks)
     report["target"] = f"herm q={args.q}"
     _emit(report, args.out)
@@ -661,8 +669,9 @@ def cmd_verify(args):
         checks = group_checks(args.group, table1=args.table1, golden_path=args.golden)
         target = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
-        checks = herm_checks(args.q, cap=_census_cap(args), workers=_threads(args))
-        checks += aut_checks(args.q, max_order=_order_cap(args))
+        hl = hermlat.build(args.q)
+        checks = herm_checks(hl, cap=_census_cap(args), workers=_threads(args))
+        checks += aut_checks(hl, max_order=_order_cap(args))
         target = f"herm q={args.q}"
     else:
         raise UsageError("verify needs --q or --group")

@@ -105,21 +105,49 @@ def rank_of(vectors, width: int) -> int:
     return len(echelon(vectors, width)[0])
 
 
+def _distinct_by_leading_column(vectors) -> list[tuple[int, ...]]:
+    """The rows up to sign, each once, latest leading column first.
+
+    Dropping v when v or -v was already seen keeps the span.  Feeding the
+    rows that start furthest right first lets every later row be reduced
+    against a nearly finished tail, which keeps echelon entries small.
+    """
+    seen = set()
+    keyed = []
+    for vec in vectors:
+        v = tuple(vec)
+        c = _first_nonzero(v)
+        if c >= 0 and v[c] < 0:
+            v = tuple(-x for x in v)
+        if v not in seen:
+            seen.add(v)
+            keyed.append((c, v))
+    keyed.sort(key=lambda cv: -cv[0])
+    return [v for _, v in keyed]
+
+
 def hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     """Canonical row-style Hermite form: positive pivots, entries above a
     pivot reduced into [0, pivot).  Unique per row span, so the output is
-    independent of generator order."""
-    rows, pivots = echelon(vectors, width)
+    independent of generator order, and the rows are fed to echelon in
+    whichever order keeps its entries small."""
+    rows, pivots = echelon(_distinct_by_leading_column(vectors), width)
     for i, c in enumerate(pivots):
         if rows[i][c] < 0:
             rows[i] = [-x for x in rows[i]]
-    for i in range(len(rows)):
+    # bottom up, so every row subtracted is already reduced: its nonzero
+    # columns are few and its entries small
+    support = [()] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        r = rows[i]
         for below in range(i + 1, len(rows)):
             c = pivots[below]
-            pv = rows[below][c]
-            f = rows[i][c] // pv
+            f = r[c] // rows[below][c]
             if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[below])]
+                b = rows[below]
+                for j in support[below]:
+                    r[j] -= f * b[j]
+        support[i] = [j for j in range(pivots[i], width) if r[j]]
     return rows, pivots
 
 

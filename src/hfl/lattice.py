@@ -101,26 +101,54 @@ class Lattice:
 
     def quotient(self) -> QuotientStructure:
         """Elementary divisors of A_{n-1}/L (ascending chain, 1s included)."""
-        if not self.is_full_rank():
-            raise NotFullRankError(f"rank {self.rank} < {self.n - 1}")
-        divisors, _, _ = self._snf()
-        return QuotientStructure(tuple(divisors))
+        return QuotientStructure(tuple(self._snf()[0]))
 
     def determinant(self) -> tuple[int, int]:
         """det L as (index, radicand): the exact value is index * sqrt(radicand)."""
         return self.index_in_ambient(), self.n
 
     def _snf(self):
+        """Smith form of the full-rank HNF H through its non-unit block.
+
+        In canonical HNF a unit-pivot column is zero off its pivot, so
+        A_{n-1}/L is Z^N / rowspan(B) for N the non-unit pivots and B the
+        N x N block of H: a unit-pivot row c maps e_c to -sum_j H[c][j] e_j
+        over j in N.  Only B goes through the dense Smith form.
+        """
+        if not self.is_full_rank():
+            raise NotFullRankError(f"rank {self.rank} < {self.n - 1}")
         if self._classmap is None:
-            divisors, V, Vinv = intmat.smith_normal_form(self._hnf, self.n - 1)
-            cols = [t for t, d in enumerate(divisors) if d != 1]
-            mods = tuple(divisors[t] for t in cols)
-            cls = [tuple([0] * len(cols))]
-            for i in range(self.n - 1):
-                vrow = V[i]
-                cls.append(tuple(vrow[c] % m for c, m in zip(cols, mods)))
-            self._classmap = (divisors, mods, tuple(cls), cols, Vinv)
-        return self._classmap[0], self._classmap[1], self._classmap[2]
+            H = self._hnf
+            r = self.n - 1
+            block = [i for i in range(r) if H[i][i] != 1]
+            B = [[H[i][j] for j in block] for i in block]
+            bdiv, V, Vinv = intmat.smith_normal_form(B, len(block))
+            divisors = [1] * (r - len(block)) + bdiv
+            cols = [t for t, d in enumerate(bdiv) if d != 1]
+            mods = tuple(bdiv[t] for t in cols)
+            pos = {j: k for k, j in enumerate(block)}
+            cls = [(0,) * len(cols)]
+            for i in range(r):
+                if i in pos:
+                    vrow = V[pos[i]]
+                    acc = [vrow[t] for t in cols]
+                else:
+                    acc = [0] * len(cols)
+                    for k, j in enumerate(block):
+                        h = H[i][j]
+                        if h:
+                            vrow = V[k]
+                            for s, t in enumerate(cols):
+                                acc[s] -= h * vrow[t]
+                cls.append(tuple(a % m for a, m in zip(acc, mods)))
+            gens = []
+            for t in cols:
+                x = [0] * r
+                for k, j in enumerate(block):
+                    x[j] = Vinv[t][k]
+                gens.append(tuple([-sum(x)] + x))
+            self._classmap = (divisors, mods, tuple(cls), tuple(gens))
+        return self._classmap
 
     def class_map(self):
         """(mods, cls): v in L iff sum(v[i]*cls[i]) == 0 mod mods, componentwise.
@@ -128,9 +156,7 @@ class Lattice:
         cls[i] is the image of e_i - e_0 in the nontrivial part of the
         quotient group; only valid for full-rank lattices.
         """
-        if not self.is_full_rank():
-            raise NotFullRankError(f"rank {self.rank} < {self.n - 1}")
-        _, mods, cls = self._snf()
+        _, mods, cls, _ = self._snf()
         return mods, cls
 
     def member_fast(self, v) -> bool:
@@ -149,13 +175,8 @@ class Lattice:
 
     def quotient_generators(self):
         """Divisor vectors mapping to the unit classes of the quotient."""
-        self._snf()
-        _, mods, _, cols, Vinv = self._classmap
-        gens = []
-        for c in cols:
-            x = list(Vinv[c])
-            gens.append(tuple([-sum(x)] + x))
-        return mods, gens
+        _, mods, _, gens = self._snf()
+        return mods, list(gens)
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.n == other.n and self.rows == other.rows

@@ -38,6 +38,21 @@ def test_hnf_canonical_under_unimodular_changes():
         assert (h1, p1) == (h2, p2)
 
 
+def test_hnf_invariant_under_duplicate_and_negated_rows():
+    """Repeated rows and -v copies, in any order, leave the HNF unchanged."""
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        vecs = _random_vectors(rng, n, rng.randint(1, n + 2))
+        want = intmat.hnf([list(v) for v in vecs], n)
+        extra = [list(v) for v in vecs]
+        for _ in range(rng.randint(1, 2 * len(vecs))):
+            v = rng.choice(vecs)
+            extra.append(list(v) if rng.random() < 0.5 else [-x for x in v])
+        rng.shuffle(extra)
+        assert intmat.hnf(extra, n) == want
+
+
 def test_hnf_shape():
     rng = random.Random(5)
     for _ in range(80):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hfl import lattice
+from hfl import hermlat, intmat, lattice
 from hfl.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -111,6 +111,55 @@ def test_quotient_and_index_consistency():
             assert L.contains(tuple(m * x for x in g))
 
 
+def _class_of(L, v):
+    mods, cls = L.class_map()
+    acc = [sum(x * cls[i][t] for i, x in enumerate(v)) for t in range(len(mods))]
+    return tuple(a % m for a, m in zip(acc, mods))
+
+
+def _block_route_cases():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        # scaling some basis rows forces non-unit pivots next to unit ones
+        rows = []
+        for row in random_full_rank(rng, n).rows:
+            f = rng.choice((1, 1, 2, 3, 4))
+            rows.append(tuple(f * x for x in row))
+        yield rng, lattice.Lattice.from_generators(rows, n)
+    for q in (2, 3, 4):
+        yield rng, hermlat.build(q).L
+
+
+def test_block_smith_form_matches_dense_oracle():
+    """The quotient read off the non-unit block of the HNF agrees with the
+    dense Smith form of the whole HNF, with contains(), and maps each
+    quotient generator to its unit class."""
+    non_unit = 0
+    for rng, L in _block_route_cases():
+        n = L.n
+        dense, _, _ = intmat.smith_normal_form(L._hnf, n - 1)
+        assert list(L.quotient().divisors) == dense
+        mods, gens = L.quotient_generators()
+        non_unit += bool(mods)
+        for k, g in enumerate(gens):
+            assert sum(g) == 0
+            assert _class_of(L, g) == tuple(int(t == k) for t in range(len(mods)))
+        for _ in range(30):
+            # a lattice vector plus, half the time, a random sum-zero offset
+            v = [0] * n
+            for row in L.rows:
+                c = rng.randint(-2, 2)
+                v = [x + c * y for x, y in zip(v, row)]
+            if rng.random() < 0.5:
+                w = [rng.randint(-3, 3) for _ in range(n - 1)]
+                v = [x + y for x, y in zip(v, w + [-sum(w)])]
+            v = tuple(v)
+            assert L.member_fast(v) == L.contains(v)
+            assert (_class_of(L, v) == (0,) * len(mods)) == L.contains(v)
+    assert non_unit > 30
+
+
 def test_not_full_rank_errors():
     L = lattice.Lattice.from_generators([(1, -1, 0, 0)], 4)
     assert not L.is_full_rank()
@@ -120,6 +169,8 @@ def test_not_full_rank_errors():
         L.quotient()
     with pytest.raises(NotFullRankError):
         L.class_map()
+    with pytest.raises(NotFullRankError):
+        L.quotient_generators()
 
 
 def test_census_on_full_root_lattice():
