@@ -387,11 +387,10 @@ def lattice_stable_under(group: PermGroup, L, generators_only: bool = False) -> 
     equivalent (stability is closed under composition and, the group
     being finite, under inversion) and much cheaper for big groups.
     """
-    check = L.member_fast if L.is_full_rank() else L.contains
     perms = group.generators if generators_only else group.elements
     for g in perms:
         for row in L.rows:
-            if not check(permute(row, g.image)):
+            if not L.member_fast(permute(row, g.image)):
                 return False
     return True
 

@@ -111,20 +111,6 @@ def _order_cap(args):
     return env if env is not None else autgrp.DEFAULT_ORDER_CAP
 
 
-def _threads(args):
-    """--threads, or every usable CPU; never more than this process may run on."""
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        usable = os.cpu_count() or 1
-    t = getattr(args, "threads", None)
-    if t is None:
-        return usable
-    if t < 1:
-        raise UsageError("--threads must be >= 1")
-    return min(t, usable)
-
-
 # -- payload builders -------------------------------------------------------------
 
 
@@ -209,8 +195,8 @@ def lattice_payload(hl: hermlat.HermitianLattice):
     }
 
 
-def census_payload(hl: hermlat.HermitianLattice, cap: int, workers: int):
-    vectors = hermlat.census(hl, cap=cap, workers=workers)
+def census_payload(hl: hermlat.HermitianLattice, cap: int):
+    vectors = hermlat.census(hl, cap=cap)
     return {
         "q": hl.curve.q,
         "count": len(vectors),
@@ -336,7 +322,7 @@ def run_checks(checks, verbose=True):
     return report
 
 
-def herm_checks(hl: hermlat.HermitianLattice, cap: int, workers: int, with_census: bool = True):
+def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True):
     curve = hl.curve
     q, n = curve.q, curve.n
 
@@ -430,7 +416,7 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, workers: int, with_censu
     if with_census:
 
         def min_dist():
-            res = hermlat.min_distance(hl, cap=cap, workers=workers)
+            res = hermlat.min_distance(hl, cap=cap)
             if not res.exact:
                 raise BudgetExceededError(
                     "exact search over budget; families give the upper bound "
@@ -440,9 +426,12 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, workers: int, with_censu
 
         checks.append(Check("min_distance", "formula", 2 * q, min_dist))
 
+        @functools.cache
+        def census():
+            return hermlat.census(hl, cap=cap)
+
         def census_superset():
-            found = set(hermlat.census(hl, cap=cap, workers=workers))
-            return families().union() <= found
+            return families().union() <= set(census())
 
         checks.append(Check("census_contains_families", "formula", True, census_superset))
         if q in CENSUS_SIZE:
@@ -451,7 +440,7 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, workers: int, with_censu
                     "census_size",
                     "pinned",
                     CENSUS_SIZE[q],
-                    lambda: len(hermlat.census(hl, cap=cap, workers=workers)),
+                    lambda: len(census()),
                 )
             )
     return checks
@@ -575,7 +564,7 @@ def cmd_herm_build(args):
 
 def cmd_herm_census(args):
     hl = hermlat.build(args.q)
-    payload = census_payload(hl, cap=_census_cap(args), workers=_threads(args))
+    payload = census_payload(hl, cap=_census_cap(args))
     _emit(payload, args.out)
     return 0
 
@@ -593,7 +582,7 @@ def cmd_herm_decompose(args):
 
 def cmd_herm_verify(args):
     hl = hermlat.build(args.q)
-    checks = herm_checks(hl, cap=_census_cap(args), workers=_threads(args), with_census=args.all)
+    checks = herm_checks(hl, cap=_census_cap(args), with_census=args.all)
     report = run_checks(checks)
     report["target"] = f"herm q={args.q}"
     _emit(report, args.out)
@@ -653,9 +642,7 @@ def cmd_export(args):
     elif kind == "lattice":
         payload = lattice_payload(hermlat.HermitianLattice(curve))
     elif kind == "census":
-        payload = census_payload(
-            hermlat.HermitianLattice(curve), cap=_census_cap(args), workers=_threads(args)
-        )
+        payload = census_payload(hermlat.HermitianLattice(curve), cap=_census_cap(args))
     elif kind == "aut":
         payload = aut_payload(curve, max_order=_order_cap(args))
     else:  # argparse choices make this unreachable
@@ -670,7 +657,7 @@ def cmd_verify(args):
         target = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
         hl = hermlat.build(args.q)
-        checks = herm_checks(hl, cap=_census_cap(args), workers=_threads(args))
+        checks = herm_checks(hl, cap=_census_cap(args))
         checks += aut_checks(hl, max_order=_order_cap(args))
         target = f"herm q={args.q}"
     else:
@@ -700,7 +687,9 @@ def _add_out(p):
 
 def _add_budget(p):
     p.add_argument("--cap", type=int, help="enumeration budget override")
-    p.add_argument("--threads", type=int, help="worker processes for the census")
+    p.add_argument(
+        "--threads", type=int, help="accepted and ignored; the census runs in one process"
+    )
 
 
 def build_parser():

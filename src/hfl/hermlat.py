@@ -307,22 +307,23 @@ def kissing_families(curve: Curve) -> KissingFamilies:
 
 def min_distance(hl: HermitianLattice, cap: int | None = None, workers: int = 1) -> MinDistanceResult:
     """Exact squared minimum when the support census fits the budget,
-    otherwise the family upper bound 2q, flagged as such."""
+    otherwise the family upper bound 2q, flagged as such: the quotient
+    of two vertical lines is a lattice vector of squared norm 2q.
+    `workers` is accepted and ignored."""
     q = hl.curve.q
     n = hl.curve.n
     cap = lattice.DEFAULT_CENSUS_CAP if cap is None else cap
     if comb(n, q) * comb(n - q, q) <= cap:
-        best, vecs = lattice.min_distance_via_scan(hl.L, 2 * q, cap=cap, workers=workers)
+        best, vecs = lattice.min_distance_via_scan(hl.L, 2 * q, cap=cap)
         return MinDistanceResult(best, True, "census", len(vecs))
-    fams = kissing_families(hl.curve)
-    probe = fams.pair_vertical[0]
-    assert sum(x * x for x in probe) == 2 * q
+    minimal_pair_vector(hl.curve, Vertical(0), Vertical(1))
     return MinDistanceResult(2 * q, False, "families", None)
 
 
 def census(hl: HermitianLattice, cap: int | None = None, workers: int = 1):
-    """All lattice vectors with q entries +1 and q entries -1."""
-    return lattice.census_pm1(hl.L, hl.curve.q, cap=cap, workers=workers)
+    """All lattice vectors with q entries +1 and q entries -1.
+    `workers` is accepted and ignored."""
+    return lattice.census_pm1(hl.L, hl.curve.q, cap=cap)
 
 
 def generated_by_minimals(hl: HermitianLattice, extra_vectors=()) -> int:

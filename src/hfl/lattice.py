@@ -9,10 +9,10 @@ and a search for coordinate-permutation automorphisms.
 """
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
+from operator import add, mod
 
 from . import intmat
 from .errors import (
@@ -160,7 +160,10 @@ class Lattice:
         return mods, cls
 
     def member_fast(self, v) -> bool:
-        """Membership through the quotient map; agrees with contains()."""
+        """Membership through the quotient map; agrees with contains(),
+        which it falls back on when L is not of full rank."""
+        if not self.is_full_rank():
+            return self.contains(v)
         mods, cls = self.class_map()
         m = len(mods)
         if m == 0:
@@ -188,86 +191,44 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
-def lattice_from_generators(vectors, n: int) -> Lattice:
-    return Lattice.from_generators(vectors, n)
-
-
 # -- censuses of short vectors -------------------------------------------------
 
 
-def _census_signatures(cls, mods, subsets):
-    out = []
-    m = len(mods)
-    for sub in subsets:
-        acc = [0] * m
-        for i in sub:
-            ci = cls[i]
-            for t in range(m):
-                acc[t] += ci[t]
-        out.append(tuple(a % md for a, md in zip(acc, mods)))
-    return out
-
-
-def _census_sig_chunk(args):
-    cls, mods, subsets = args
-    return _census_signatures(cls, mods, subsets)
-
-
 def census_pm1(L: Lattice, q: int, cap: int | None = None, workers: int = 1):
-    """All lattice vectors with exactly q entries +1, q entries -1.
+    """All lattice vectors with exactly q entries +1, q entries -1, sorted.
 
-    The support space (q-subsets for the +1s, then for the -1s) is walked
-    in lexicographic order, partitioned contiguously across workers, and
-    merged by a final sort, so the result is independent of the worker
-    count.  Membership is decided by the quotient class map when the
-    lattice has full rank, and by direct reduction otherwise.
+    Meet in the middle (Horowitz-Sahni): a = +1 support and b = -1 support
+    give a lattice vector iff both q-subsets have the same quotient class,
+    so the q-subsets are bucketed by class and disjoint pairs within a
+    bucket are read off.  Classes are summed incrementally down the
+    combination tree, one class vector per level.  Needs full rank
+    (NotFullRankError otherwise); `workers` is accepted and ignored, the
+    census runs in this process.
     """
     n = L.n
     cap = DEFAULT_CENSUS_CAP if cap is None else cap
     total = comb(n, q) * comb(n - q, q)
     if total > cap:
         raise BudgetExceededError(f"census needs {total} support pairs > cap {cap}")
-    if not L.is_full_rank():
-        out = []
-        for pos in itertools.combinations(range(n), q):
-            rest = [i for i in range(n) if i not in pos]
-            for negs in itertools.combinations(rest, q):
-                v = [0] * n
-                for i in pos:
-                    v[i] = 1
-                for i in negs:
-                    v[i] = -1
-                if L.contains(tuple(v)):
-                    out.append(tuple(v))
-        out.sort()
-        return out
-
     mods, cls = L.class_map()
-    subsets = list(itertools.combinations(range(n), q))
-    chunks = _split_chunks(subsets, workers)
-    if workers > 1 and len(subsets) > 4 * workers:
-        payload = [(cls, mods, chunk) for chunk in chunks]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                sig_parts = list(pool.map(_census_sig_chunk, payload))
-        except OSError:
-            sig_parts = [_census_signatures(cls, mods, chunk) for chunk in chunks]
-    else:
-        sig_parts = [_census_signatures(cls, mods, chunk) for chunk in chunks]
-    sigs = [s for part in sig_parts for s in part]
+    buckets: dict[tuple, list[tuple]] = {}
 
-    buckets: dict[tuple, list[int]] = {}
-    for idx, sig in enumerate(sigs):
-        buckets.setdefault(sig, []).append(idx)
+    def walk(start, prefix, acc):
+        if len(prefix) == q - 1:
+            for i in range(start, n):
+                sig = tuple(map(mod, map(add, acc, cls[i]), mods))
+                buckets.setdefault(sig, []).append(prefix + (i,))
+            return
+        for i in range(start, n - q + len(prefix) + 1):
+            walk(i + 1, prefix + (i,), [a + c for a, c in zip(acc, cls[i])])
+
+    if q > 0:  # q = 0 gives only the zero vector, which is left out
+        walk(0, (), [0] * len(mods))
     out = []
-    for idxs in buckets.values():
-        for ia in idxs:
-            a = subsets[ia]
+    for subs in buckets.values():
+        for a in subs:
             aset = set(a)
-            for ib in idxs:
-                if ia == ib:
-                    continue
-                b = subsets[ib]
+            for b in subs:
                 if aset.isdisjoint(b):
                     v = [0] * n
                     for i in a:
@@ -277,13 +238,6 @@ def census_pm1(L: Lattice, q: int, cap: int | None = None, workers: int = 1):
                     out.append(tuple(v))
     out.sort()
     return out
-
-
-def _split_chunks(items, workers):
-    workers = max(1, workers)
-    k = len(items)
-    size = (k + workers - 1) // workers if k else 1
-    return [items[i : i + size] for i in range(0, k, size)] or [[]]
 
 
 def _partitions(s: int, max_part: int | None = None):
@@ -324,14 +278,12 @@ def _assign_shape(L: Lattice, values_counts, cap: int):
         est *= comb(n, m)
     if est > cap:
         raise BudgetExceededError(f"shape scan needs about {est} placements > cap {cap}")
-    full_rank = L.is_full_rank()
     out = []
 
     def place(gi, used, vec):
         if gi == len(values_counts):
             t = tuple(vec)
-            ok = L.member_fast(t) if full_rank else L.contains(t)
-            if ok:
+            if L.member_fast(t):
                 out.append(t)
             return
         val, m = values_counts[gi]
@@ -352,6 +304,7 @@ def scan_short_vectors(L: Lattice, bound: int, cap: int | None = None, workers: 
 
     Complete over all integer entry shapes, not only +-1 vectors, so the
     minimum it reports is exact with no structural assumptions.
+    `workers` is accepted and ignored.
     """
     cap = DEFAULT_CENSUS_CAP if cap is None else cap
     found = []
@@ -359,7 +312,7 @@ def scan_short_vectors(L: Lattice, bound: int, cap: int | None = None, workers: 
         if len(pos) + len(neg) > L.n:
             continue
         if pos == neg and all(x == 1 for x in pos):
-            found.extend(census_pm1(L, len(pos), cap=cap, workers=workers))
+            found.extend(census_pm1(L, len(pos), cap=cap))
             continue
         groups = []
         for val in sorted(set(pos), reverse=True):
@@ -373,8 +326,9 @@ def scan_short_vectors(L: Lattice, bound: int, cap: int | None = None, workers: 
 
 def min_distance_via_scan(L: Lattice, bound: int, cap: int | None = None, workers: int = 1):
     """(min squared norm, minimal vectors) provided some vector of squared
-    norm <= bound exists; exact because the scan is shape-complete."""
-    vecs = scan_short_vectors(L, bound, cap=cap, workers=workers)
+    norm <= bound exists; exact because the scan is shape-complete.
+    `workers` is accepted and ignored."""
+    vecs = scan_short_vectors(L, bound, cap=cap)
     if not vecs:
         raise ValueError(f"no lattice vector of squared norm <= {bound}")
     best = min(sum(x * x for x in v) for v in vecs)
@@ -480,13 +434,6 @@ def minimal_vectors(L: Lattice):
     return [v for norm2, v in found if norm2 == best]
 
 
-def min_distance_squared(L: Lattice) -> int:
-    """Exact squared minimum by enumeration; rank-capped."""
-    start = min(sum(x * x for x in row) for row in _size_reduce([list(r) for r in L.rows]))
-    found = enumerate_short_vectors(L, start)
-    return found[0][0]
-
-
 # -- invariants built on minimal vectors ---------------------------------------
 
 
@@ -524,9 +471,8 @@ def generated_by_minimals_index(L: Lattice, minvecs) -> int:
 
 
 def _perm_fixes_lattice(L: Lattice, perm) -> bool:
-    check = L.member_fast if L.is_full_rank() else L.contains
     for row in L.rows:
-        if not check(permute(row, perm)):
+        if not L.member_fast(permute(row, perm)):
             return False
     return True
 

@@ -1,8 +1,8 @@
-"""Verify runs share one lattice, one family build and one group chain."""
+"""Verify runs share one lattice, one family build, one census and one group chain."""
 
 import pytest
 
-from hfl import autgrp, cli, hermlat
+from hfl import autgrp, cli, hermlat, lattice
 
 
 @pytest.fixture
@@ -22,13 +22,21 @@ def counted(monkeypatch):
     count(autgrp, "full_group")
     count(hermlat, "kissing_families")
     count(hermlat, "HermitianLattice")
+    count(lattice, "census_pm1")
     return calls
 
 
 def test_verify_builds_each_object_once(counted, capsys):
     assert cli.main(["verify", "--q", "2"]) == 0
     capsys.readouterr()
-    assert counted == {"HermitianLattice": 1, "kissing_families": 1, "full_group": 1}
+    # min_distance's scan runs the k = 1 and k = 2 censuses; the two
+    # census checks share the third
+    assert counted == {
+        "HermitianLattice": 1,
+        "kissing_families": 1,
+        "full_group": 1,
+        "census_pm1": 3,
+    }
 
 
 def test_order_refusal_is_cached(counted, hl2):

@@ -218,6 +218,14 @@ def test_census_q3_equals_families(hl3):
     assert set(vecs) == fams.union()
 
 
+def test_census_q4_equals_families():
+    # q^2 (q^2 - 1)(q^3 + 1) = 15,600 at q = 4, above the default cap
+    hl4 = hermlat.build(4)
+    vecs = lattice.census_pm1(hl4.L, 4, cap=10**12)
+    assert len(vecs) == 15600
+    assert set(vecs) == hermlat.kissing_families(hl4.curve).union()
+
+
 def test_census_budget(hl2):
     with pytest.raises(BudgetExceededError):
         hermlat.census(hl2, cap=10)
@@ -230,13 +238,20 @@ def test_min_distance_census_mode(hl2, hl3):
     assert r3 == hermlat.MinDistanceResult(6, True, "census", 2016)
 
 
-def test_min_distance_families_mode():
+def test_min_distance_families_mode(monkeypatch):
     hl4 = hermlat.build(4)
+    calls = []
+    real = hermlat.kissing_families
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr(hermlat, "kissing_families", counted)
     r = hermlat.min_distance(hl4)
-    assert r.d_squared == 8
-    assert not r.exact
-    assert r.mode == "families"
-    assert r.minimal_count is None
+    assert r == hermlat.MinDistanceResult(8, False, "families", None)
+    # one vertical pair is the probe; no family is built for it
+    assert calls == []
 
 
 def test_min_distance_forced_families(hl2):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hfl import hermlat, intmat, lattice
+from hfl import abelian, hermlat, intmat, lattice
 from hfl.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -171,6 +171,11 @@ def test_not_full_rank_errors():
         L.class_map()
     with pytest.raises(NotFullRankError):
         L.quotient_generators()
+    with pytest.raises(NotFullRankError):
+        lattice.census_pm1(L, 1)
+    # member_fast falls back on contains below full rank
+    for v in [(1, -1, 0, 0), (-2, 2, 0, 0), (0, 0, 1, -1), (1, 0, -1, 0), (1, 1, 0, 0)]:
+        assert L.member_fast(v) == L.contains(v)
 
 
 def test_census_on_full_root_lattice():
@@ -200,12 +205,18 @@ def test_census_budget():
 
 
 def test_census_brute_oracle():
-    """Census against direct support enumeration with plain contains()."""
+    """Census against direct support enumeration with plain contains();
+    support size 3 checks the incremental class sums below the top level,
+    and the subset lattices give quotients with two and three factors."""
     rng = random.Random(29)
-    for _ in range(10):
-        n = rng.randint(4, 6)
-        L = random_full_rank(rng, n)
-        for q in (1, 2):
+    lattices = [random_full_rank(rng, rng.randint(4, 8)) for _ in range(10)]
+    for moduli in ((3, 3), (2, 4), (2, 2, 2)):
+        G = abelian.AbelianGroup(moduli)
+        for n in (6, 8):
+            lattices.append(abelian.lattice_for_subset(G, rng.sample(range(1, G.order), n - 1)))
+    for L in lattices:
+        n = L.n
+        for q in (1, 2, 3):
             if 2 * q > n:
                 continue
             expected = set()
