@@ -388,11 +388,7 @@ def lattice_stable_under(group: PermGroup, L, generators_only: bool = False) -> 
     being finite, under inversion) and much cheaper for big groups.
     """
     perms = group.generators if generators_only else group.elements
-    for g in perms:
-        for row in L.rows:
-            if not L.member_fast(permute(row, g.image)):
-                return False
-    return True
+    return all(L.fixed_by(g.image) for g in perms)
 
 
 @dataclass(frozen=True)
@@ -455,19 +451,8 @@ def induced_classgroup_action(group: PermGroup, L) -> ClassgroupAction:
         raise LatticeNotStableError("a generator moves the lattice; no induced action")
     mods, gens = L.quotient_generators()
     _, cls = L.class_map()
-    m = len(mods)
-
-    def class_of(v):
-        acc = [0] * m
-        for i, x in enumerate(v):
-            if x:
-                ci = cls[i]
-                for s in range(m):
-                    acc[s] += x * ci[s]
-        return tuple(a % md for a, md in zip(acc, mods))
-
     matrices = tuple(
-        tuple(class_of(permute(gen, g.image)) for gen in gens) for g in group.generators
+        tuple(L.class_of(permute(gen, g.image)) for gen in gens) for g in group.generators
     )
     kernel = _kernel_size(group, cls, mods)
     return ClassgroupAction(

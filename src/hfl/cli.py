@@ -84,10 +84,13 @@ def _emit(payload, out_path):
         raise
 
 
-def _budget_env():
+def _budget(args, flag, default):
+    """The value of the budget flag if given, else HFL_BUDGET, else default."""
+    if getattr(args, flag, None) is not None:
+        return getattr(args, flag)
     raw = os.environ.get("HFL_BUDGET")
     if raw is None:
-        return None
+        return default
     try:
         val = int(raw)
     except ValueError:
@@ -95,20 +98,6 @@ def _budget_env():
     if val <= 0:
         raise UsageError("HFL_BUDGET must be positive")
     return val
-
-
-def _census_cap(args):
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = _budget_env()
-    return env if env is not None else lattice.DEFAULT_CENSUS_CAP
-
-
-def _order_cap(args):
-    if getattr(args, "max_order", None) is not None:
-        return args.max_order
-    env = _budget_env()
-    return env if env is not None else autgrp.DEFAULT_ORDER_CAP
 
 
 # -- payload builders -------------------------------------------------------------
@@ -564,7 +553,7 @@ def cmd_herm_build(args):
 
 def cmd_herm_census(args):
     hl = hermlat.build(args.q)
-    payload = census_payload(hl, cap=_census_cap(args))
+    payload = census_payload(hl, cap=_budget(args, "cap", lattice.DEFAULT_CENSUS_CAP))
     _emit(payload, args.out)
     return 0
 
@@ -582,7 +571,8 @@ def cmd_herm_decompose(args):
 
 def cmd_herm_verify(args):
     hl = hermlat.build(args.q)
-    checks = herm_checks(hl, cap=_census_cap(args), with_census=args.all)
+    cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
+    checks = herm_checks(hl, cap=cap, with_census=args.all)
     report = run_checks(checks)
     report["target"] = f"herm q={args.q}"
     _emit(report, args.out)
@@ -622,7 +612,8 @@ def cmd_group_table1(args):
 
 def cmd_aut(args):
     curve = curve_make(args.q)
-    payload = aut_payload(curve, max_order=_order_cap(args))
+    max_order = _budget(args, "max_order", autgrp.DEFAULT_ORDER_CAP)
+    payload = aut_payload(curve, max_order=max_order)
     _emit(payload, args.out)
     return 0
 
@@ -642,9 +633,11 @@ def cmd_export(args):
     elif kind == "lattice":
         payload = lattice_payload(hermlat.HermitianLattice(curve))
     elif kind == "census":
-        payload = census_payload(hermlat.HermitianLattice(curve), cap=_census_cap(args))
+        cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
+        payload = census_payload(hermlat.HermitianLattice(curve), cap=cap)
     elif kind == "aut":
-        payload = aut_payload(curve, max_order=_order_cap(args))
+        max_order = _budget(args, "max_order", autgrp.DEFAULT_ORDER_CAP)
+        payload = aut_payload(curve, max_order=max_order)
     else:  # argparse choices make this unreachable
         raise UsageError(f"unknown export kind {kind!r}")
     _emit(payload, args.out)
@@ -657,8 +650,8 @@ def cmd_verify(args):
         target = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
         hl = hermlat.build(args.q)
-        checks = herm_checks(hl, cap=_census_cap(args))
-        checks += aut_checks(hl, max_order=_order_cap(args))
+        checks = herm_checks(hl, cap=_budget(args, "cap", lattice.DEFAULT_CENSUS_CAP))
+        checks += aut_checks(hl, max_order=_budget(args, "max_order", autgrp.DEFAULT_ORDER_CAP))
         target = f"herm q={args.q}"
     else:
         raise UsageError("verify needs --q or --group")

@@ -25,7 +25,6 @@ from .errors import (
 
 DEFAULT_CENSUS_CAP = 10**8
 ENUM_MAX_RANK = 12
-PERM_EXHAUSTIVE_MAX = 8
 PERM_SEARCH_MAX = 28
 
 
@@ -159,22 +158,32 @@ class Lattice:
         _, mods, cls, _ = self._snf()
         return mods, cls
 
+    def class_of(self, v) -> tuple:
+        """Image of the sum-zero vector v in the nontrivial part of the
+        quotient group, componentwise mod the elementary divisors; needs
+        full rank."""
+        mods, cls = self.class_map()
+        m = len(mods)
+        acc = [0] * m
+        for x, ci in itertools.compress(zip(v, cls), v):  # nonzero entries only
+            for t in range(m):
+                acc[t] += x * ci[t]
+        return tuple(map(mod, acc, mods))
+
     def member_fast(self, v) -> bool:
         """Membership through the quotient map; agrees with contains(),
         which it falls back on when L is not of full rank."""
         if not self.is_full_rank():
             return self.contains(v)
-        mods, cls = self.class_map()
-        m = len(mods)
-        if m == 0:
-            return sum(v) == 0
-        acc = [0] * m
-        for i, x in enumerate(v):
-            if x:
-                ci = cls[i]
-                for t in range(m):
-                    acc[t] += x * ci[t]
-        return sum(v) == 0 and all(a % md == 0 for a, md in zip(acc, mods))
+        return sum(v) == 0 and not any(self.class_of(v))
+
+    def fixed_by(self, perm) -> bool:
+        """Does the coordinate permutation perm map L onto itself?
+
+        Checking that every permuted basis row lies in L is enough: perm
+        has finite order k, so perm(L) <= L gives L = perm^k(L) <= perm(L).
+        """
+        return all(self.member_fast(permute(row, perm)) for row in self.rows)
 
     def quotient_generators(self):
         """Divisor vectors mapping to the unit classes of the quotient."""
@@ -427,7 +436,10 @@ def enumerate_short_vectors(L: Lattice, bound: int):
 
 
 def minimal_vectors(L: Lattice):
-    """All minimal vectors of L via exact enumeration (small rank only)."""
+    """All minimal vectors of L via exact enumeration (small rank only);
+    none for the zero lattice."""
+    if L.rank == 0:
+        return []
     start = min(sum(x * x for x in row) for row in _size_reduce([list(r) for r in L.rows]))
     found = enumerate_short_vectors(L, start)
     best = found[0][0]
@@ -470,54 +482,39 @@ def generated_by_minimals_index(L: Lattice, minvecs) -> int:
 # -- coordinate-permutation automorphisms --------------------------------------
 
 
-def _perm_fixes_lattice(L: Lattice, perm) -> bool:
-    for row in L.rows:
-        if not L.member_fast(permute(row, perm)):
-            return False
-    return True
-
-
 def permutation_automorphisms(L: Lattice, fixed_index: int = 0, minvecs=None):
     """All coordinate permutations fixing one index that map L onto itself.
 
-    Exhaustive for n - 1 <= 8; beyond that a backtracking search over
-    images, pruned by per-coordinate and per-pair value profiles of the
-    minimal-vector set, with a full basis check at every leaf.  A
-    permutation with sigma(L) subset of L is automatically onto since it
-    has determinant +-1.
+    One backtracking search over images (Plesken-Souvignier): a
+    permutation of L permutes its minimal vectors, so coordinate i may go
+    to j only if the multiset of minimal-vector values at i equals that at
+    j, and likewise for the value pairs at i and each coordinate already
+    placed.  Every leaf is checked with Lattice.fixed_by, which asks only
+    that each permuted basis row lie in L: a permutation has finite order,
+    so one mapping L into L maps it onto L.  The minimal vectors are
+    computed when not given, which caps the rank at ENUM_MAX_RANK
+    (SearchInfeasibleError above it); n - 1 is capped at PERM_SEARCH_MAX.
     """
     n = L.n
     m = n - 1
     free = [i for i in range(n) if i != fixed_index]
     if m > PERM_SEARCH_MAX:
         raise SearchInfeasibleError(f"n - 1 = {m} > {PERM_SEARCH_MAX}")
-    if m <= PERM_EXHAUSTIVE_MAX:
-        out = []
-        for images in itertools.permutations(free):
-            perm = [0] * n
-            perm[fixed_index] = fixed_index
-            for src, dst in zip(free, images):
-                perm[src] = dst
-            perm = tuple(perm)
-            if _perm_fixes_lattice(L, perm):
-                out.append(perm)
-        return sorted(out)
-
     if minvecs is None:
-        if L.rank <= ENUM_MAX_RANK:
-            minvecs = minimal_vectors(L)
-        else:
+        if L.rank > ENUM_MAX_RANK:
             raise SearchInfeasibleError(
-                "profile search needs minimal vectors for n - 1 > "
-                f"{PERM_EXHAUSTIVE_MAX}"
+                f"rank {L.rank} > {ENUM_MAX_RANK}: the permutation search needs "
+                "minimal vectors; pass minvecs"
             )
-    minvecs = sorted(set(minvecs))
-    vert = [tuple(sorted(v[i] for v in minvecs)) for i in range(n)]
-    pair = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pair[i][j] = tuple(sorted((v[i], v[j]) for v in minvecs))
+        minvecs = minimal_vectors(L)
+    minvecs = set(minvecs)
+    ids = {}  # profiles interned as small ints, so the search compares ints
+
+    def profile(values):
+        return ids.setdefault(tuple(sorted(values)), len(ids))
+
+    vert = [profile(v[i] for v in minvecs) for i in range(n)]
+    pair = [[profile((v[i], v[j]) for v in minvecs) for j in range(n)] for i in range(n)]
 
     out = []
     image = list(range(n))
@@ -527,7 +524,7 @@ def permutation_automorphisms(L: Lattice, fixed_index: int = 0, minvecs=None):
     def extend(k):
         if k == len(free):
             perm = tuple(image)
-            if _perm_fixes_lattice(L, perm):
+            if L.fixed_by(perm):
                 out.append(perm)
             return
         i = free[k]

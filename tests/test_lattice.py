@@ -300,7 +300,7 @@ def test_permutation_automorphisms_fixed_index():
     perms3 = lattice.permutation_automorphisms(L, fixed_index=3)
     assert all(p[3] == 3 for p in perms3)
     for p in perms3:
-        assert lattice._perm_fixes_lattice(L, p)
+        assert L.fixed_by(p)
 
 
 def test_permutation_group_closure():
@@ -321,9 +321,23 @@ def test_permutation_group_closure():
                 assert comp in pset
 
 
-def test_profile_search_matches_exhaustive(monkeypatch, hl2):
-    """Force the pruned backtracking path on inputs the exhaustive route
-    can still certify, and require identical output."""
+def _brute_perm_automorphisms(L, fixed):
+    """Every permutation of the free coordinates, kept when it maps each
+    basis row into L by plain contains()."""
+    free = [i for i in range(L.n) if i != fixed]
+    out = []
+    for images in itertools.permutations(free):
+        perm = list(range(L.n))
+        for src, dst in zip(free, images):
+            perm[src] = dst
+        if all(L.contains(lattice.permute(row, perm)) for row in L.rows):
+            out.append(tuple(perm))
+    return sorted(out)
+
+
+def test_profile_search_matches_brute_force(hl2):
+    """The pruned search against trying every permutation, on full-rank,
+    rank-deficient and zero lattices and the Z_3 x Z_3 subset lattices."""
     cases = [
         full_root_lattice(5),
         lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3),
@@ -331,14 +345,31 @@ def test_profile_search_matches_exhaustive(monkeypatch, hl2):
             [(1, 1, -1, -1, 0), (0, 1, 1, -1, -1), (2, 0, -2, 0, 0), (1, -1, 1, -1, 0)], 5
         ),
         hl2.L,
+        lattice.Lattice.from_generators([(0, 0, 0)], 3),
     ]
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        gens = []
+        for _ in range(rng.randint(1, n)):  # fewer than n - 1 rows may leave rank short
+            v = [rng.randint(-2, 2) for _ in range(n - 1)]
+            gens.append(tuple(v) + (-sum(v),))
+        cases.append(lattice.Lattice.from_generators(gens, n))
+    assert any(not L.is_full_rank() for L in cases[5:])
+    G = abelian.AbelianGroup((3, 3))
+    for gens in ([1, 3, 4], [1, 2, 3, 6], [1, 2, 4, 5, 7], list(range(1, 9))):
+        cases.append(abelian.lattice_for_subset(G, gens))
     for L in cases:
         for fixed in (0, L.n - 1):
-            expected = lattice.permutation_automorphisms(L, fixed_index=fixed)
-            monkeypatch.setattr(lattice, "PERM_EXHAUSTIVE_MAX", 1)
             got = lattice.permutation_automorphisms(L, fixed_index=fixed)
-            monkeypatch.undo()
-            assert got == expected, (L.rows, fixed)
+            assert got == _brute_perm_automorphisms(L, fixed), (L.rows, fixed)
+
+
+def test_zero_lattice():
+    L = lattice.Lattice.from_generators([(0, 0, 0)], 3)
+    assert L.rank == 0
+    assert lattice.minimal_vectors(L) == []
+    assert lattice.permutation_automorphisms(L) == [(0, 1, 2), (0, 2, 1)]
 
 
 def test_permutation_search_caps():
@@ -351,7 +382,7 @@ def test_permutation_search_caps():
         lattice.permutation_automorphisms(L2)
     # explicit minimal vectors unlock it; A_14 has all perms, so don't run
     # the full search; instead check the q=2 curve lattice path in
-    # test_profile_search_matches_exhaustive.
+    # test_profile_search_matches_brute_force.
 
 
 def test_generated_by_minimals_index_cases():
