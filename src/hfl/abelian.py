@@ -195,16 +195,18 @@ def subset_perm_to_coordinate_perm(perm):
     return tuple(out)
 
 
+def perms_correspond(L: lattice.Lattice, subset_perms, minvecs=None) -> bool:
+    """Do the subset permutations, as coordinate permutations, equal those
+    of L fixing its balancing index (searched over minvecs when given)?"""
+    from_group = {subset_perm_to_coordinate_perm(p) for p in subset_perms}
+    return from_group == set(lattice.permutation_automorphisms(L, L.n - 1, minvecs))
+
+
 def check_permutation_correspondence(group: AbelianGroup, gens) -> bool:
     """Subset-extendable permutations vs the lattice's own coordinate
     permutation group, computed by independent routes; true iff equal."""
     gens = _check_subset(group, gens)
-    L = lattice_for_subset(group, gens)
-    from_group = {
-        subset_perm_to_coordinate_perm(p) for p in extendable_subset_perms(group, gens)
-    }
-    from_lattice = set(lattice.permutation_automorphisms(L, fixed_index=L.n - 1))
-    return from_group == from_lattice
+    return perms_correspond(lattice_for_subset(group, gens), extendable_subset_perms(group, gens))
 
 
 # -- the Z_7 catalogue ----------------------------------------------------------

@@ -74,7 +74,8 @@ class OrderBudgetExceededError(Error):
 
 
 class InternalIdentityViolationError(Error):
-    """A decomposition failed its own exact sum check; this is a defect."""
+    """An exact self-check failed (a decomposition's signed sum, or the
+    membership of a scanned vector); this is a defect."""
 
 
 class LatticeNotStableError(Error):

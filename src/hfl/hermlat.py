@@ -9,12 +9,11 @@ fails.  The three closed families of line-quotient vectors carry the
 kissing-number lower bound q^2(q^2-1)(q^3+1).
 """
 
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, field
 
 from . import lattice
 from .curve import Curve, Line, Slope, Vertical, curve_make
-from .errors import InternalIdentityViolationError, NotMinimalPairError
+from .errors import BudgetExceededError, InternalIdentityViolationError, NotMinimalPairError
 
 __all__ = [
     "DecompositionStep",
@@ -51,6 +50,9 @@ class MinDistanceResult:
     exact: bool
     mode: str  # "census" or "families"
     minimal_count: int | None
+    # the scan's vectors up to 2q ("census") or its refusal ("families")
+    vectors: tuple = field(default=(), compare=False, repr=False)
+    refusal: str = field(default="", compare=False, repr=False)
 
 
 class HermitianLattice:
@@ -305,24 +307,23 @@ def kissing_families(curve: Curve) -> KissingFamilies:
     return KissingFamilies(tuple(f1), tuple(f2), tuple(f3))
 
 
-def min_distance(hl: HermitianLattice, cap: int | None = None, workers: int = 1) -> MinDistanceResult:
-    """Exact squared minimum when the support census fits the budget,
-    otherwise the family upper bound 2q, flagged as such: the quotient
-    of two vertical lines is a lattice vector of squared norm 2q.
-    `workers` is accepted and ignored."""
+def min_distance(hl: HermitianLattice, cap: int | None = None) -> MinDistanceResult:
+    """Exact squared minimum from the shape-complete scan up to 2q when it
+    fits the budget, otherwise the family upper bound 2q, flagged as such:
+    the quotient of two vertical lines is a lattice vector of norm^2 2q."""
     q = hl.curve.q
-    n = hl.curve.n
-    cap = lattice.DEFAULT_CENSUS_CAP if cap is None else cap
-    if comb(n, q) * comb(n - q, q) <= cap:
-        best, vecs = lattice.min_distance_via_scan(hl.L, 2 * q, cap=cap)
-        return MinDistanceResult(best, True, "census", len(vecs))
-    minimal_pair_vector(hl.curve, Vertical(0), Vertical(1))
-    return MinDistanceResult(2 * q, False, "families", None)
+    try:
+        vecs = lattice.scan_short_vectors(hl.L, 2 * q, cap=cap)
+    except BudgetExceededError as e:
+        minimal_pair_vector(hl.curve, Vertical(0), Vertical(1))
+        return MinDistanceResult(2 * q, False, "families", None, refusal=str(e))
+    norms = [sum(x * x for x in v) for v in vecs]
+    best = min(norms)
+    return MinDistanceResult(best, True, "census", norms.count(best), tuple(vecs))
 
 
-def census(hl: HermitianLattice, cap: int | None = None, workers: int = 1):
-    """All lattice vectors with q entries +1 and q entries -1.
-    `workers` is accepted and ignored."""
+def census(hl: HermitianLattice, cap: int | None = None):
+    """All lattice vectors with q entries +1 and q entries -1."""
     return lattice.census_pm1(hl.L, hl.curve.q, cap=cap)
 
 

@@ -4,14 +4,14 @@ A lattice is stored through the Hermite form of its projection that drops
 coordinate 0 (the projection is injective on sum-zero vectors), which
 makes bases canonical and membership a back-substitution.  On top of that
 sit the quotient group A_{n-1}/L via Smith form, exact determinants,
-censuses of short vectors, an exact sphere enumerator for small ranks,
+short vectors shape by shape, an exact sphere enumerator for small ranks,
 and a search for coordinate-permutation automorphisms.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, factorial, perm, prod
 from operator import add, mod
 
 from . import intmat
@@ -19,6 +19,7 @@ from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     EmptyGeneratorSetError,
+    InternalIdentityViolationError,
     NotFullRankError,
     SearchInfeasibleError,
 )
@@ -200,148 +201,148 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
-# -- censuses of short vectors -------------------------------------------------
+# -- short vectors by shape ----------------------------------------------------
 
 
-def census_pm1(L: Lattice, q: int, cap: int | None = None, workers: int = 1):
-    """All lattice vectors with exactly q entries +1, q entries -1, sorted.
+def _placements(n: int, part) -> int:
+    """Ways to put the values of `part` on distinct coordinates of Z^n."""
+    return perm(n, len(part)) // prod(factorial(part.count(v)) for v in set(part))
 
-    Meet in the middle (Horowitz-Sahni): a = +1 support and b = -1 support
-    give a lattice vector iff both q-subsets have the same quotient class,
-    so the q-subsets are bucketed by class and disjoint pairs within a
-    bucket are read off.  Classes are summed incrementally down the
-    combination tree, one class vector per level.  Needs full rank
-    (NotFullRankError otherwise); `workers` is accepted and ignored, the
-    census runs in this process.
-    """
-    n = L.n
-    cap = DEFAULT_CENSUS_CAP if cap is None else cap
-    total = comb(n, q) * comb(n - q, q)
-    if total > cap:
-        raise BudgetExceededError(f"census needs {total} support pairs > cap {cap}")
-    mods, cls = L.class_map()
+
+class _Budget:
+    """One cap on the placements of every shape to walk, charged before
+    any walk, plus the pairs tested while pairing."""
+
+    def __init__(self, n: int, shapes, cap: int | None):
+        self.cap = DEFAULT_CENSUS_CAP if cap is None else cap
+        self.spent = 0
+        self.charge(sum(_placements(n, p) + (p != m) * _placements(n, m) for p, m in shapes))
+
+    def charge(self, work: int):
+        self.spent += work
+        if self.spent > self.cap:
+            raise BudgetExceededError(
+                f"shape walk needs {self.spent} placements and pairs > cap {self.cap}"
+            )
+
+
+def _bucket_placements(n: int, part, mods, cls):
+    """Placements of the values `part` (non-increasing) on distinct
+    coordinates, as coordinate tuples bucketed by class sum.  Equal values
+    take increasing coordinates; class sums grow down the combination
+    tree from one pre-scaled class table per slot, whose range leaves
+    room for the equal values after it."""
+    k = len(part)
+    tabs = {v: [tuple(v * c % m for c, m in zip(ci, mods)) for ci in cls] for v in set(part)}
+    plan = [(tabs[v], n - part[s + 1 :].count(v)) for s, v in enumerate(part)]
     buckets: dict[tuple, list[tuple]] = {}
 
-    def walk(start, prefix, acc):
-        if len(prefix) == q - 1:
-            for i in range(start, n):
-                sig = tuple(map(mod, map(add, acc, cls[i]), mods))
-                buckets.setdefault(sig, []).append(prefix + (i,))
+    def walk(s, start, prefix, acc):
+        tab, stop = plan[s]
+        if s == k - 1:
+            for i in range(start, stop):
+                if i not in prefix:
+                    sig = tuple(map(mod, map(add, acc, tab[i]), mods))
+                    buckets.setdefault(sig, []).append(prefix + (i,))
             return
-        for i in range(start, n - q + len(prefix) + 1):
-            walk(i + 1, prefix + (i,), [a + c for a, c in zip(acc, cls[i])])
+        same = part[s + 1] == part[s]
+        for i in range(start, stop):
+            if i not in prefix:
+                walk(s + 1, i + 1 if same else 0, prefix + (i,), list(map(add, acc, tab[i])))
 
-    if q > 0:  # q = 0 gives only the zero vector, which is left out
-        walk(0, (), [0] * len(mods))
+    walk(0, 0, (), [0] * len(mods))
+    return buckets
+
+
+def shape_vectors(L: Lattice, pos, neg, cap=None):
+    """All lattice vectors whose positive entries are the values `pos` and
+    whose negative entries are minus the values `neg` (non-increasing
+    tuples with equal sums), sorted.
+
+    Meet in the middle (Horowitz-Sahni): placements of pos and of neg on
+    disjoint coordinates give a lattice vector iff their class sums agree,
+    so disjoint pairs are read off within each class bucket.  `cap`, or a
+    scan's shared budget, bounds the placements (of one side when
+    pos == neg) plus the pairs tested in buckets of two or more entries.
+    Needs full rank.
+    """
+    if not pos:
+        return []  # the zero vector is left out
+    budget = cap if isinstance(cap, _Budget) else _Budget(L.n, [(pos, neg)], cap)
+    mods, cls = L.class_map()
+    plus = _bucket_placements(L.n, pos, mods, cls)
+    minus = plus if neg == pos else _bucket_placements(L.n, neg, mods, cls)
+    signed = pos + tuple(-x for x in neg)
     out = []
-    for subs in buckets.values():
-        for a in subs:
+    for sig, A in plus.items():
+        B = minus.get(sig)
+        if B is None or (B is A and len(A) == 1):
+            continue
+        budget.charge(len(A) * len(B))
+        for a in A:
             aset = set(a)
-            for b in subs:
+            for b in B:
                 if aset.isdisjoint(b):
-                    v = [0] * n
-                    for i in a:
-                        v[i] = 1
-                    for i in b:
-                        v[i] = -1
+                    v = [0] * L.n
+                    for i, x in zip(a + b, signed):
+                        v[i] = x
                     out.append(tuple(v))
-    out.sort()
-    return out
+    return sorted(out)
 
 
-def _partitions(s: int, max_part: int | None = None):
+def census_pm1(L: Lattice, q: int, cap=None, workers: int = 1):
+    """All lattice vectors with exactly q entries +1 and q entries -1,
+    sorted: shape_vectors on (1^q | 1^q), C(n, q) placements plus the
+    pairs tested.  `workers` is accepted and ignored."""
+    return shape_vectors(L, (1,) * q, (1,) * q, cap)
+
+
+def _partitions(s: int, top: int | None = None):
     """Non-increasing tuples of positive ints summing to s."""
-    if max_part is None:
-        max_part = s
     if s == 0:
         yield ()
-        return
-    for first in range(min(s, max_part), 0, -1):
+    for first in range(min(s, top or s), 0, -1):
         for rest in _partitions(s - first, first):
             yield (first,) + rest
 
 
-def _shape_pairs(bound: int):
-    """All (positive parts, negative parts) with equal sums and total
-    squared weight <= bound, excluding the zero vector."""
-    pairs = []
-    for s in range(1, bound // 2 + 1):
-        for pos in _partitions(s):
-            wpos = sum(x * x for x in pos)
-            if wpos > bound:
-                continue
-            for neg in _partitions(s):
-                w = wpos + sum(x * x for x in neg)
-                if w <= bound:
-                    pairs.append((pos, neg, w))
-    pairs.sort(key=lambda p: (p[2], p[0], p[1]))
-    return pairs
-
-
-def _assign_shape(L: Lattice, values_counts, cap: int):
-    """All lattice vectors whose nonzero entries realize the given
-    (value, multiplicity) groups on disjoint supports."""
-    n = L.n
-    est = 1
-    for _, m in values_counts:
-        est *= comb(n, m)
-    if est > cap:
-        raise BudgetExceededError(f"shape scan needs about {est} placements > cap {cap}")
-    out = []
-
-    def place(gi, used, vec):
-        if gi == len(values_counts):
-            t = tuple(vec)
-            if L.member_fast(t):
-                out.append(t)
-            return
-        val, m = values_counts[gi]
-        free = [i for i in range(n) if i not in used]
-        for sel in itertools.combinations(free, m):
-            for i in sel:
-                vec[i] = val
-            place(gi + 1, used | set(sel), vec)
-            for i in sel:
-                vec[i] = 0
-
-    place(0, frozenset(), [0] * n)
-    return out
+def _shape_pairs(bound: int, n: int):
+    """(positive parts, negative parts) with equal sums, at most n parts
+    and squared weight <= bound; of a mirrored pair only the one with
+    neg <= pos, as the other holds the negatives of its vectors."""
+    parts = [p for s in range(1, bound // 2 + 1) for p in _partitions(s)]
+    return [
+        (p, m)
+        for p in parts
+        for m in parts
+        if sum(p) == sum(m) and m <= p and len(p + m) <= n and sum(x * x for x in p + m) <= bound
+    ]
 
 
 def scan_short_vectors(L: Lattice, bound: int, cap: int | None = None, workers: int = 1):
     """Every nonzero lattice vector with squared norm <= bound, sorted.
 
-    Complete over all integer entry shapes, not only +-1 vectors, so the
-    minimum it reports is exact with no structural assumptions.
-    `workers` is accepted and ignored.
+    Complete over all integer entry shapes, so the minimum it reports is
+    exact with no structural assumptions.  One shape of each mirrored pair
+    is walked (the +-1 shapes by census_pm1), the other read off as -v.
+    `cap` bounds the placements of all shapes, refused before any walk,
+    plus the pairs tested.  Every vector found is re-checked with
+    member_fast.  `workers` is accepted and ignored.
     """
-    cap = DEFAULT_CENSUS_CAP if cap is None else cap
+    shapes = _shape_pairs(bound, L.n)
+    budget = _Budget(L.n, shapes, cap)
     found = []
-    for pos, neg, _ in _shape_pairs(bound):
-        if len(pos) + len(neg) > L.n:
-            continue
-        if pos == neg and all(x == 1 for x in pos):
-            found.extend(census_pm1(L, len(pos), cap=cap))
-            continue
-        groups = []
-        for val in sorted(set(pos), reverse=True):
-            groups.append((val, pos.count(val)))
-        for val in sorted(set(neg), reverse=True):
-            groups.append((-val, neg.count(val)))
-        found.extend(_assign_shape(L, groups, cap))
-    found = sorted(set(found))
+    for pos, neg in shapes:
+        if pos == neg and set(pos) == {1}:
+            vecs = census_pm1(L, len(pos), cap=budget)
+        else:
+            vecs = shape_vectors(L, pos, neg, budget)
+        found += vecs + [tuple(-x for x in v) for v in vecs if pos != neg]
+    found.sort()
+    for v in found:
+        if not L.member_fast(v):
+            raise InternalIdentityViolationError(f"shape walk returned {v}, outside the lattice")
     return found
-
-
-def min_distance_via_scan(L: Lattice, bound: int, cap: int | None = None, workers: int = 1):
-    """(min squared norm, minimal vectors) provided some vector of squared
-    norm <= bound exists; exact because the scan is shape-complete.
-    `workers` is accepted and ignored."""
-    vecs = scan_short_vectors(L, bound, cap=cap)
-    if not vecs:
-        raise ValueError(f"no lattice vector of squared norm <= {bound}")
-    best = min(sum(x * x for x in v) for v in vecs)
-    return best, [v for v in vecs if sum(x * x for x in v) == best]
 
 
 # -- exact sphere enumeration for small ranks ----------------------------------

@@ -7,7 +7,7 @@ and fails loudly on any mismatch or budget overrun.
 import itertools
 import random
 import time
-from math import comb, isqrt
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ from hfl import abelian, autgrp, gf, hermlat, intmat, lattice
 from hfl.curve import Vertical, curve_make
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_golden.csv"
-CENSUS_WORKERS = 8
 
 
 class Criterion:
@@ -71,12 +70,22 @@ def test_c03_structure_q4():
 
 def test_c04_min_distance_census():
     c = Criterion("C4 census-exact min distance: d^2=4 (q=2), d^2=6 (q=3)", 300.0)
-    c.expect(comb(9, 2) * comb(7, 2) == 756, "q=2 support count model")
-    c.expect(comb(28, 3) * comb(25, 3) == 7_534_800, "q=3 support count model")
-    r2 = hermlat.min_distance(hermlat.build(2), workers=CENSUS_WORKERS)
+    r2 = hermlat.min_distance(hermlat.build(2))
     c.expect(r2 == hermlat.MinDistanceResult(4, True, "census", 108), f"q=2: {r2}")
-    r3 = hermlat.min_distance(hermlat.build(3), workers=CENSUS_WORKERS)
+    r3 = hermlat.min_distance(hermlat.build(3))
     c.expect(r3 == hermlat.MinDistanceResult(6, True, "census", 2016), f"q=3: {r3}")
+    c.finish()
+
+
+def test_c04_min_distance_q4_exact():
+    c = Criterion("C4 q=4 exact at the default cap: d^2=8, 15600 vectors = families", 120.0)
+    hl = hermlat.build(4)
+    r = hermlat.min_distance(hl)
+    c.expect(r == hermlat.MinDistanceResult(8, True, "census", 15600), f"q=4: {r}")
+    # every shape of squared norm <= 8 was scanned, so the kissing number
+    # is the family count with no orbit argument
+    union = hermlat.kissing_families(hl.curve).union()
+    c.expect(len(r.vectors) == 15600 and set(r.vectors) == union, "q=4 scan != family union")
     c.finish()
 
 
@@ -92,7 +101,7 @@ def test_c05_kissing_families():
         c.expect(len(union) == sum(sizes), f"q={q} families overlap")
         c.expect(all(sum(x * x for x in v) == 2 * q for v in union), f"q={q} norms")
         c.expect(all(hl.L.contains(v) for v in union), f"q={q} membership")
-        census = set(hermlat.census(hl, workers=CENSUS_WORKERS))
+        census = set(hermlat.census(hl))
         c.expect(census >= union, f"q={q} census misses family vectors")
         # the census oracle settles the exact count: families already
         # exhaust it at these q
@@ -239,12 +248,11 @@ def test_c10_property_suites():
         d1, _, _ = intmat.smith_normal_form(h1, n)
         d2, _, _ = intmat.smith_normal_form(h2, n)
         c.expect(d1 == d2, "SNF divisors not invariant")
-    # census: worker counts agree, and the signature route matches the
-    # branch-and-bound enumeration route
+    # census: the signature route matches the branch-and-bound
+    # enumeration route
     hl2 = hermlat.build(2)
-    runs = [hermlat.census(hl2, workers=w) for w in (1, 2, 8)]
-    c.expect(runs[0] == runs[1] == runs[2], "census depends on worker count")
-    c.expect(len(runs[0]) == 108, f"census size {len(runs[0])}")
+    census = hermlat.census(hl2)
+    c.expect(len(census) == 108, f"census size {len(census)}")
     enum = {v for norm, v in lattice.enumerate_short_vectors(hl2.L, 4) if norm == 4}
-    c.expect(set(runs[0]) == enum, "census != enumeration")
+    c.expect(set(census) == enum, "census != enumeration")
     c.finish()

@@ -212,16 +212,16 @@ def test_census_q2_matches_bruteforce(hl2):
 
 
 def test_census_q3_equals_families(hl3):
-    vecs = hermlat.census(hl3, workers=2)
+    vecs = hermlat.census(hl3)
     assert len(vecs) == 2016
     fams = hermlat.kissing_families(hl3.curve)
     assert set(vecs) == fams.union()
 
 
 def test_census_q4_equals_families():
-    # q^2 (q^2 - 1)(q^3 + 1) = 15,600 at q = 4, above the default cap
+    # q^2 (q^2 - 1)(q^3 + 1) = 15,600 at q = 4, from C(65, 4) placements
     hl4 = hermlat.build(4)
-    vecs = lattice.census_pm1(hl4.L, 4, cap=10**12)
+    vecs = lattice.census_pm1(hl4.L, 4)
     assert len(vecs) == 15600
     assert set(vecs) == hermlat.kissing_families(hl4.curve).union()
 
@@ -234,7 +234,7 @@ def test_census_budget(hl2):
 def test_min_distance_census_mode(hl2, hl3):
     r2 = hermlat.min_distance(hl2)
     assert r2 == hermlat.MinDistanceResult(4, True, "census", 108)
-    r3 = hermlat.min_distance(hl3, workers=2)
+    r3 = hermlat.min_distance(hl3)
     assert r3 == hermlat.MinDistanceResult(6, True, "census", 2016)
 
 
@@ -248,10 +248,25 @@ def test_min_distance_families_mode(monkeypatch):
         return real(curve)
 
     monkeypatch.setattr(hermlat, "kissing_families", counted)
-    r = hermlat.min_distance(hl4)
+    # the scan up to 2q needs about 7.7e5 placements at q = 4
+    r = hermlat.min_distance(hl4, cap=10**5)
     assert r == hermlat.MinDistanceResult(8, False, "families", None)
     # one vertical pair is the probe; no family is built for it
     assert calls == []
+
+
+def test_min_distance_refuses_before_any_walk(monkeypatch):
+    # the q = 5 scan up to 10 needs about 2.66e8 placements: refused at
+    # the default cap with no class sum taken
+    hl5 = hermlat.build(5)
+
+    def no_walk(self):
+        raise AssertionError("class sums taken by a refused scan")
+
+    monkeypatch.setattr(lattice.Lattice, "class_map", no_walk)
+    r = hermlat.min_distance(hl5)
+    assert r == hermlat.MinDistanceResult(10, False, "families", None)
+    assert r.vectors == () and "265916028 placements" in r.refusal
 
 
 def test_min_distance_forced_families(hl2):

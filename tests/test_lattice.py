@@ -189,12 +189,9 @@ def test_census_on_full_root_lattice():
 
 
 def test_census_negation_closure_and_determinism(hl2):
-    L = hl2.L
-    c1 = lattice.census_pm1(L, 2, workers=1)
-    c2 = lattice.census_pm1(L, 2, workers=2)
-    c8 = lattice.census_pm1(L, 2, workers=8)
-    assert c1 == c2 == c8
-    s = set(c1)
+    c = lattice.census_pm1(hl2.L, 2)
+    assert c == sorted(c)
+    s = set(c)
     assert all(tuple(-x for x in v) in s for v in s)
 
 
@@ -234,19 +231,58 @@ def test_census_brute_oracle():
 
 
 def test_scan_vs_enumeration():
-    """Shape-complete scan and branch-and-bound must agree exactly."""
+    """Shape-complete scan and branch-and-bound must agree exactly.  The
+    subset lattices have short vectors in shapes with repeated parts,
+    entries 2 and 3, and mirrored pairs, with quotients of two or three
+    factors."""
     rng = random.Random(7)
-    done = 0
-    while done < 25:
-        n = rng.randint(3, 7)
-        L = random_full_rank(rng, n)
-        bound = rng.randint(2, 12)
+    a2_scaled = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3)
+    cases = [(a2_scaled, 2), (a2_scaled, 8)]  # none, then the six vectors of shape (2 | 2)
+    for _ in range(25):
+        cases.append((random_full_rank(rng, rng.randint(3, 7)), rng.randint(2, 12)))
+    for moduli in ((3, 3), (2, 4), (2, 2, 2)):
+        G = abelian.AbelianGroup(moduli)
+        for n in (4, 6, 8):
+            L = abelian.lattice_for_subset(G, rng.sample(range(1, G.order), n - 1))
+            cases.append((L, rng.randint(8, 12)))
+    for L, bound in cases:
         a = {v for _, v in lattice.enumerate_short_vectors(L, bound)}
-        b = set(lattice.scan_short_vectors(L, bound))
-        assert a == b, (L.rows, bound)
+        b = lattice.scan_short_vectors(L, bound)
+        assert a == set(b) and len(b) == len(a), (L.rows, bound)
         for v in a:
             assert 0 < sum(x * x for x in v) <= bound
-        done += 1
+
+
+def test_shape_vectors_places_repeated_and_mirrored_parts():
+    """Each shape's vectors, against a filter of the enumeration."""
+    G = abelian.AbelianGroup((2, 4))
+    L = abelian.lattice_for_subset(G, range(1, 8))
+    enum = [v for _, v in lattice.enumerate_short_vectors(L, 14)]
+    for pos, neg in (((2,), (1, 1)), ((1, 1), (2,)), ((2, 1), (1, 1, 1)), ((2, 1), (2, 1)),
+                     ((3,), (1, 1, 1)), ((2, 2), (1, 1, 1, 1))):
+        want = sorted(
+            v for v in enum
+            if sorted((x for x in v if x > 0), reverse=True) == list(pos)
+            and sorted((-x for x in v if x < 0), reverse=True) == list(neg)
+        )
+        assert lattice.shape_vectors(L, pos, neg) == want, (pos, neg)
+
+
+def test_scan_refuses_before_any_walk(monkeypatch):
+    """The placements of every shape are summed before the first walk;
+    the walk's first step is the class map."""
+    L = full_root_lattice(9)
+
+    def no_walk(self):
+        raise AssertionError("class sums taken by a refused scan")
+
+    monkeypatch.setattr(lattice.Lattice, "class_map", no_walk)
+    # bound 6 at n = 9: 9 + 36 + 84 placements for the +-1 shapes, and
+    # 9 + 36 for (2 | 1,1), whose mirror (1,1 | 2) is not walked
+    with pytest.raises(BudgetExceededError):
+        lattice.scan_short_vectors(L, 6, cap=173)
+    with pytest.raises(AssertionError):
+        lattice.scan_short_vectors(L, 6, cap=174)
 
 
 def test_enumeration_norms_and_antipodes():
@@ -261,15 +297,6 @@ def test_enumeration_rank_cap():
     L = full_root_lattice(15)
     with pytest.raises(SearchInfeasibleError):
         lattice.enumerate_short_vectors(L, 2)
-
-
-def test_min_distance_via_scan():
-    L = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3)
-    best, vecs = lattice.min_distance_via_scan(L, 8)
-    assert best == 8
-    assert len(vecs) == 6
-    with pytest.raises(ValueError):
-        lattice.min_distance_via_scan(L, 2)
 
 
 def test_permute_moves_values():
