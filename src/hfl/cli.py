@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 bad usage or refused
-budget, 3 I/O failure.  All artifact output is deterministic: JSON with
-sorted keys, integers above 2^53 - 1 rendered as decimal strings, and a
-trailing newline.  Verification reports carry timings and are the one
-output that is not byte-stable across runs.
+budget, 3 I/O failure, 4 out of memory or an internal defect.  All
+artifact output is deterministic: JSON with sorted keys, integers above
+2^53 - 1 rendered as decimal strings, and a trailing newline.
+Verification reports carry timings and are the one output that is not
+byte-stable across runs.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from .errors import (
     BudgetExceededError,
     EmptyGeneratorSetError,
     GroupTooLargeError,
+    InternalIdentityViolationError,
     OrderBudgetExceededError,
     SearchInfeasibleError,
     UnsupportedQError,
@@ -782,6 +784,12 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"hfl: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("hfl: out of memory", file=sys.stderr)
+        return 4
+    except InternalIdentityViolationError as e:
+        print(f"hfl: internal defect: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

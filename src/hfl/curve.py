@@ -69,6 +69,9 @@ class Curve:
         assert len(self.places) == self.n
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
+        # line -> points on it, line -> its divisor; each computed once
+        self._points: dict[Line, tuple[tuple[int, int], ...]] = {}
+        self._divisors: dict[Line, tuple[int, ...]] = {}
 
     # -- lines ----------------------------------------------------------------
 
@@ -104,8 +107,13 @@ class Curve:
 
     def points_on_line(self, line: Line) -> tuple[tuple[int, int], ...]:
         """Affine curve points on the line, in closed form, sorted by place order."""
+        pts = self._points.get(line)
+        if pts is None:
+            pts = self._points[line] = self._points_on_line(self.check_line(line))
+        return pts
+
+    def _points_on_line(self, line: Line) -> tuple[tuple[int, int], ...]:
         F = self.field
-        self.check_line(line)
         if isinstance(line, Vertical):
             return tuple((line.c, d) for d in F.trace_fiber(F.norm(line.c)))
         b, c = line.b, line.c
@@ -121,24 +129,16 @@ class Curve:
             pts.append((F.add(x0, s), F.sub(F.sub(nb, c), F.mul(b, s))))
         return tuple(sorted(pts))
 
-    def points_on_line_bruteforce(self, line: Line) -> tuple[tuple[int, int], ...]:
-        """Same set by substituting every affine place into the line equation."""
-        F = self.field
-        pts = []
-        for pl in self.places[1:]:
-            a, b = pl
-            if isinstance(line, Vertical):
-                onit = a == line.c
-            else:
-                onit = F.add(b, F.add(F.mul(line.b, a), line.c)) == 0
-            if onit:
-                pts.append(pl)
-        return tuple(pts)
-
     # -- divisors ---------------------------------------------------------------
 
     def divisor_of_line(self, line: Line) -> tuple[int, ...]:
         """Valuation vector of the line over all places; always sums to zero."""
+        div = self._divisors.get(line)
+        if div is None:
+            div = self._divisors[line] = self._divisor_of_line(line)
+        return div
+
+    def _divisor_of_line(self, line: Line) -> tuple[int, ...]:
         div = [0] * self.n
         pts = self.points_on_line(line)
         if isinstance(line, Vertical):

@@ -10,6 +10,8 @@ kissing-number lower bound q^2(q^2-1)(q^3+1).
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
+from operator import add, mul, sub
 
 from . import lattice
 from .curve import Curve, Line, Slope, Vertical, curve_make
@@ -60,15 +62,9 @@ class HermitianLattice:
 
     def __init__(self, curve: Curve):
         self.curve = curve
-        self._div = {line: curve.divisor_of_line(line) for line in curve.all_lines()}
-        self.L = lattice.Lattice.from_generators(list(self._div.values()), curve.n)
+        divs = [curve.divisor_of_line(line) for line in curve.all_lines()]
+        self.L = lattice.Lattice.from_generators(divs, curve.n)
         self.quotient = self.L.quotient()
-
-    def divisor(self, line: Line):
-        d = self._div.get(line)
-        if d is None:
-            d = self.curve.divisor_of_line(line)
-        return d
 
     def __repr__(self):
         q = self.curve.q
@@ -104,10 +100,8 @@ def minimal_pair_vector(curve: Curve, num: Line, den: Line):
             raise NotMinimalPairError(
                 f"{kind} pair shares {len(common)} curve points, need exactly 1"
             )
-    a = curve.divisor_of_line(num)
-    b = curve.divisor_of_line(den)
-    vec = tuple(x - y for x, y in zip(a, b))
-    norm2 = sum(x * x for x in vec)
+    vec = tuple(map(sub, curve.divisor_of_line(num), curve.divisor_of_line(den)))
+    norm2 = sum(map(mul, vec, vec))
     assert norm2 == 2 * curve.q, f"pair vector has norm^2 {norm2} != {2 * curve.q}"
     return vec
 
@@ -230,14 +224,13 @@ def decompose_line(curve: Curve, line: Line, beta=None):
     if beta is not None and not 0 <= beta < curve.field.order:
         raise ValueError(f"beta {beta} outside field of order {curve.field.order}")
     steps = _dispatch(curve, line, beta=beta)
-    total = [0] * curve.n
+    total = (0,) * curve.n
     for s in steps:
-        for k, x in enumerate(s.vector):
-            total[k] += s.sign * x
+        total = tuple(map(add if s.sign > 0 else sub, total, s.vector))
     expected = curve.divisor_of_line(line)
-    if tuple(total) != tuple(expected):
+    if total != expected:
         raise InternalIdentityViolationError(
-            f"decomposition of {line} sums to {tuple(total)}, divisor is {tuple(expected)}"
+            f"decomposition of {line} sums to {total}, divisor is {expected}"
         )
     return steps
 
@@ -267,43 +260,24 @@ class KissingFamilies:
 
 def kissing_families(curve: Curve) -> KissingFamilies:
     F = curve.field
-    vert_div = {a: curve.divisor_of_line(Vertical(a)) for a in range(F.order)}
-    slope_div = {}
-
-    def sdiv(b, c):
-        key = (b, c)
-        d = slope_div.get(key)
-        if d is None:
-            d = curve.divisor_of_line(Slope(b, c))
-            slope_div[key] = d
-        return d
+    div = curve.divisor_of_line
 
     def diff(u, v):
-        return tuple(x - y for x, y in zip(u, v))
+        return tuple(map(sub, u, v))
 
-    f1 = []
-    for a in range(F.order):
-        for b in range(F.order):
-            if a != b:
-                f1.append(diff(vert_div[a], vert_div[b]))
-
+    verts = [div(Vertical(a)) for a in range(F.order)]
+    f1 = [diff(u, v) for u, v in permutations(verts, 2)]
     f2 = []
     f3 = []
-    for pt in curve.places[1:]:
-        a, b = pt
+    for a, b in curve.places[1:]:
         aq = F.frobenius(a)
-        slopes = [m for m in range(F.order) if m != aq]
-        point_lines = [(F.neg(m), F.sub(F.mul(m, a), b)) for m in slopes]
-        vd = vert_div[a]
-        for lb, lc in point_lines:
-            sd = sdiv(lb, lc)
-            f2.append(diff(vd, sd))
-            f2.append(diff(sd, vd))
-        for l1 in point_lines:
-            d1 = sdiv(*l1)
-            for l2 in point_lines:
-                if l1 != l2:
-                    f3.append(diff(d1, sdiv(*l2)))
+        point_divs = [
+            div(Slope(F.neg(m), F.sub(F.mul(m, a), b))) for m in range(F.order) if m != aq
+        ]
+        for sd in point_divs:
+            f2.append(diff(verts[a], sd))
+            f2.append(diff(sd, verts[a]))
+        f3.extend(diff(u, v) for u, v in permutations(point_divs, 2))
     return KissingFamilies(tuple(f1), tuple(f2), tuple(f3))
 
 

@@ -40,7 +40,12 @@ def _nearest_div(b: int, a: int) -> int:
     return q
 
 
-def _tail_reduce(rows, pivots, v, pos) -> None:
+def _support(v, start: int) -> list[int]:
+    """Columns of v's nonzero entries from start on."""
+    return [j for j in range(start, len(v)) if v[j]]
+
+
+def _tail_reduce(rows, pivots, sups, v, pos) -> None:
     """Shrink v in place against the echelon rows from pos on; preserves
     the joint span, keeps freshly built rows from carrying big entries."""
     for k in range(pos, len(rows)):
@@ -49,19 +54,21 @@ def _tail_reduce(rows, pivots, v, pos) -> None:
             r = rows[k]
             m = _nearest_div(v[c], r[c])
             if m:
-                for j in range(c, len(v)):
-                    if r[j]:
-                        v[j] -= m * r[j]
+                for j in sups[k]:
+                    v[j] -= m * r[j]
 
 
-def echelon_insert(rows: list[list[int]], pivots: list[int], vec) -> None:
+def echelon_insert(rows: list[list[int]], pivots: list[int], sups: list[list[int]], vec) -> None:
     """Reduce vec against an echelon basis in place, extending it if needed.
 
     rows are kept sorted by pivot column; the span of rows is unchanged
-    except possibly growing by vec.  Leading entries are combined by
-    Euclidean division-with-swap: unlike a one-shot Bezout combination
-    this never scales a row by a large factor, so entries stay near the
-    size of the inputs across thousands of insertions.
+    except possibly growing by vec.  sups[k] lists the nonzero columns of
+    rows[k], so a row operation touches only those; a support is rebuilt
+    whenever its row is inserted, swapped in or tail-reduced.  Leading
+    entries are combined by Euclidean division-with-swap: unlike a
+    one-shot Bezout combination this never scales a row by a large
+    factor, so entries stay near the size of the inputs across thousands
+    of insertions.
     """
     v = list(vec)
     c = _first_nonzero(v)
@@ -70,34 +77,38 @@ def echelon_insert(rows: list[list[int]], pivots: list[int], vec) -> None:
         if pos == len(pivots) or pivots[pos] != c:
             if v[c] < 0:
                 v = [-x for x in v]
-            _tail_reduce(rows, pivots, v, pos)
+            _tail_reduce(rows, pivots, sups, v, pos)
             rows.insert(pos, v)
             pivots.insert(pos, c)
+            sups.insert(pos, _support(v, c))
             return
         r = rows[pos]
+        sup = sups[pos]
         swapped = False
         while v[c]:
             m = _nearest_div(v[c], r[c])
             if m:
-                for j in range(c, len(v)):
-                    if r[j]:
-                        v[j] -= m * r[j]
+                for j in sup:
+                    v[j] -= m * r[j]
             if v[c]:
-                rows[pos], v = v, rows[pos]
+                rows[pos], v = v, r
                 r = rows[pos]
+                sup = sups[pos] = _support(r, c)
                 swapped = True
         if swapped:
-            _tail_reduce(rows, pivots, rows[pos], pos + 1)
+            _tail_reduce(rows, pivots, sups, r, pos + 1)
+            sups[pos] = _support(r, c)
         c = _first_nonzero(v, c + 1)
 
 
 def echelon(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     rows: list[list[int]] = []
     pivots: list[int] = []
+    sups: list[list[int]] = []
     for vec in vectors:
         if len(vec) != width:
             raise ValueError(f"row width {len(vec)} != {width}")
-        echelon_insert(rows, pivots, vec)
+        echelon_insert(rows, pivots, sups, vec)
     return rows, pivots
 
 

@@ -1,0 +1,88 @@
+"""Slow, independent routes that the tests compare the library against."""
+
+from bisect import bisect_left
+
+from hfl.curve import Vertical
+from hfl.intmat import _first_nonzero, _nearest_div
+
+
+def points_on_line_bruteforce(curve, line):
+    """Affine curve points on the line, by substituting every affine place
+    into the line equation."""
+    F = curve.field
+    pts = []
+    for pl in curve.places[1:]:
+        a, b = pl
+        if isinstance(line, Vertical):
+            onit = a == line.c
+        else:
+            onit = F.add(b, F.add(F.mul(line.b, a), line.c)) == 0
+        if onit:
+            pts.append(pl)
+    return tuple(pts)
+
+
+def divisor_from_points(curve, line, pts):
+    """The line's valuation vector from its affine points: each point
+    weighted 1, or q + 1 at a tangency, and the balancing pole at infinity."""
+    div = [0] * curve.n
+    weight = curve.q + 1 if len(pts) == 1 else 1
+    for pt in pts:
+        div[curve.place_index[pt]] = weight
+    div[0] = -sum(div)
+    return tuple(div)
+
+
+def dense_echelon_insert(rows, pivots, vec, ops=None):
+    """The echelon insertion with every row operation scanning all columns
+    from the pivot on; `ops` counts the swaps and tail reductions made."""
+
+    def tail_reduce(v, pos):
+        for k in range(pos, len(rows)):
+            c = pivots[k]
+            if v[c]:
+                r = rows[k]
+                m = _nearest_div(v[c], r[c])
+                if m:
+                    if ops is not None:
+                        ops["tail"] += 1
+                    for j in range(c, len(v)):
+                        if r[j]:
+                            v[j] -= m * r[j]
+
+    v = list(vec)
+    c = _first_nonzero(v)
+    while c >= 0:
+        pos = bisect_left(pivots, c)
+        if pos == len(pivots) or pivots[pos] != c:
+            if v[c] < 0:
+                v = [-x for x in v]
+            tail_reduce(v, pos)
+            rows.insert(pos, v)
+            pivots.insert(pos, c)
+            return
+        r = rows[pos]
+        swapped = False
+        while v[c]:
+            m = _nearest_div(v[c], r[c])
+            if m:
+                for j in range(c, len(v)):
+                    if r[j]:
+                        v[j] -= m * r[j]
+            if v[c]:
+                rows[pos], v = v, rows[pos]
+                r = rows[pos]
+                swapped = True
+                if ops is not None:
+                    ops["swap"] += 1
+        if swapped:
+            tail_reduce(rows[pos], pos + 1)
+        c = _first_nonzero(v, c + 1)
+
+
+def dense_echelon(vectors, width, ops=None):
+    rows, pivots = [], []
+    for vec in vectors:
+        assert len(vec) == width
+        dense_echelon_insert(rows, pivots, vec, ops)
+    return rows, pivots

@@ -45,3 +45,24 @@ def test_order_refusal_is_cached(counted, hl2):
     assert report["counts"] == {"passed": 0, "failed": 0, "skipped": len(checks)}
     assert all("exceeds cap" in rec["reason"] for rec in report["checks"])
     assert counted == {"full_group": 1}
+
+
+def test_memory_and_internal_defects_exit_4(monkeypatch, capsys):
+    """Exit code 1 stays a verification mismatch: running out of memory
+    and a failed self-check end with code 4 and one `hfl:` line."""
+
+    def exhausted(curve):
+        raise MemoryError
+
+    with monkeypatch.context() as m:
+        m.setattr(hermlat, "kissing_families", exhausted)
+        assert cli.main(["verify", "--q", "2"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("hfl:")] == ["hfl: out of memory"]
+
+    real = hermlat._dispatch
+    # a decomposition missing its last step no longer sums to the divisor
+    monkeypatch.setattr(hermlat, "_dispatch", lambda *a, **k: real(*a, **k)[:-1])
+    assert cli.main(["herm", "decompose", "--q", "2", "--line", "x-c:c=1"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hfl: internal defect: decomposition of")

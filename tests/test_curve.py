@@ -2,6 +2,7 @@ import pytest
 
 from hfl.curve import Slope, Vertical, curve_make
 from hfl.errors import IdenticalLinesError, NotOnCurveError, UnsupportedQError
+from oracles import divisor_from_points, points_on_line_bruteforce
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -48,7 +49,7 @@ def test_points_closed_form_vs_bruteforce(q):
     curve = curve_make(q)
     for line in curve.all_lines():
         fast = curve.points_on_line(line)
-        slow = curve.points_on_line_bruteforce(line)
+        slow = points_on_line_bruteforce(curve, line)
         assert sorted(fast) == sorted(slow), line
         if isinstance(line, Vertical):
             assert len(fast) == q
@@ -74,6 +75,24 @@ def test_divisors(q):
         else:
             assert div[0] == -(q + 1)
             assert sorted(div[1:], reverse=True) == [1] * (q + 1) + [0] * (q**3 - q - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_line_caches_match_fresh_computation(q):
+    curve, other = curve_make(q), curve_make(q)
+    lines = curve.all_lines()
+    first = {line: (curve.points_on_line(line), curve.divisor_of_line(line)) for line in lines}
+    for line in lines:
+        pts, div = curve.points_on_line(line), curve.divisor_of_line(line)
+        assert pts is first[line][0] and div is first[line][1]
+        want = points_on_line_bruteforce(curve, line)
+        assert sorted(pts) == sorted(want), line
+        assert div == divisor_from_points(curve, line, want), line
+    # a second curve answers from its own cache, so each answer is computed afresh
+    for line in reversed(lines):
+        pts, div = other.points_on_line(line), other.divisor_of_line(line)
+        assert pts == first[line][0] and pts is not first[line][0]
+        assert div == first[line][1] and div is not first[line][1]
 
 
 @pytest.mark.parametrize("q", [2, 3])

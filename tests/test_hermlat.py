@@ -33,7 +33,7 @@ def test_structure_q3(hl3):
 def test_divisors_span_checked_at_build(hl2):
     # every line divisor is in the lattice it spans, and the rank is full
     for line in hl2.curve.all_lines():
-        assert hl2.L.contains(hl2.divisor(line))
+        assert hl2.L.contains(hl2.curve.divisor_of_line(line))
     assert hl2.L.is_full_rank()
 
 

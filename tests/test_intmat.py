@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
 from hfl import intmat
+from hfl.curve import curve_make
+from oracles import dense_echelon
 
 
 def test_xgcd():
@@ -176,3 +180,40 @@ def test_echelon_rejects_ragged():
 
     with pytest.raises(ValueError):
         intmat.echelon([[1, 2], [1, 2, 3]], 2)
+
+
+def _sparse_random_matrix(rng):
+    n = rng.randint(3, 40)
+    k = rng.randint(1, n + 8)
+    density = rng.choice((0.08, 0.2, 0.5, 1.0))
+    return n, [
+        [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(k)
+    ]
+
+
+def _hnf_over(monkeypatch, echelon, vectors, width):
+    with monkeypatch.context() as m:
+        m.setattr(intmat, "echelon", echelon)
+        return intmat.hnf(vectors, width)
+
+
+def test_support_echelon_matches_dense_on_random_matrices(monkeypatch):
+    """Support-list row operations give the dense engine's echelon and HNF
+    exactly, on matrices that force swaps and tail reductions."""
+    rng = random.Random(7)
+    ops = {"swap": 0, "tail": 0}
+    for _ in range(300):
+        n, vecs = _sparse_random_matrix(rng)
+        assert intmat.echelon(vecs, n) == dense_echelon(vecs, n, ops)
+        assert intmat.hnf(vecs, n) == _hnf_over(monkeypatch, dense_echelon, vecs, n)
+    assert ops["swap"] > 500 and ops["tail"] > 500, ops
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_support_echelon_matches_dense_on_line_divisors(q, monkeypatch):
+    curve = curve_make(q)
+    divs = [list(curve.divisor_of_line(line)[1:]) for line in curve.all_lines()]
+    width = curve.n - 1
+    assert intmat.echelon(divs, width) == dense_echelon(divs, width)
+    assert intmat.hnf(divs, width) == _hnf_over(monkeypatch, dense_echelon, divs, width)
