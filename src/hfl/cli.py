@@ -408,7 +408,8 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
 
         @functools.cache
         def distance():
-            # one scan up to 2q serves min_distance and both census checks
+            # one scan up to 2q serves min_distance and, within the cap, both
+            # census checks
             return hermlat.min_distance(hl, cap=cap)
 
         def exact_scan():
@@ -419,9 +420,13 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
                 )
             return res
 
+        @functools.cache
         def census():
-            # the vectors with q entries +1 and q entries -1
-            vecs = exact_scan().vectors
+            # the vectors with q entries +1 and q entries -1: read off the
+            # scan, or walked alone under the same cap when the scan is refused
+            if not distance().exact:
+                return hermlat.census(hl, cap=cap)
+            vecs = distance().vectors
             return [v for v in vecs if set(v) <= {-1, 0, 1} and sum(map(abs, v)) == 2 * q]
 
         def census_superset():

@@ -9,10 +9,12 @@ and a search for coordinate-permutation automorphisms.
 """
 
 import itertools
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, perm, prod
-from operator import add, mod
+from math import ceil, factorial, lcm, perm, prod
+from operator import floordiv
 
 from . import intmat
 from .errors import (
@@ -65,6 +67,7 @@ class Lattice:
         self.rank = len(self._hnf)
         self.rows = tuple(tuple([-sum(r)] + list(r)) for r in self._hnf)
         self._classmap = None
+        self._words = None
 
     @classmethod
     def from_generators(cls, vectors, n: int) -> "Lattice":
@@ -154,29 +157,32 @@ class Lattice:
         """(mods, cls): v in L iff sum(v[i]*cls[i]) == 0 mod mods, componentwise.
 
         cls[i] is the image of e_i - e_0 in the nontrivial part of the
-        quotient group; only valid for full-rank lattices.
+        quotient group; only valid for full-rank lattices.  Class sums
+        run on the packed words built from it (class_words).
         """
         _, mods, cls, _ = self._snf()
         return mods, cls
 
+    def class_words(self) -> "ClassWords":
+        """The class map as packed words, built on first use."""
+        if self._words is None:
+            self._words = ClassWords(*self.class_map())
+        return self._words
+
     def class_of(self, v) -> tuple:
         """Image of the sum-zero vector v in the nontrivial part of the
-        quotient group, componentwise mod the elementary divisors; needs
-        full rank."""
-        mods, cls = self.class_map()
-        m = len(mods)
-        acc = [0] * m
-        for x, ci in itertools.compress(zip(v, cls), v):  # nonzero entries only
-            for t in range(m):
-                acc[t] += x * ci[t]
-        return tuple(map(mod, acc, mods))
+        quotient group, componentwise mod the elementary divisors: its
+        packed class sum, decoded.  Needs full rank."""
+        words = self.class_words()
+        return words.decode(words.key(v))
 
     def member_fast(self, v) -> bool:
         """Membership through the quotient map; agrees with contains(),
         which it falls back on when L is not of full rank."""
         if not self.is_full_rank():
             return self.contains(v)
-        return sum(v) == 0 and not any(self.class_of(v))
+        words = self.class_words()
+        return words.key(v) == words.zero and sum(v) == 0
 
     def fixed_by(self, perm) -> bool:
         """Does the coordinate permutation perm map L onto itself?
@@ -199,6 +205,73 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(n={self.n}, rank={self.rank})"
+
+
+class ClassWords:
+    """Class sums in A_{n-1}/L as one integer add per nonzero entry.
+
+    Component t of a class is scaled into Z_M, M = lcm(mods), by
+    M // mods[t] and held as one little-endian digit of `width` bytes, so
+    x times the class of coordinate i is one int, table(x)[i], with digits
+    below M.  Up to `every` words added to a reduced sum keep each digit
+    below 256**width; reduce() takes each digit mod M (bytes.translate
+    when width is 1) and gives the class's key, zero bytes for the trivial
+    class.  A multiplier's table is built on first use.
+    """
+
+    def __init__(self, mods, cls):
+        self.M = M = lcm(*mods)
+        self.scale = [M // m for m in mods]
+        # wide enough that a word fits on a reduced sum: every >= 1
+        self.width = w = max(1, ((2 * M - 2).bit_length() + 7) // 8)
+        self.size = w * len(mods)
+        self.every = (256**w - 1) // max(M - 1, 1) - 1
+        self.zero = bytes(self.size)
+        self._digits = [[c * s for c, s in zip(ci, self.scale)] for ci in cls]
+        self._mod = bytes(d % M for d in range(256))
+        self._tables = {}
+
+    def table(self, x):
+        """The words of x * cls[i], one per coordinate i."""
+        r, shift = x % self.M, 8 * self.width
+        if r not in self._tables:
+            self._tables[r] = [
+                sum(r * d % self.M << shift * t for t, d in enumerate(ds)) for ds in self._digits
+            ]
+        return self._tables[r]
+
+    def reduce(self, acc: int) -> bytes:
+        """The key of a word sum: each digit taken mod M."""
+        raw = acc.to_bytes(self.size, "little")
+        if self.width == 1:
+            return raw.translate(self._mod)
+        return b"".join((d % self.M).to_bytes(self.width, "little") for d in self._split(raw))
+
+    def keys(self, sums):
+        """reduce() over an iterable of word sums, in C when width is 1."""
+        if self.width > 1:
+            return map(self.reduce, sums)
+        raw = map(int.to_bytes, sums, itertools.repeat(self.size), itertools.repeat("little"))
+        return map(bytes.translate, raw, itertools.repeat(self._mod))
+
+    def key(self, v) -> bytes:
+        """The key of sum(v[i] * cls[i]) over the nonzero entries of v."""
+        if len(v) != len(self._digits):
+            raise DimensionMismatchError(f"vector length {len(v)} != n = {len(self._digits)}")
+        tables, M, acc = self._tables, self.M, 0
+        for j, i in enumerate(itertools.compress(range(len(v)), v)):
+            if j and not j % self.every:
+                acc = int.from_bytes(self.reduce(acc), "little")
+            acc += (tables.get(v[i] % M) or self.table(v[i]))[i]
+        return self.reduce(acc)
+
+    def decode(self, key: bytes) -> tuple:
+        """The class tuple of a key, componentwise mod mods."""
+        return tuple(map(floordiv, self._split(key), self.scale))
+
+    def _split(self, raw: bytes):
+        w = self.width
+        return (int.from_bytes(raw[j : j + w], "little") for j in range(0, self.size, w))
 
 
 # -- short vectors by shape ----------------------------------------------------
@@ -226,32 +299,44 @@ class _Budget:
             )
 
 
-def _bucket_placements(n: int, part, mods, cls):
+def _keyed_placements(n: int, part, words: ClassWords):
     """Placements of the values `part` (non-increasing) on distinct
-    coordinates, as coordinate tuples bucketed by class sum.  Equal values
-    take increasing coordinates; class sums grow down the combination
-    tree from one pre-scaled class table per slot, whose range leaves
-    room for the equal values after it."""
+    coordinates: their class keys in walk order, and the leaf rows
+    (start, prefix, free), each putting keys[start + t] on the coordinates
+    prefix + (free[t],).  Equal values take increasing coordinates; packed
+    class sums grow down the combination tree from one word table per
+    slot, whose range leaves room for the equal values after it, and a
+    leaf row's keys are reduced in one pass."""
     k = len(part)
-    tabs = {v: [tuple(v * c % m for c, m in zip(ci, mods)) for ci in cls] for v in set(part)}
-    plan = [(tabs[v], n - part[s + 1 :].count(v)) for s, v in enumerate(part)]
-    buckets: dict[tuple, list[tuple]] = {}
+    plan = [(words.table(v), n - part[s + 1 :].count(v)) for s, v in enumerate(part)]
+    keys, rows = [], []
 
     def walk(s, start, prefix, acc):
         tab, stop = plan[s]
+        if s and not s % words.every:
+            acc = int.from_bytes(words.reduce(acc), "little")
+        free = [i for i in range(start, stop) if i not in prefix]
         if s == k - 1:
-            for i in range(start, stop):
-                if i not in prefix:
-                    sig = tuple(map(mod, map(add, acc, tab[i]), mods))
-                    buckets.setdefault(sig, []).append(prefix + (i,))
+            rows.append((len(keys), prefix, free))
+            keys.extend(words.keys(map(acc.__add__, map(tab.__getitem__, free))))
             return
         same = part[s + 1] == part[s]
-        for i in range(start, stop):
-            if i not in prefix:
-                walk(s + 1, i + 1 if same else 0, prefix + (i,), list(map(add, acc, tab[i])))
+        for i in free:
+            walk(s + 1, i + 1 if same else 0, prefix + (i,), acc + tab[i])
 
-    walk(0, 0, (), [0] * len(mods))
-    return buckets
+    walk(0, 0, (), 0)
+    return keys, rows
+
+
+def _buckets(keys, rows, wanted):
+    """Coordinate tuples of the placements whose key is in `wanted`, by
+    key, read back from the leaf rows of _keyed_placements."""
+    starts = [row[0] for row in rows]
+    out: dict[bytes, list[tuple]] = {}
+    for j in itertools.compress(itertools.count(), map(wanted.__contains__, keys)):
+        start, prefix, free = rows[bisect_right(starts, j) - 1]
+        out.setdefault(keys[j], []).append(prefix + (free[j - start],))
+    return out
 
 
 def shape_vectors(L: Lattice, pos, neg, cap=None):
@@ -260,24 +345,28 @@ def shape_vectors(L: Lattice, pos, neg, cap=None):
     tuples with equal sums), sorted.
 
     Meet in the middle (Horowitz-Sahni): placements of pos and of neg on
-    disjoint coordinates give a lattice vector iff their class sums agree,
-    so disjoint pairs are read off within each class bucket.  `cap`, or a
-    scan's shared budget, bounds the placements (of one side when
-    pos == neg) plus the pairs tested in buckets of two or more entries.
+    disjoint coordinates give a lattice vector iff their class keys agree,
+    so disjoint pairs are read off within each key shared by two or more
+    placements.  `cap`, or a scan's shared budget, bounds the placements
+    (of one side when pos == neg) plus the pairs tested in those buckets.
     Needs full rank.
     """
     if not pos:
         return []  # the zero vector is left out
     budget = cap if isinstance(cap, _Budget) else _Budget(L.n, [(pos, neg)], cap)
-    mods, cls = L.class_map()
-    plus = _bucket_placements(L.n, pos, mods, cls)
-    minus = plus if neg == pos else _bucket_placements(L.n, neg, mods, cls)
+    words = L.class_words()
+    pkeys, prows = _keyed_placements(L.n, pos, words)
+    if neg == pos:
+        shared = {key for key, count in Counter(pkeys).items() if count > 1}
+        plus = minus = _buckets(pkeys, prows, shared)
+    else:
+        nkeys, nrows = _keyed_placements(L.n, neg, words)
+        shared = set(pkeys).intersection(nkeys)
+        plus, minus = _buckets(pkeys, prows, shared), _buckets(nkeys, nrows, shared)
     signed = pos + tuple(-x for x in neg)
     out = []
-    for sig, A in plus.items():
-        B = minus.get(sig)
-        if B is None or (B is A and len(A) == 1):
-            continue
+    for key, A in plus.items():
+        B = minus[key]
         budget.charge(len(A) * len(B))
         for a in A:
             aset = set(a)

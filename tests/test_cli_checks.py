@@ -3,6 +3,7 @@
 import pytest
 
 from hfl import autgrp, cli, hermlat, lattice
+from hfl.curve import curve_make
 
 
 @pytest.fixture
@@ -66,3 +67,29 @@ def test_memory_and_internal_defects_exit_4(monkeypatch, capsys):
     assert cli.main(["herm", "decompose", "--q", "2", "--line", "x-c:c=1"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("hfl: internal defect: decomposition of")
+
+
+def _census_checks(q, cap):
+    """The records of verify's minimum and census checks at q under cap."""
+    wanted = ("min_distance", "census_contains_families", "census_size")
+    hl = hermlat.HermitianLattice(curve_make(q))
+    checks = [c for c in cli.herm_checks(hl, cap=cap) if c.check_id in wanted]
+    report = cli.run_checks(checks, verbose=False)
+    return {rec["check_id"]: rec for rec in report["checks"]}
+
+
+def test_refused_scan_falls_back_on_the_census():
+    """At q = 4 the scan up to 2q charges 772,915 and the census alone
+    693,680 (placements plus pairs), so a cap between them refuses the
+    minimum but still runs both census checks.  At q = 5 both refuse
+    before any walk, and the census checks give the census's own refusal."""
+    recs = _census_checks(4, 700_000)
+    assert recs["min_distance"]["skipped"]
+    assert "772915" in recs["min_distance"]["reason"]
+    assert recs["census_contains_families"]["pass"]
+    assert recs["census_size"]["pass"] and recs["census_size"]["actual"] == 15600
+
+    recs = _census_checks(5, lattice.DEFAULT_CENSUS_CAP)
+    assert set(recs) == {"min_distance", "census_contains_families"}
+    assert all(rec["skipped"] for rec in recs.values())
+    assert "244222650 placements" in recs["census_contains_families"]["reason"]

@@ -79,6 +79,11 @@ def test_contains_and_member_fast_agree():
         w = (1,) + (0,) * (n - 1)
         assert not L.contains(w)
         assert not L.member_fast(w)
+    # a vector of the wrong length is refused by every route
+    L = hermlat.build(2).L
+    for route in (L.contains, L.member_fast, L.class_of):
+        with pytest.raises(DimensionMismatchError):
+            route(L.rows[0] + (0,))
 
 
 def test_closure_properties():
@@ -129,12 +134,20 @@ def _block_route_cases():
         yield rng, lattice.Lattice.from_generators(rows, n)
     for q in (2, 3, 4):
         yield rng, hermlat.build(q).L
+    # exponent 257 takes two-byte digits, exponent 128 reduces after every
+    # word, and A_4 itself has the trivial quotient
+    yield rng, abelian.lattice_for_subset(abelian.AbelianGroup((257,)), (1, 2, 3))
+    yield rng, abelian.lattice_for_subset(abelian.AbelianGroup((2, 128)), range(1, 8))
+    yield rng, full_root_lattice(5)
 
 
 def test_block_smith_form_matches_dense_oracle():
     """The quotient read off the non-unit block of the HNF agrees with the
     dense Smith form of the whole HNF, with contains(), and maps each
-    quotient generator to its unit class."""
+    quotient generator to its unit class.  The packed class sums agree
+    with the componentwise oracle, also on dense vectors with entries
+    beyond the exponent M (at q = 4, more nonzeros than one reduction
+    interval)."""
     non_unit = 0
     for rng, L in _block_route_cases():
         n = L.n
@@ -156,7 +169,14 @@ def test_block_smith_form_matches_dense_oracle():
                 v = [x + y for x, y in zip(v, w + [-sum(w)])]
             v = tuple(v)
             assert L.member_fast(v) == L.contains(v)
+            assert L.class_of(v) == _class_of(L, v)
             assert (_class_of(L, v) == (0,) * len(mods)) == L.contains(v)
+        M = L.class_words().M
+        for _ in range(5):
+            w = [rng.randint(-3 * M, 3 * M) for _ in range(n - 1)]
+            dense = tuple(w + [-sum(w)])
+            assert L.class_of(dense) == _class_of(L, dense)
+            assert L.member_fast(dense) == L.contains(dense)
     assert non_unit > 30
 
 
@@ -255,17 +275,18 @@ def test_scan_vs_enumeration():
 
 def test_shape_vectors_places_repeated_and_mirrored_parts():
     """Each shape's vectors, against a filter of the enumeration."""
-    G = abelian.AbelianGroup((2, 4))
-    L = abelian.lattice_for_subset(G, range(1, 8))
-    enum = [v for _, v in lattice.enumerate_short_vectors(L, 14)]
-    for pos, neg in (((2,), (1, 1)), ((1, 1), (2,)), ((2, 1), (1, 1, 1)), ((2, 1), (2, 1)),
-                     ((3,), (1, 1, 1)), ((2, 2), (1, 1, 1, 1))):
-        want = sorted(
-            v for v in enum
-            if sorted((x for x in v if x > 0), reverse=True) == list(pos)
-            and sorted((-x for x in v if x < 0), reverse=True) == list(neg)
-        )
-        assert lattice.shape_vectors(L, pos, neg) == want, (pos, neg)
+    # Z_257 takes two-byte digits; Z_2 x Z_128 reduces after every word
+    for moduli in ((2, 4), (257,), (2, 128)):
+        L = abelian.lattice_for_subset(abelian.AbelianGroup(moduli), range(1, 8))
+        enum = [v for _, v in lattice.enumerate_short_vectors(L, 14)]
+        for pos, neg in (((2,), (1, 1)), ((1, 1), (2,)), ((2, 1), (1, 1, 1)), ((2, 1), (2, 1)),
+                         ((3,), (1, 1, 1)), ((2, 2), (1, 1, 1, 1))):
+            want = sorted(
+                v for v in enum
+                if sorted((x for x in v if x > 0), reverse=True) == list(pos)
+                and sorted((-x for x in v if x < 0), reverse=True) == list(neg)
+            )
+            assert lattice.shape_vectors(L, pos, neg) == want, (moduli, pos, neg)
 
 
 def test_scan_refuses_before_any_walk(monkeypatch):
