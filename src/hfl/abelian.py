@@ -14,12 +14,13 @@ minimal vectors, and the subset-preserving group automorphisms.
 import csv
 import io
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import intmat, lattice
 from .errors import EmptyGeneratorSetError, GroupTooLargeError
 
-AUT_MAX_ORDER = 10**4
+AUT_MAX_WORK = 10**6  # |Aut(G)| * |G| entries listed by automorphisms()
 ENUMERATION_MAX_ORDER = 10**6
 
 
@@ -84,44 +85,121 @@ class AbelianGroup:
                     frontier.append(nxt)
         return seen
 
-    def automorphisms(self):
-        """All automorphisms, each a tuple perm with perm[enc(g)] = enc(phi(g)).
+    def automorphism_count(self) -> int:
+        """|Aut(G)| from Hillar and Rhea's closed form (Amer. Math. Monthly
+        114, 2007), one p-primary part at a time: for exponents
+        e_1 <= ... <= e_n with d_k = max{l : e_l = e_k} and
+        c_k = min{l : e_l = e_k}, |Aut| is the product over k of
+        (p^d_k - p^(k-1)) * p^(e_k (n - d_k)) * p^((e_k - 1)(n - c_k + 1))."""
+        parts = {}
+        for m in self.moduli:
+            for p, e in _prime_powers(m):
+                parts.setdefault(p, []).append(e)
+        out = 1
+        for p, es in parts.items():
+            es.sort()
+            n = len(es)
+            for k, e in enumerate(es, 1):
+                d, c = bisect_right(es, e), bisect_left(es, e) + 1
+                out *= (p**d - p ** (k - 1)) * p ** (e * (n - d) + (e - 1) * (n - c + 1))
+        return out
 
-        Brute force over images of the canonical cyclic generators,
-        pruned by element order, then checked for bijectivity.
+    def automorphisms(self):
+        """All automorphisms, each a tuple perm with perm[enc(g)] = enc(phi(g)),
+        in increasing order.
+
+        Depth-first extension one canonical generator e_j at a time.  The
+        encodings below m_1...m_{j-1} are the subgroup H = <e_1..e_{j-1}>,
+        whose images are already fixed; an image x of e_j needs m_j x = 0
+        and d x outside phi(H) for 0 < d < m_j (cosets are equal or
+        disjoint, so one element per coset decides it).  Then the coset
+        d e_j + H maps to d x + phi(H), built by translating the previous
+        coset with a table of enc(a + x), made once per call for each image
+        x chosen.  A rejected x is never built, and trying images in
+        increasing order emits the perms sorted.
+
+        The work is the output, |Aut(G)| * |G| entries, charged from the
+        closed form before any listing; above AUT_MAX_WORK the call raises
+        GroupTooLargeError naming the cost and the cap.
         """
-        if self.order > AUT_MAX_ORDER:
-            raise GroupTooLargeError(f"|G| = {self.order} > {AUT_MAX_ORDER}")
-        els = self.elements()
-        candidates = []
-        for i, m in enumerate(self.moduli):
-            candidates.append([g for g in els if self.element_order(g) in _divisors_of(m)])
+        cost = self.automorphism_count() * self.order
+        if cost > AUT_MAX_WORK:
+            raise GroupTooLargeError(
+                f"listing Aut(G) costs |Aut(G)|*|G| = {cost} > cap {AUT_MAX_WORK}"
+            )
+        moduli = self.moduli
+        strides = [1]
+        for m in moduli[:-1]:
+            strides.append(strides[-1] * m)
+
+        def encodings(digit_lists):
+            """Encodings of the digit product, position i for digits decode(i)."""
+            out = [0]
+            for digits, s in zip(digit_lists, strides):
+                out = [d * s + c for d in digits for c in out]
+            return out
+
+        # per level: (x, enc(d x) for 0 < d < m_j) for every x of order m_j
+        levels = []
+        for m in moduli:
+            level = []
+            for x in encodings([[t for t in range(mt) if m * t % mt == 0] for mt in moduli]):
+                cols = [
+                    [v % mt * s for v in range(t, t * m, t)] if t else [0] * (m - 1)
+                    for t, mt, s in zip(self.decode(x), moduli, strides)
+                ]
+                mults = list(map(sum, zip(*cols)))
+                if 0 not in mults:
+                    level.append((x, mults))
+            levels.append(level)
+        shifts = {}
         out = []
-        for images in itertools.product(*candidates):
-            perm = []
-            ok = True
-            seen = set()
-            for g in els:
-                h = self.zero
-                for d, img in zip(g, images):
-                    if d:
-                        h = self.add(h, self.scale(d, img))
-                e = self.encode(h)
-                if e in seen:
-                    ok = False
-                    break
-                seen.add(e)
-                perm.append(e)
-            if ok:
-                out.append(tuple(perm))
-        return sorted(out)
+
+        def extend(j, img):
+            if j == len(moduli):
+                out.append(tuple(img))
+                return
+            inside = bytearray(self.order)
+            for y in img:
+                inside[y] = 1
+            for x, mults in levels[j]:
+                if any(map(inside.__getitem__, mults)):
+                    continue
+                if j == 0:  # phi(H) = {0}: the cosets are the multiples of x
+                    new = [0, *mults]
+                else:
+                    shift = shifts.get(x)
+                    if shift is None:
+                        xs = zip(self.decode(x), moduli)
+                        shift = encodings([[(d + t) % mt for d in range(mt)] for t, mt in xs])
+                        shifts[x] = shift
+                    new = list(img)
+                    block = img
+                    for _ in range(1, moduli[j]):
+                        block = list(map(shift.__getitem__, block))
+                        new += block
+                extend(j + 1, new)
+
+        extend(0, (0,))
+        return out
 
     def __repr__(self):
         return f"AbelianGroup{self.moduli}"
 
 
-def _divisors_of(m: int):
-    return {d for d in range(1, m + 1) if m % d == 0}
+def _prime_powers(m: int):
+    """(p, e) for each prime power p^e exactly dividing m."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e
+        p += 1
+    if m > 1:
+        yield m, 1
 
 
 def _check_subset(group: AbelianGroup, gens):

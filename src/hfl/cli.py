@@ -313,6 +313,25 @@ def run_checks(checks, verbose=True):
     return report
 
 
+def _once(fn, refusal):
+    """fn() computed on the first call and returned on every call; a
+    refusal (an exception of that type) is kept and raised again, so a
+    refused computation also runs at most once per run."""
+    kept = []
+
+    def get():
+        if not kept:
+            try:
+                kept.append(fn())
+            except refusal as e:
+                kept.append(e)
+        if isinstance(kept[0], refusal):
+            raise kept[0]
+        return kept[0]
+
+    return get
+
+
 def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True):
     curve = hl.curve
     q, n = curve.q, curve.n
@@ -420,14 +439,15 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
                 )
             return res
 
-        @functools.cache
-        def census():
+        def pm1_vectors():
             # the vectors with q entries +1 and q entries -1: read off the
             # scan, or walked alone under the same cap when the scan is refused
             if not distance().exact:
                 return hermlat.census(hl, cap=cap)
             vecs = distance().vectors
             return [v for v in vecs if set(v) <= {-1, 0, 1} and sum(map(abs, v)) == 2 * q]
+
+        census = _once(pm1_vectors, BudgetExceededError)
 
         def census_superset():
             return set(census()) >= families().union()  # a refused scan builds no union
@@ -443,18 +463,7 @@ def aut_checks(hl: hermlat.HermitianLattice, max_order: int):
     curve = hl.curve
     q = curve.q
     expected_order = q**3 * (q * q - 1) * (q**3 + 1)
-    state = {}
-
-    def group():
-        # a refusal is kept too, so the chain is built at most once per run
-        if "g" not in state:
-            try:
-                state["g"] = autgrp.full_group(curve, max_order=max_order)
-            except OrderBudgetExceededError as e:
-                state["g"] = e
-        if isinstance(state["g"], OrderBudgetExceededError):
-            raise state["g"]
-        return state["g"]
+    group = _once(lambda: autgrp.full_group(curve, max_order=max_order), OrderBudgetExceededError)
 
     checks = [
         Check("aut_order", "formula", expected_order, lambda: group().order),

@@ -54,7 +54,7 @@ class SearchInfeasibleError(Error):
 
 
 class GroupTooLargeError(Error):
-    """Abelian group order exceeds the brute-force automorphism cap."""
+    """Abelian group too large to enumerate, or Aut(G) too costly to list."""
 
 
 class NotMinimalPairError(Error):

@@ -1,5 +1,6 @@
 """Slow, independent routes that the tests compare the library against."""
 
+import itertools
 from bisect import bisect_left
 
 from hfl.curve import Vertical
@@ -86,3 +87,28 @@ def dense_echelon(vectors, width, ops=None):
         assert len(vec) == width
         dense_echelon_insert(rows, pivots, vec, ops)
     return rows, pivots
+
+
+def automorphisms_bruteforce(G):
+    """Aut(G) as sorted perms with perm[enc(g)] = enc(phi(g)): every tuple of
+    images of the canonical generators whose orders divide the moduli,
+    kept when the map it defines is a bijection."""
+    els = G.elements()
+    candidates = [[g for g in els if m % G.element_order(g) == 0] for m in G.moduli]
+    out = []
+    for images in itertools.product(*candidates):
+        perm = []
+        seen = set()
+        for g in els:
+            h = G.zero
+            for d, img in zip(g, images):
+                if d:
+                    h = G.add(h, G.scale(d, img))
+            e = G.encode(h)
+            if e in seen:
+                break
+            seen.add(e)
+            perm.append(e)
+        else:
+            out.append(tuple(perm))
+    return sorted(out)

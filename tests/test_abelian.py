@@ -8,6 +8,7 @@ import pytest
 
 from hfl import abelian, lattice
 from hfl.errors import EmptyGeneratorSetError, GroupTooLargeError
+from oracles import automorphisms_bruteforce
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_golden.csv"
 
@@ -103,12 +104,61 @@ def test_automorphism_group_closed():
             assert tuple(p[s[i]] for i in range(G.order)) in auts
 
 
+def _ordered_factorizations(n):
+    """Every moduli tuple (factors >= 2, in order) with product n."""
+    if n == 1:
+        yield ()
+        return
+    for m in range(2, n + 1):
+        if n % m == 0:
+            for rest in _ordered_factorizations(n // m):
+                yield (m,) + rest
+
+
+def _bruteforce_work(G):
+    """|G| times the image tuples the brute force tries."""
+    work = G.order
+    for m in G.moduli:
+        work *= sum(1 for g in G.elements() if G.scale(m, g) == G.zero)
+    return work
+
+
+def test_automorphisms_match_bruteforce_oracle():
+    """Every moduli tuple with |G| <= 32 whose brute force tries at most
+    2^18 image-entries (about a second): the same sorted list, of the
+    length the closed form gives."""
+    compared = 0
+    for order in range(2, 33):
+        for moduli in _ordered_factorizations(order):
+            G = abelian.AbelianGroup(moduli)
+            if _bruteforce_work(G) > 2**18:
+                continue
+            want = automorphisms_bruteforce(G)
+            assert G.automorphisms() == want, moduli
+            assert G.automorphism_count() == len(want), moduli
+            compared += 1
+    assert compared == 128
+
+
+@pytest.mark.parametrize(
+    "moduli,count",
+    [((2, 2, 2, 2), 20160), ((3, 3, 3), 11232), ((2, 4, 4), 1536), ((257,), 256)],
+)
+def test_automorphism_listing_has_closed_form_length(moduli, count):
+    G = abelian.AbelianGroup(moduli)
+    assert G.automorphism_count() == count
+    auts = G.automorphisms()
+    assert len(auts) == count and auts == sorted(set(auts))
+
+
 def test_size_limits():
     with pytest.raises(GroupTooLargeError):
         abelian.AbelianGroup((1009, 1009))
-    G = abelian.AbelianGroup((101, 101))  # fine to build, too big to brute Aut
-    with pytest.raises(GroupTooLargeError):
+    G = abelian.AbelianGroup((101, 101))  # fine to build, too costly to list Aut
+    with pytest.raises(GroupTooLargeError) as e:
         G.automorphisms()
+    # |GL_2(101)| * 101^2, named with the cap
+    assert f"= {10200 * 10100 * 10201} > cap {abelian.AUT_MAX_WORK}" in str(e.value)
     with pytest.raises(ValueError):
         abelian.AbelianGroup(())
     with pytest.raises(ValueError):

@@ -1,0 +1,46 @@
+"""What the benchmark in perfbench/ uses of the library still exists.
+
+The benchmark's modules are imported from their directory, as its runner
+does, so renaming a traced function or growing a benchmark group past a
+budget fails here rather than only in a traced benchmark pass.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from hfl import abelian
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module
+
+
+def test_tracer_installs_and_uninstalls_every_target(perfbench):
+    tracer = perfbench("tracer")
+    original = abelian.AbelianGroup.__dict__["automorphisms"]
+    tr = tracer.Tracer("tier-1")
+    tr.install()  # raises if a target is missing
+    try:
+        assert abelian.AbelianGroup.__dict__["automorphisms"] is not original
+        abelian.AbelianGroup((7,)).automorphisms()
+    finally:
+        tr.uninstall()
+    assert abelian.AbelianGroup.__dict__["automorphisms"] is original
+    assert len(tr.stats) == len(tracer.TARGETS)
+    assert tr.stats["abelian.AbelianGroup.automorphisms"]["calls"] == 1
+
+
+def test_benchmark_groups_within_the_listing_budget(perfbench):
+    plan = perfbench("workloads").SUBSET_PLAN
+    costs = {}
+    for moduli in {moduli for moduli, _, _ in plan} | {(7,)}:
+        G = abelian.AbelianGroup(moduli)
+        costs[moduli] = G.automorphism_count() * G.order
+    # the largest is Z_2^4: 20,160 automorphisms of 16 entries
+    assert max(costs.values()) == costs[(2, 2, 2, 2)] == 322560 <= abelian.AUT_MAX_WORK

@@ -93,3 +93,14 @@ def test_refused_scan_falls_back_on_the_census():
     assert set(recs) == {"min_distance", "census_contains_families"}
     assert all(rec["skipped"] for rec in recs.values())
     assert "244222650 placements" in recs["census_contains_families"]["reason"]
+
+
+def test_census_refusal_while_pairing_is_kept(counted):
+    """At q = 4 the census charges 677,040 placements and then 16,640
+    pairs; at a cap inside the pair charge it is refused only after the
+    walk, which both census checks must share."""
+    recs = _census_checks(4, 693_679)
+    assert counted["census_pm1"] == 1
+    assert recs["census_contains_families"]["skipped"] and recs["census_size"]["skipped"]
+    assert recs["census_contains_families"]["reason"] == recs["census_size"]["reason"]
+    assert "693679" in recs["census_size"]["reason"]
