@@ -8,8 +8,10 @@ deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
 Algorithms*, 2003).  Its order, point stabilizers, orbits, membership and
 the kernel of the induced action on the divisor class group are all
 computed exactly from the stabilizer chain, never assumed, and without
-listing the group.  ``closure`` lists every element by BFS and is kept as
-the independent oracle.
+listing the group, so no group order is refused: ``max_order`` bounds
+only ``PermGroup.elements`` and ``closure``, the two routes that list.
+``closure`` lists every element by BFS and is kept as the independent
+oracle.
 """
 
 from dataclasses import dataclass
@@ -320,16 +322,13 @@ def translation_generators(curve: Curve):
 
 def full_group(curve: Curve, max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
     """The group generated by translations, scalings, and the inversion,
-    with the infinite place as first base point; refused when its order is
-    above max_order."""
+    with the infinite place as first base point; max_order bounds only
+    the listing of its elements."""
     F = curve.field
     gens = translation_generators(curve)
     gens.append(scaling(curve, F.root_of_unity(F.order - 1)))
     gens.append(inversion(curve))
-    group = schreier_sims(gens, base=(0,), max_order=max_order)
-    if group.order > max_order:
-        raise OrderBudgetExceededError(f"group order {group.order} exceeds cap {max_order}")
-    return group
+    return schreier_sims(gens, base=(0,), max_order=max_order)
 
 
 def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:

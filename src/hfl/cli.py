@@ -22,7 +22,6 @@ from .errors import (
     EmptyGeneratorSetError,
     GroupTooLargeError,
     InternalIdentityViolationError,
-    OrderBudgetExceededError,
     SearchInfeasibleError,
     UnsupportedQError,
 )
@@ -186,7 +185,7 @@ def lattice_payload(hl: hermlat.HermitianLattice):
 
 
 def census_payload(hl: hermlat.HermitianLattice, cap: int):
-    vectors = hermlat.census(hl, cap=cap)
+    vectors = lattice.census_pm1(hl.L, hl.curve.q, cap=cap)
     return {
         "q": hl.curve.q,
         "count": len(vectors),
@@ -214,8 +213,8 @@ def decompose_payload(curve: Curve, line, beta=None):
     }
 
 
-def aut_payload(curve: Curve, max_order: int):
-    group = autgrp.full_group(curve, max_order=max_order)
+def aut_payload(curve: Curve):
+    group = autgrp.full_group(curve)
     hl = hermlat.HermitianLattice(curve)
     orbit_sizes = _orbit_sizes(group, curve.n)
     return {
@@ -282,7 +281,7 @@ def run_checks(checks, verbose=True):
         rec = {"check_id": c.check_id, "tag": c.tag, "expected": c.expected}
         try:
             actual = c.fn()
-        except (BudgetExceededError, OrderBudgetExceededError, SearchInfeasibleError) as e:
+        except (BudgetExceededError, SearchInfeasibleError) as e:
             rec["skipped"] = True
             rec["reason"] = str(e)
             skipped += 1
@@ -443,7 +442,7 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
             # the vectors with q entries +1 and q entries -1: read off the
             # scan, or walked alone under the same cap when the scan is refused
             if not distance().exact:
-                return hermlat.census(hl, cap=cap)
+                return lattice.census_pm1(hl.L, q, cap=cap)
             vecs = distance().vectors
             return [v for v in vecs if set(v) <= {-1, 0, 1} and sum(map(abs, v)) == 2 * q]
 
@@ -459,11 +458,11 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
     return checks
 
 
-def aut_checks(hl: hermlat.HermitianLattice, max_order: int):
+def aut_checks(hl: hermlat.HermitianLattice):
     curve = hl.curve
     q = curve.q
     expected_order = q**3 * (q * q - 1) * (q**3 + 1)
-    group = _once(lambda: autgrp.full_group(curve, max_order=max_order), OrderBudgetExceededError)
+    group = functools.cache(lambda: autgrp.full_group(curve))
 
     checks = [
         Check("aut_order", "formula", expected_order, lambda: group().order),
@@ -558,19 +557,6 @@ def cmd_field(args):
     return 0
 
 
-def cmd_herm_build(args):
-    hl = hermlat.build(args.q)
-    _emit(lattice_payload(hl), args.out)
-    return 0
-
-
-def cmd_herm_census(args):
-    hl = hermlat.build(args.q)
-    payload = census_payload(hl, cap=_budget(args, "cap", lattice.DEFAULT_CENSUS_CAP))
-    _emit(payload, args.out)
-    return 0
-
-
 def cmd_herm_decompose(args):
     curve = curve_make(args.q)
     line = parse_line_spec(args.line)
@@ -580,16 +566,6 @@ def cmd_herm_decompose(args):
         raise UsageError(str(e))
     _emit(payload, args.out)
     return 0
-
-
-def cmd_herm_verify(args):
-    hl = hermlat.build(args.q)
-    cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
-    checks = herm_checks(hl, cap=cap, with_census=args.all)
-    report = run_checks(checks)
-    report["target"] = f"herm q={args.q}"
-    _emit(report, args.out)
-    return 0 if report["pass"] else 1
 
 
 def cmd_group_ls(args):
@@ -618,53 +594,47 @@ def cmd_group_ls(args):
     return 0
 
 
-def cmd_group_table1(args):
-    _emit(abelian.catalogue_csv(abelian.catalogue()), args.out)
-    return 0
+def _export_curve(args):
+    if args.q is None:
+        raise UsageError(f"export --kind {args.kind} needs --q")
+    return curve_make(args.q)
 
 
-def cmd_aut(args):
-    curve = curve_make(args.q)
-    max_order = _budget(args, "max_order", autgrp.DEFAULT_ORDER_CAP)
-    payload = aut_payload(curve, max_order=max_order)
-    _emit(payload, args.out)
-    return 0
+def _export_census(args):
+    curve = _export_curve(args)
+    cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
+    return census_payload(hermlat.HermitianLattice(curve), cap=cap)
+
+
+# every export kind and its payload builder; `herm build`, `herm census`,
+# `group table1` and `aut` are the lattice, census, table1 and aut kinds
+EXPORTS = {
+    "places": lambda args: places_payload(_export_curve(args)),
+    "lines": lambda args: lines_payload(_export_curve(args)),
+    "lattice": lambda args: lattice_payload(hermlat.HermitianLattice(_export_curve(args))),
+    "census": _export_census,
+    "table1": lambda args: abelian.catalogue_csv(abelian.catalogue()),
+    "aut": lambda args: aut_payload(_export_curve(args)),
+}
 
 
 def cmd_export(args):
-    kind = args.kind
-    if kind == "table1":
-        _emit(abelian.catalogue_csv(abelian.catalogue()), args.out)
-        return 0
-    if args.q is None:
-        raise UsageError(f"export --kind {kind} needs --q")
-    curve = curve_make(args.q)
-    if kind == "places":
-        payload = places_payload(curve)
-    elif kind == "lines":
-        payload = lines_payload(curve)
-    elif kind == "lattice":
-        payload = lattice_payload(hermlat.HermitianLattice(curve))
-    elif kind == "census":
-        cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
-        payload = census_payload(hermlat.HermitianLattice(curve), cap=cap)
-    elif kind == "aut":
-        max_order = _budget(args, "max_order", autgrp.DEFAULT_ORDER_CAP)
-        payload = aut_payload(curve, max_order=max_order)
-    else:  # argparse choices make this unreachable
-        raise UsageError(f"unknown export kind {kind!r}")
-    _emit(payload, args.out)
+    _emit(EXPORTS[args.kind](args), args.out)
     return 0
 
 
 def cmd_verify(args):
+    """`verify`, and `herm verify` with the aut checks off and the census
+    checks only under --all."""
     if args.group is not None:
         checks = group_checks(args.group, table1=args.table1, golden_path=args.golden)
         target = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
         hl = hermlat.build(args.q)
-        checks = herm_checks(hl, cap=_budget(args, "cap", lattice.DEFAULT_CENSUS_CAP))
-        checks += aut_checks(hl, max_order=_budget(args, "max_order", autgrp.DEFAULT_ORDER_CAP))
+        cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
+        checks = herm_checks(hl, cap=cap, with_census=args.all)
+        if args.with_aut:
+            checks += aut_checks(hl)
         target = f"herm q={args.q}"
     else:
         raise UsageError("verify needs --q or --group")
@@ -715,13 +685,13 @@ def build_parser():
     p = hs.add_parser("build", help="lattice basis, divisors, determinant")
     p.add_argument("--q", type=int, required=True)
     _add_out(p)
-    p.set_defaults(fn=cmd_herm_build)
+    p.set_defaults(fn=cmd_export, kind="lattice")
 
     p = hs.add_parser("census", help="every lattice vector of squared norm 2q")
     p.add_argument("--q", type=int, required=True)
     _add_budget(p)
     _add_out(p)
-    p.set_defaults(fn=cmd_herm_census)
+    p.set_defaults(fn=cmd_export, kind="census")
 
     p = hs.add_parser("decompose", help="split a line divisor into minimal vectors")
     p.add_argument("--q", type=int, required=True)
@@ -735,7 +705,7 @@ def build_parser():
     p.add_argument("--all", action="store_true", help="include census-based checks")
     _add_budget(p)
     _add_out(p)
-    p.set_defaults(fn=cmd_herm_verify)
+    p.set_defaults(fn=cmd_verify, group=None, with_aut=False)
 
     grp = sub.add_parser("group", help="abelian subset lattice commands")
     gs = grp.add_subparsers(dest="group_command", required=True)
@@ -748,22 +718,16 @@ def build_parser():
 
     p = gs.add_parser("table1", help="the full Z_7 catalogue as CSV")
     _add_out(p)
-    p.set_defaults(fn=cmd_group_table1)
+    p.set_defaults(fn=cmd_export, kind="table1")
 
     p = sub.add_parser("aut", help="curve automorphisms and induced actions")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-order", type=int, help="group order cap")
     _add_out(p)
-    p.set_defaults(fn=cmd_aut)
+    p.set_defaults(fn=cmd_export, kind="aut")
 
     p = sub.add_parser("export", help="deterministic artifacts")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["places", "lines", "lattice", "census", "table1", "aut"],
-    )
+    p.add_argument("--kind", required=True, choices=list(EXPORTS))
     p.add_argument("--q", type=int)
-    p.add_argument("--max-order", type=int, help="group order cap (aut kind)")
     _add_budget(p)
     _add_out(p)
     p.set_defaults(fn=cmd_export)
@@ -773,10 +737,9 @@ def build_parser():
     p.add_argument("--group", type=_int_list, help="moduli, e.g. 7")
     p.add_argument("--table1", action="store_true", help="(with --group) catalogue checks")
     p.add_argument("--golden", help="CSV file the catalogue must match byte for byte")
-    p.add_argument("--max-order", type=int, help="group order cap")
     _add_budget(p)
     _add_out(p)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, all=True, with_aut=True)
 
     return top
 
@@ -789,8 +752,8 @@ def main(argv=None) -> int:
     except (UsageError, UnsupportedQError, GroupTooLargeError, EmptyGeneratorSetError) as e:
         print(f"hfl: {e}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, OrderBudgetExceededError, SearchInfeasibleError) as e:
-        print(f"hfl: {e} (raise --cap / --max-order or HFL_BUDGET)", file=sys.stderr)
+    except (BudgetExceededError, SearchInfeasibleError) as e:
+        print(f"hfl: {e} (raise --cap or HFL_BUDGET)", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"hfl: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ multiplicity q + 1, and any other line meets it in q + 1 distinct points.
 
 from dataclasses import dataclass
 
-from .errors import IdenticalLinesError, NotOnCurveError, UnsupportedQError
+from .errors import NotOnCurveError, UnsupportedQError
 from .gf import Field, field_make
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8)
@@ -153,14 +153,6 @@ class Curve:
                 div[self.place_index[pt]] = 1
             div[0] = -(self.q + 1)
         return tuple(div)
-
-    def line_quotient(self, num: Line, den: Line) -> tuple[int, ...]:
-        """Divisor of num/den; the two lines must differ."""
-        if num == den:
-            raise IdenticalLinesError(f"line quotient needs distinct lines, got {num}")
-        dn = self.divisor_of_line(num)
-        dd = self.divisor_of_line(den)
-        return tuple(x - y for x, y in zip(dn, dd))
 
     def __repr__(self):
         return f"Curve(q={self.q}, n={self.n})"

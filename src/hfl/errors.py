@@ -29,10 +29,6 @@ class UnsupportedQError(Error):
     """Curve parameter q outside the supported set."""
 
 
-class IdenticalLinesError(Error):
-    """A quotient of a line by itself has no divisor."""
-
-
 class EmptyGeneratorSetError(Error):
     """A lattice needs at least one generating vector."""
 

@@ -296,11 +296,6 @@ def min_distance(hl: HermitianLattice, cap: int | None = None) -> MinDistanceRes
     return MinDistanceResult(best, True, "census", norms.count(best), tuple(vecs))
 
 
-def census(hl: HermitianLattice, cap: int | None = None):
-    """All lattice vectors with q entries +1 and q entries -1."""
-    return lattice.census_pm1(hl.L, hl.curve.q, cap=cap)
-
-
 def generated_by_minimals(hl: HermitianLattice, extra_vectors=()) -> int:
     """Index in the lattice of the span of all decomposition-step vectors
     (optionally extended, e.g. by a census); 1 means they generate."""

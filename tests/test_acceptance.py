@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hfl import abelian, autgrp, gf, hermlat, intmat, lattice
+from hfl import abelian, autgrp, cli, gf, hermlat, intmat, lattice
 from hfl.curve import Vertical, curve_make
 from oracles import points_on_line_bruteforce
 
@@ -102,7 +102,7 @@ def test_c05_kissing_families():
         c.expect(len(union) == sum(sizes), f"q={q} families overlap")
         c.expect(all(sum(x * x for x in v) == 2 * q for v in union), f"q={q} norms")
         c.expect(all(hl.L.contains(v) for v in union), f"q={q} membership")
-        census = set(hermlat.census(hl))
+        census = set(lattice.census_pm1(hl.L, q))
         c.expect(census >= union, f"q={q} census misses family vectors")
         # the census oracle settles the exact count: families already
         # exhaust it at these q
@@ -166,11 +166,22 @@ def test_c09_automorphism_group():
         c.expect(autgrp.lattice_stable_under(G, hl.L),
                  f"q={q} some element moves the lattice")
         if q == 2:
-            v = hl.curve.line_quotient(Vertical(0), Vertical(1))
+            v = hermlat.minimal_pair_vector(hl.curve, Vertical(0), Vertical(1))
             orbit = autgrp.orbit_of_vector(G, v)
             c.expect(len(orbit) == 108, f"orbit size {len(orbit)}")
             c.expect(orbit == hermlat.kissing_families(hl.curve).union(),
                      "orbit != family union")
+    c.finish()
+
+
+def test_c11_aut_checks_q7():
+    c = Criterion("C11 q=7 aut checks at default settings: order 5,663,616, kernel 1", 60.0)
+    report = cli.run_checks(cli.aut_checks(hermlat.build(7)), verbose=False)
+    actual = {rec["check_id"]: rec.get("actual") for rec in report["checks"]}
+    c.expect(report["counts"] == {"passed": 5, "failed": 0, "skipped": 0},
+             f"counts {report['counts']}")
+    c.expect(actual["aut_order"] == 5_663_616, f"order {actual['aut_order']}")
+    c.expect(actual["classgroup_kernel"] == 1, f"kernel {actual['classgroup_kernel']}")
     c.finish()
 
 
@@ -252,7 +263,7 @@ def test_c10_property_suites():
     # census: the signature route matches the branch-and-bound
     # enumeration route
     hl2 = hermlat.build(2)
-    census = hermlat.census(hl2)
+    census = lattice.census_pm1(hl2.L, 2)
     c.expect(len(census) == 108, f"census size {len(census)}")
     enum = {v for norm, v in lattice.enumerate_short_vectors(hl2.L, 4) if norm == 4}
     c.expect(set(census) == enum, "census != enumeration")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hfl import autgrp, hermlat
+from hfl import autgrp, hermlat, lattice
 from hfl.errors import (
     LatticeNotStableError,
     NotOnCurveError,
@@ -131,7 +131,7 @@ def test_lattice_stability(G2, G3, hl2, hl3):
 
 
 def test_orbit_of_minimal_vector_is_census(G2, hl2):
-    vecs = set(hermlat.census(hl2))
+    vecs = set(lattice.census_pm1(hl2.L, 2))
     v = min(vecs)
     assert autgrp.orbit_of_vector(G2, v) == vecs
 
@@ -283,9 +283,7 @@ def test_chain_formulas_q4_q5(q):
     assert act.image_order == G.order
 
 
-def test_order_cap_refuses_group_and_listing(curve2):
-    with pytest.raises(OrderBudgetExceededError):
-        autgrp.full_group(curve2, max_order=215)
+def test_order_cap_refuses_listing(curve2):
     G = autgrp.schreier_sims(autgrp.full_group(curve2).generators, max_order=100)
     assert G.order == 216
     with pytest.raises(OrderBudgetExceededError):

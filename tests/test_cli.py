@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, payload shapes, deterministic artifacts."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hfl import abelian, cli
+from hfl import cli
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_golden.csv"
 
@@ -234,12 +235,6 @@ def test_aut_payload(capsys):
     assert data["classgroup_injective"] is False
 
 
-def test_aut_order_cap(capsys):
-    rc, _, err = run_cli(capsys, "aut", "--q", "2", "--max-order", "10")
-    assert rc == 2
-    assert "max-order" in err or "HFL_BUDGET" in err
-
-
 # -- artifacts --------------------------------------------------------------------
 
 
@@ -250,6 +245,55 @@ def test_table1_matches_golden(capsys):
     rc, out2, _ = run_cli(capsys, "export", "--kind", "table1")
     assert rc == 0
     assert out2 == out
+
+
+# sha256 of stdout: exports are byte-stable, so these must never drift.
+# `herm build`, `herm census` and `aut` must also print the same bytes as
+# their `export --kind` twins (`group table1`: test_table1_matches_golden)
+PINNED_OUTPUTS = [
+    ("herm build --q 2", "c1687bd79a234000c745d8d0c9e3d35a2e0254675828490ebe60db5a8e4c8978",
+     "export --kind lattice --q 2"),
+    ("herm build --q 3", "cd2fcc4783303e8325bac8f1964d1d04aa98e91f8eb061ff74ef9595f83ac650",
+     "export --kind lattice --q 3"),
+    ("herm census --q 2", "bf3dc8875a1704afb7db00bb53fea2a60be21c69cba37fe1c5c2d4ff4f9626c0",
+     "export --kind census --q 2"),
+    ("herm census --q 3", "446863152ad7396b02f94bc2bdde55dba2d577fd1d9de82705359a2478031466",
+     "export --kind census --q 3"),
+    ("aut --q 2", "320c4062c739c5d5523e670ee345945f7416cfff8ed63df4bd7b58790c9c0708",
+     "export --kind aut --q 2"),
+    ("aut --q 3", "c95ea6b272656701c315f115c4c80bc3202b6954beef57073697f2a78bda2bf0",
+     "export --kind aut --q 3"),
+    ("export --kind places --q 2",
+     "f5caadc9108bc0921e57ec9a514bc8421b388b7d7a9c6cbc2fc0be71f93c07c5", None),
+    ("export --kind lines --q 2",
+     "94cb92eee17d21fb5e2808e183b3e90e76936c28938be89050272621266223b2", None),
+]
+
+
+@pytest.mark.parametrize("argv, sha, twin", PINNED_OUTPUTS, ids=[c[0] for c in PINNED_OUTPUTS])
+def test_output_bytes_pinned(capsys, argv, sha, twin):
+    rc, out, err = run_cli(capsys, *argv.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    if twin is not None:
+        assert run_cli(capsys, *twin.split()) == (0, out, "")
+
+
+def test_herm_verify_is_verify_without_aut(capsys):
+    def checks(*argv):
+        recs = run_json(capsys, *argv)["checks"]
+        return [{k: v for k, v in rec.items() if k != "seconds"} for rec in recs]
+
+    full = checks("verify", "--q", "2")
+    structural = [
+        rec for rec in full if not rec["check_id"].startswith(("aut_", "classgroup_"))
+    ]
+    assert len(structural) < len(full)
+    assert checks("herm", "verify", "--q", "2", "--all") == structural
+    census_ids = {"min_distance", "census_contains_families", "census_size"}
+    assert checks("herm", "verify", "--q", "2") == [
+        rec for rec in structural if rec["check_id"] not in census_ids
+    ]
 
 
 def test_export_deterministic(capsys, tmp_path):

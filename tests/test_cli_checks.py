@@ -40,14 +40,6 @@ def test_verify_builds_each_object_once(counted, capsys):
     }
 
 
-def test_order_refusal_is_cached(counted, hl2):
-    checks = cli.aut_checks(hl2, max_order=10)
-    report = cli.run_checks(checks, verbose=False)
-    assert report["counts"] == {"passed": 0, "failed": 0, "skipped": len(checks)}
-    assert all("exceeds cap" in rec["reason"] for rec in report["checks"])
-    assert counted == {"full_group": 1}
-
-
 def test_memory_and_internal_defects_exit_4(monkeypatch, capsys):
     """Exit code 1 stays a verification mismatch: running out of memory
     and a failed self-check end with code 4 and one `hfl:` line."""

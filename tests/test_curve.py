@@ -1,7 +1,7 @@
 import pytest
 
 from hfl.curve import Slope, Vertical, curve_make
-from hfl.errors import IdenticalLinesError, NotOnCurveError, UnsupportedQError
+from hfl.errors import NotOnCurveError, UnsupportedQError
 from oracles import divisor_from_points, points_on_line_bruteforce
 
 
@@ -122,17 +122,6 @@ def test_tangent_line_at_rejects_off_curve():
     )
     with pytest.raises(NotOnCurveError):
         curve.tangent_line_at(*off)
-
-
-def test_line_quotient(curve2):
-    la, lb = Vertical(0), Vertical(1)
-    dq = curve2.line_quotient(la, lb)
-    da = curve2.divisor_of_line(la)
-    db = curve2.divisor_of_line(lb)
-    assert dq == tuple(x - y for x, y in zip(da, db))
-    assert sum(dq) == 0 and dq[0] == 0
-    with pytest.raises(IdenticalLinesError):
-        curve2.line_quotient(la, la)
 
 
 def test_unsupported_q():

@@ -42,6 +42,9 @@ def test_minimal_pair_vector_accepts(curve2):
     # two verticals
     v = hermlat.minimal_pair_vector(curve2, Vertical(1), Vertical(2))
     assert norm2(v) == 2 * q
+    d1, d2 = curve2.divisor_of_line(Vertical(1)), curve2.divisor_of_line(Vertical(2))
+    assert v == tuple(x - y for x, y in zip(d1, d2))
+    assert sum(v) == 0 and v[0] == 0
     # vertical and secant through a shared point
     secant = next(
         l for l in curve2.all_lines() if isinstance(l, Slope) and not curve2.is_tangent(l)
@@ -204,7 +207,7 @@ def brute_census(L, q):
 
 
 def test_census_q2_matches_bruteforce(hl2):
-    vecs = hermlat.census(hl2)
+    vecs = lattice.census_pm1(hl2.L, 2)
     assert len(vecs) == 108
     assert set(vecs) == brute_census(hl2.L, 2)
     fams = hermlat.kissing_families(hl2.curve)
@@ -212,7 +215,7 @@ def test_census_q2_matches_bruteforce(hl2):
 
 
 def test_census_q3_equals_families(hl3):
-    vecs = hermlat.census(hl3)
+    vecs = lattice.census_pm1(hl3.L, 3)
     assert len(vecs) == 2016
     fams = hermlat.kissing_families(hl3.curve)
     assert set(vecs) == fams.union()
@@ -228,7 +231,7 @@ def test_census_q4_equals_families():
 
 def test_census_budget(hl2):
     with pytest.raises(BudgetExceededError):
-        hermlat.census(hl2, cap=10)
+        lattice.census_pm1(hl2.L, 2, cap=10)
 
 
 def test_min_distance_census_mode(hl2, hl3):
@@ -282,5 +285,5 @@ def test_generated_by_minimals(q, hl2, hl3):
 
 
 def test_generated_by_minimals_with_census(hl2):
-    vecs = hermlat.census(hl2)
+    vecs = lattice.census_pm1(hl2.L, 2)
     assert hermlat.generated_by_minimals(hl2, extra_vectors=vecs) == 1
