@@ -20,6 +20,7 @@ from math import prod
 
 from .curve import Curve
 from .errors import (
+    InternalIdentityViolationError,
     LatticeNotStableError,
     NotOnCurveError,
     OrderBudgetExceededError,
@@ -69,9 +70,9 @@ def _affine_perm(curve: Curve, point_map, tag: str, inf_image=None) -> PlacePerm
         if j is None:
             raise NotOnCurveError(f"{tag} maps {pt} to {target}, not a curve point")
         image[idx] = j
-    perm = tuple(image)
-    assert len(set(perm)) == curve.n, f"{tag} is not a bijection"
-    return PlacePerm(perm, tag)
+    if len(set(image)) != curve.n:
+        raise InternalIdentityViolationError(f"{tag} is not a bijection")
+    return PlacePerm(tuple(image), tag)
 
 
 def translation(curve: Curve, a: int, b: int) -> PlacePerm:
@@ -120,9 +121,9 @@ def inversion(curve: Curve) -> PlacePerm:
         if j is None:
             raise NotOnCurveError(f"inversion maps {pt} to {target}, not a curve point")
         image[idx] = j
-    perm = tuple(image)
-    assert len(set(perm)) == curve.n, "inversion is not a bijection"
-    return PlacePerm(perm, "inversion")
+    if len(set(image)) != curve.n:
+        raise InternalIdentityViolationError("inversion is not a bijection")
+    return PlacePerm(tuple(image), "inversion")
 
 
 def _mul(a, b):

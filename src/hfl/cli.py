@@ -14,6 +14,10 @@ import json
 import os
 import sys
 import time
+from array import array
+from collections import Counter
+from dataclasses import asdict
+from operator import sub
 
 from . import abelian, autgrp, hermlat, lattice
 from .curve import Curve, Slope, Vertical, curve_make
@@ -22,6 +26,7 @@ from .errors import (
     EmptyGeneratorSetError,
     GroupTooLargeError,
     InternalIdentityViolationError,
+    LatticeNotStableError,
     SearchInfeasibleError,
     UnsupportedQError,
 )
@@ -331,96 +336,64 @@ def _once(fn, refusal):
     return get
 
 
+def family_pass(curve: Curve):
+    """(sizes, norms, distinct) of the family vectors: counts per family
+    and in total, a Counter of squared norms, and how many are distinct.
+    One walk over hermlat.family_pairs holds no dense vector: each
+    div(num) - div(den) is merged from two sparse line supports and kept
+    as a packed key, index << 8 | value & 255 per nonzero entry, which is
+    injective while every |value| < 128, as norm^2 = 2q <= 16 ensures."""
+    support = curve.line_support
+    sizes = dict.fromkeys(hermlat.FAMILIES, 0)
+    norms = Counter()
+    keys = set()
+    for family, num, den in hermlat.family_pairs(curve):
+        sizes[family] += 1
+        vec = dict(support(num))
+        for i, x in support(den):
+            vec[i] = vec.get(i, 0) - x
+        norms[sum(x * x for x in vec.values())] += 1
+        keys.add(array("i", sorted([i << 8 | x & 255 for i, x in vec.items() if x])).tobytes())
+    sizes["total"] = sum(sizes.values())
+    return sizes, norms, len(keys)
+
+
 def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True):
     curve = hl.curve
     q, n = curve.q, curve.n
+    index = (q + 1) ** (q * q - q)
+    families = functools.cache(lambda: family_pass(curve))
 
+    def families_valid():
+        # L is a group: a family vector div(num) - div(den) lies in L when
+        # both line divisors pass member_fast
+        sizes, norms, distinct = families()
+        if set(norms) != {2 * q}:
+            return "wrong norm"
+        if distinct != sizes["total"]:
+            return "families overlap"
+        return "line divisor outside lattice" if hl.lines_outside else "ok"
+
+    family_sizes = {
+        "pair_vertical": q * q * (q * q - 1),
+        "vertical_slope": 2 * q**3 * (q * q - 1),
+        "slope_slope": q**3 * (q * q - 1) * (q * q - 2),
+        "total": q * q * (q * q - 1) * (q**3 + 1),
+    }
     checks = [
         Check("places", "formula", q**3 + 1, lambda: n),
         Check("rank", "formula", n - 1, lambda: hl.L.rank),
-        Check(
-            "index",
-            "formula",
-            (q + 1) ** (q * q - q),
-            lambda: hl.L.index_in_ambient(),
-        ),
-        Check(
-            "quotient",
-            "formula",
-            [q + 1] * (q * q - q),
-            lambda: list(hl.quotient.nontrivial),
-        ),
-        Check(
-            "det",
-            "formula",
-            {"index": (q + 1) ** (q * q - q), "radicand": n},
-            lambda: dict(zip(("index", "radicand"), hl.L.determinant())),
-        ),
-        Check(
-            "tangent_count",
-            "formula",
-            q**3,
-            lambda: sum(1 for l in curve.all_lines() if curve.is_tangent(l)),
-        ),
+        Check("index", "formula", index, hl.L.index_in_ambient),
+        Check("quotient", "formula", [q + 1] * (q * q - q), lambda: list(hl.quotient.nontrivial)),
+        Check("det", "formula", {"index": index, "radicand": n},
+              lambda: dict(zip(("index", "radicand"), hl.L.determinant()))),
+        Check("tangent_count", "formula", q**3,
+              lambda: sum(map(curve.is_tangent, curve.all_lines()))),
+        Check("family_sizes", "formula", family_sizes, lambda: families()[0]),
+        Check("family_membership", "formula", "ok", families_valid),
+        Check("decompose_all_lines", "formula", q**4 + q * q, lambda: hl.lines_decomposed),
+        Check("minimal_step_span", "formula", 1, lambda: hermlat.generated_by_minimals(hl)),
     ]
-
-    @functools.cache
-    def families():
-        return hermlat.kissing_families(curve)
-
-    def families_sizes():
-        fam = families()
-        return {
-            "pair_vertical": len(fam.pair_vertical),
-            "vertical_slope": len(fam.vertical_slope),
-            "slope_slope": len(fam.slope_slope),
-            "total": fam.total,
-        }
-
-    def families_valid():
-        fam = families()
-        union = fam.union()
-        if len(union) != fam.total:
-            return "families overlap"
-        bound = 2 * q
-        for v in union:
-            if sum(x * x for x in v) != bound:
-                return "wrong norm"
-            if not hl.L.member_fast(v):
-                return "vector outside lattice"
-        return "ok"
-
-    checks.append(
-        Check(
-            "family_sizes",
-            "formula",
-            {
-                "pair_vertical": q * q * (q * q - 1),
-                "vertical_slope": 2 * q**3 * (q * q - 1),
-                "slope_slope": q**3 * (q * q - 1) * (q * q - 2),
-                "total": q * q * (q * q - 1) * (q**3 + 1),
-            },
-            families_sizes,
-        )
-    )
-    checks.append(Check("family_membership", "formula", "ok", families_valid))
-
-    def decompose_all():
-        count = 0
-        for line in curve.all_lines():
-            hermlat.decompose_line(curve, line)
-            count += 1
-        return count
-
-    checks.append(Check("decompose_all_lines", "formula", q**4 + q * q, decompose_all))
-    checks.append(
-        Check(
-            "minimal_step_span",
-            "formula",
-            1,
-            lambda: hermlat.generated_by_minimals(hl),
-        )
-    )
 
     if with_census:
 
@@ -449,7 +422,9 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
         census = _once(pm1_vectors, BudgetExceededError)
 
         def census_superset():
-            return set(census()) >= families().union()  # a refused scan builds no union
+            found = set(census())  # a refused census streams no family vector
+            div, pairs = curve.divisor_of_line, hermlat.family_pairs(curve)
+            return all(tuple(map(sub, div(u), div(v))) in found for _, u, v in pairs)
 
         checks.append(Check("min_distance", "formula", 2 * q, lambda: exact_scan().d_squared))
         checks.append(Check("census_contains_families", "formula", True, census_superset))
@@ -461,33 +436,28 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
 def aut_checks(hl: hermlat.HermitianLattice):
     curve = hl.curve
     q = curve.q
-    expected_order = q**3 * (q * q - 1) * (q**3 + 1)
+    stab_order = q**3 * (q * q - 1)
     group = functools.cache(lambda: autgrp.full_group(curve))
+    # the action re-checks that every generator fixes L, so stability is
+    # read from it: one stability pass per run
+    action = _once(lambda: autgrp.induced_classgroup_action(group(), hl.L), LatticeNotStableError)
+
+    def fixes_lattice():
+        try:
+            action()
+        except LatticeNotStableError:
+            return False
+        return True
 
     checks = [
-        Check("aut_order", "formula", expected_order, lambda: group().order),
-        Check(
-            "aut_stabilizer",
-            "formula",
-            q**3 * (q * q - 1),
-            lambda: autgrp.stabilizer(group(), 0).order,
-        ),
-        Check(
-            "aut_transitive",
-            "formula",
-            curve.n,
-            lambda: len(autgrp.orbit_of_index(group(), 0)),
-        ),
-        Check(
-            "aut_fixes_lattice",
-            "formula",
-            True,
-            lambda: autgrp.lattice_stable_under(group(), hl.L, generators_only=True),
-        ),
+        Check("aut_order", "formula", stab_order * curve.n, lambda: group().order),
+        Check("aut_stabilizer", "formula", stab_order, lambda: autgrp.stabilizer(group(), 0).order),
+        Check("aut_transitive", "formula", curve.n, lambda: len(autgrp.orbit_of_index(group(), 0))),
+        Check("aut_fixes_lattice", "formula", True, fixes_lattice),
     ]
 
     def kernel():
-        return autgrp.induced_classgroup_action(group(), hl.L).kernel_size
+        return action().kernel_size
 
     if q in CLASSGROUP_KERNEL:
         checks.append(Check("classgroup_kernel", "pinned", CLASSGROUP_KERNEL[q], kernel))
@@ -573,21 +543,7 @@ def cmd_group_ls(args):
     if args.subset is None:
         if tuple(moduli) != (7,):
             raise UsageError("listing every subset is supported for --moduli 7 only")
-        rows = abelian.catalogue()
-        payload = {
-            "moduli": [7],
-            "rows": [
-                {
-                    "n_minus_1": r.n_minus_1,
-                    "label": r.label,
-                    "d_squared": r.d_squared,
-                    "well_rounded": r.well_rounded,
-                    "gen_by_min_index": r.gen_by_min_index,
-                    "aut_star": r.aut_star,
-                }
-                for r in rows
-            ],
-        }
+        payload = {"moduli": [7], "rows": [asdict(r) for r in abelian.catalogue()]}
     else:
         payload = group_subset_payload(moduli, args.subset)
     _emit(payload, args.out)

@@ -10,7 +10,7 @@ multiplicity q + 1, and any other line meets it in q + 1 distinct points.
 
 from dataclasses import dataclass
 
-from .errors import NotOnCurveError, UnsupportedQError
+from .errors import InternalIdentityViolationError, NotOnCurveError, UnsupportedQError
 from .gf import Field, field_make
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8)
@@ -57,7 +57,8 @@ class Curve:
         p, e = _q_to_prime_power(q)
         self.q = q
         self.field: Field = field_make(p, 2 * e)
-        assert self.field.q == q
+        if self.field.q != q:
+            raise InternalIdentityViolationError(f"GF(p^{2 * e}) has q = {self.field.q}, not {q}")
         self.genus = q * (q - 1) // 2
         self.n = q**3 + 1
         F = self.field
@@ -66,12 +67,14 @@ class Curve:
             for b in F.trace_fiber(F.norm(a)):
                 places.append((a, b))
         self.places: tuple[Place, ...] = tuple(places)
-        assert len(self.places) == self.n
+        if len(self.places) != self.n:
+            raise InternalIdentityViolationError(f"{len(places)} places, expected {self.n}")
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
-        # line -> points on it, line -> its divisor; each computed once
+        # line -> points on it, its divisor, the divisor's support; each computed once
         self._points: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._divisors: dict[Line, tuple[int, ...]] = {}
+        self._supports: dict[Line, tuple[tuple[int, int], ...]] = {}
 
     # -- lines ----------------------------------------------------------------
 
@@ -131,28 +134,27 @@ class Curve:
 
     # -- divisors ---------------------------------------------------------------
 
+    def line_support(self, line: Line) -> tuple[tuple[int, int], ...]:
+        """The nonzero entries (place index, value) of the line's divisor,
+        by place index: its affine points with multiplicity 1, or q + 1 at a
+        tangency, and the balancing pole at infinity."""
+        sup = self._supports.get(line)
+        if sup is None:
+            pts = self.points_on_line(line)
+            mult = self.q + 1 if len(pts) == 1 else 1  # a vertical has q > 1 points
+            zeros = sorted((self.place_index[pt], mult) for pt in pts)
+            sup = self._supports[line] = ((0, -mult * len(pts)), *zeros)
+        return sup
+
     def divisor_of_line(self, line: Line) -> tuple[int, ...]:
         """Valuation vector of the line over all places; always sums to zero."""
         div = self._divisors.get(line)
         if div is None:
-            div = self._divisors[line] = self._divisor_of_line(line)
+            vec = [0] * self.n
+            for i, x in self.line_support(line):
+                vec[i] = x
+            div = self._divisors[line] = tuple(vec)
         return div
-
-    def _divisor_of_line(self, line: Line) -> tuple[int, ...]:
-        div = [0] * self.n
-        pts = self.points_on_line(line)
-        if isinstance(line, Vertical):
-            for pt in pts:
-                div[self.place_index[pt]] = 1
-            div[0] = -self.q
-        elif len(pts) == 1:
-            div[self.place_index[pts[0]]] = self.q + 1
-            div[0] = -(self.q + 1)
-        else:
-            for pt in pts:
-                div[self.place_index[pt]] = 1
-            div[0] = -(self.q + 1)
-        return tuple(div)
 
     def __repr__(self):
         return f"Curve(q={self.q}, n={self.n})"

@@ -70,8 +70,9 @@ class OrderBudgetExceededError(Error):
 
 
 class InternalIdentityViolationError(Error):
-    """An exact self-check failed (a decomposition's signed sum, or the
-    membership of a scanned vector); this is a defect."""
+    """An exact self-check failed (a decomposition's signed sum, a pair
+    vector's norm, a line divisor's membership, a bijection); this is a
+    defect.  Raised, not asserted, so that it survives python -O."""
 
 
 class LatticeNotStableError(Error):

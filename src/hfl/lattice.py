@@ -558,7 +558,8 @@ def generated_by_minimals_index(L: Lattice, minvecs) -> int:
     coeff_rows = []
     for row in span.rows:
         c = intmat.solve_in_span(L._hnf, L._pivots, list(row[1:]))
-        assert c is not None, "span of minimal vectors escaped the lattice"
+        if c is None:
+            raise InternalIdentityViolationError("span of minimal vectors escaped the lattice")
         coeff_rows.append(c)
     rows, pivots = intmat.hnf(coeff_rows, L.rank)
     if len(rows) < L.rank:

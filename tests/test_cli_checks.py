@@ -1,9 +1,18 @@
-"""Verify runs share one lattice, one family build, one census and one group chain."""
+"""Verify runs share one lattice, one line pass, one family pass, one
+census, one group chain and one class-group action."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from collections import Counter
 
 import pytest
 
+import hfl
 from hfl import autgrp, cli, hermlat, lattice
 from hfl.curve import curve_make
+from hfl.errors import InternalIdentityViolationError, LatticeNotStableError
 
 
 @pytest.fixture
@@ -21,7 +30,11 @@ def counted(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     count(autgrp, "full_group")
+    count(autgrp, "lattice_stable_under")
+    count(autgrp, "induced_classgroup_action")
     count(hermlat, "kissing_families")
+    count(hermlat, "family_pairs")
+    count(hermlat, "decompose_line")
     count(hermlat, "HermitianLattice")
     count(lattice, "census_pm1")
     return calls
@@ -31,11 +44,17 @@ def test_verify_builds_each_object_once(counted, capsys):
     assert cli.main(["verify", "--q", "2"]) == 0
     capsys.readouterr()
     # min_distance's scan runs the k = 1 and k = 2 censuses; the two
-    # census checks reuse the k = 2 vectors of that scan
+    # census checks reuse the k = 2 vectors of that scan.  The families
+    # are walked twice, never held: once for their sizes, norms and keys,
+    # once against the census.  Each of the 20 lines is decomposed once,
+    # and lattice stability is read off the class-group action.
     assert counted == {
         "HermitianLattice": 1,
-        "kissing_families": 1,
+        "family_pairs": 2,
+        "decompose_line": 20,
         "full_group": 1,
+        "induced_classgroup_action": 1,
+        "lattice_stable_under": 1,
         "census_pm1": 2,
     }
 
@@ -48,7 +67,7 @@ def test_memory_and_internal_defects_exit_4(monkeypatch, capsys):
         raise MemoryError
 
     with monkeypatch.context() as m:
-        m.setattr(hermlat, "kissing_families", exhausted)
+        m.setattr(hermlat, "family_pairs", exhausted)
         assert cli.main(["verify", "--q", "2"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("hfl:")] == ["hfl: out of memory"]
@@ -96,3 +115,141 @@ def test_census_refusal_while_pairing_is_kept(counted):
     assert recs["census_contains_families"]["skipped"] and recs["census_size"]["skipped"]
     assert recs["census_contains_families"]["reason"] == recs["census_size"]["reason"]
     assert "693679" in recs["census_size"]["reason"]
+
+
+def _records(checks, wanted):
+    report = cli.run_checks([c for c in checks if c.check_id in wanted], verbose=False)
+    return {rec["check_id"]: rec for rec in report["checks"]}
+
+
+FAMILY_IDS = ("family_sizes", "family_membership")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_family_pass_matches_dense_oracle(q):
+    """The streamed sizes, norms, distinctness and membership equal those
+    of the dense families and the HNF membership test."""
+    hl = hermlat.build(q)
+    sizes, norms, distinct = cli.family_pass(hl.curve)
+    dense = hermlat.kissing_families(hl.curve)
+    vectors = [v for name in hermlat.FAMILIES for v in getattr(dense, name)]
+    assert sizes == {
+        **{name: len(getattr(dense, name)) for name in hermlat.FAMILIES},
+        "total": dense.total,
+    }
+    assert norms == Counter(sum(x * x for x in v) for v in vectors) == {2 * q: dense.total}
+    assert distinct == len(dense.union()) == dense.total
+    # membership from the line divisors, against each vector's HNF test
+    assert hl.lines_outside == ()
+    assert all(hl.L.contains(v) for v in vectors)
+
+
+def test_non_member_line_divisors_fail_family_membership():
+    """With L swapped for 2L no line divisor is a member: the family
+    vectors are not certified, and neither is the span."""
+    hl = hermlat.build(2)
+    divs = [hl.curve.divisor_of_line(line) for line in hl.curve.all_lines()]
+    hl.L = lattice.Lattice.from_generators([[2 * x for x in d] for d in divs], hl.curve.n)
+    recs = _records(cli.herm_checks(hl, cap=None, with_census=False), FAMILY_IDS)
+    assert recs["family_sizes"]["pass"]
+    assert not recs["family_membership"]["pass"]
+    assert recs["family_membership"]["actual"] == "line divisor outside lattice"
+    with pytest.raises(InternalIdentityViolationError, match="outside L"):
+        hermlat.generated_by_minimals(hl)
+
+
+def test_repeated_pair_reports_overlap(monkeypatch):
+    real = hermlat.family_pairs
+
+    def repeated(curve):
+        pairs = list(real(curve))
+        return pairs + pairs[:1]
+
+    monkeypatch.setattr(hermlat, "family_pairs", repeated)
+    recs = _records(cli.herm_checks(hermlat.build(2), cap=None, with_census=False), FAMILY_IDS)
+    assert recs["family_sizes"]["actual"]["total"] == 109
+    assert recs["family_membership"]["actual"] == "families overlap"
+
+
+def test_family_checks_hold_no_dense_vectors():
+    """At q = 5 the 75,600 family vectors of length 126 take about 80 MB
+    as tuples; the streamed checks keep only their packed keys."""
+    hl = hermlat.build(5)
+    checks = cli.herm_checks(hl, cap=None, with_census=False)
+    tracemalloc.start()
+    try:
+        recs = _records(checks, FAMILY_IDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recs["family_sizes"]["pass"] and recs["family_membership"]["pass"]
+    assert peak < 16 * 2**20, peak
+
+
+def test_aut_fixes_lattice_reads_the_action(monkeypatch):
+    """A lattice that a generator moves fails aut_fixes_lattice, and the
+    refused action is not recomputed."""
+    hl = hermlat.build(2)
+    n = hl.curve.n
+    rows = []
+    for i in range(1, n - 1):
+        v = [0] * n
+        v[i - 1], v[i], v[i + 1] = 1, -2, 1
+        rows.append(v)
+    hl.L = lattice.Lattice.from_generators(rows, n)
+    calls = []
+    real = autgrp.induced_classgroup_action
+    monkeypatch.setattr(
+        autgrp, "induced_classgroup_action", lambda *a: calls.append(1) or real(*a)
+    )
+    checks = {c.check_id: c for c in cli.aut_checks(hl)}
+    assert checks["aut_fixes_lattice"].fn() is False
+    assert len(calls) == 1  # stability is read from the action
+    with pytest.raises(LatticeNotStableError):
+        checks["classgroup_kernel"].fn()
+    assert len(calls) == 1  # and its refusal is kept
+
+
+SELF_CHECKS = """
+from hfl import autgrp, gf, hermlat, lattice
+from hfl.curve import Curve, Vertical, curve_make
+from hfl.errors import InternalIdentityViolationError, LatticeNotStableError
+
+
+def raises(fn):
+    try:
+        fn()
+    except InternalIdentityViolationError:
+        return True
+    return False
+
+
+curve = curve_make(2)
+# a wrong line divisor: one point of x - 1 doubled, the pole deepened
+div = list(curve.divisor_of_line(Vertical(1)))
+div[div.index(1)] += 1
+div[0] -= 1
+curve._divisors[Vertical(1)] = tuple(div)
+found = [raises(lambda: hermlat.minimal_pair_vector(curve, Vertical(0), Vertical(1)))]
+found.append(raises(lambda: autgrp._affine_perm(curve, lambda pt: curve.places[1], "collapse")))
+L = lattice.Lattice.from_generators([(1, -1, 0, 0)], 4)
+found.append(raises(lambda: lattice.generated_by_minimals_index(L, [(0, 1, -1, 0)])))
+real = gf.Field.trace_fiber
+gf.Field.trace_fiber = lambda self, c: real(self, c)[:1]
+found.append(raises(lambda: Curve(3)))
+print(__debug__, found)
+"""
+
+
+def test_self_checks_survive_python_O():
+    """Under -O, where asserts vanish, a wrong line divisor, a map that is
+    no bijection, a span escaping its lattice and a short place list
+    still raise InternalIdentityViolationError."""
+    src = os.path.dirname(os.path.dirname(hfl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECKS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "[True,", "True,", "True,", "True]"]

@@ -284,6 +284,14 @@ def test_generated_by_minimals(q, hl2, hl3):
     assert hermlat.generated_by_minimals(hl) == 1
 
 
-def test_generated_by_minimals_with_census(hl2):
-    vecs = lattice.census_pm1(hl2.L, 2)
-    assert hermlat.generated_by_minimals(hl2, extra_vectors=vecs) == 1
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_certificate_matches_hnf_oracle(q):
+    """The per-line certificate against the Hermite form of every step
+    vector, the route it replaced."""
+    hl = hermlat.build(q)
+    curve = hl.curve
+    steps = [s.vector for line in curve.all_lines() for s in hermlat.decompose_line(curve, line)]
+    assert lattice.generated_by_minimals_index(hl.L, steps) == 1
+    assert hl.lines_outside == ()
+    assert hermlat.generated_by_minimals(hl) == 1
+    assert hl.lines_decomposed == q**4 + q * q
