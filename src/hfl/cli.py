@@ -222,12 +222,19 @@ def aut_payload(curve: Curve):
     group = autgrp.full_group(curve)
     hl = hermlat.HermitianLattice(curve)
     orbit_sizes = _orbit_sizes(group, curve.n)
+    # the action re-checks that every generator fixes L, so stability is
+    # read from it: one stability pass, and no action when a generator
+    # moves L
+    try:
+        injective = autgrp.induced_classgroup_action(group, hl.L).injective
+    except LatticeNotStableError:
+        injective = None
     return {
         "order": group.order,
         "stabilizer_order": autgrp.stabilizer(group, 0).order,
         "orbit_sizes": orbit_sizes,
-        "lattice_check": autgrp.lattice_stable_under(group, hl.L, generators_only=True),
-        "classgroup_injective": autgrp.induced_classgroup_action(group, hl.L).injective,
+        "lattice_check": injective is not None,
+        "classgroup_injective": injective,
     }
 
 

@@ -4,17 +4,17 @@ A lattice is stored through the Hermite form of its projection that drops
 coordinate 0 (the projection is injective on sum-zero vectors), which
 makes bases canonical and membership a back-substitution.  On top of that
 sit the quotient group A_{n-1}/L via Smith form, exact determinants,
-short vectors shape by shape, an exact sphere enumerator for small ranks,
-and a search for coordinate-permutation automorphisms.
+short vectors shape by shape, integral LLL with an integer sphere
+enumerator for small ranks, and a search for coordinate-permutation
+automorphisms.
 """
 
 import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, factorial, lcm, perm, prod
-from operator import floordiv
+from math import factorial, lcm, perm, prod
+from operator import floordiv, mul
 
 from . import intmat
 from .errors import (
@@ -28,6 +28,7 @@ from .errors import (
 
 DEFAULT_CENSUS_CAP = 10**8
 ENUM_MAX_RANK = 12
+LLL_DELTA = (99, 100)  # the Lovasz constant 99/100 as (numerator, denominator)
 PERM_SEARCH_MAX = 28
 
 
@@ -434,104 +435,148 @@ def scan_short_vectors(L: Lattice, bound: int, cap: int | None = None, workers: 
     return found
 
 
-# -- exact sphere enumeration for small ranks ----------------------------------
+# -- integral LLL and exact sphere enumeration --------------------------------
 
 
-def _size_reduce(rows):
-    """Greedy exact pair reduction; keeps the span, shrinks row norms."""
-    rows = [list(r) for r in rows]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                if i == j:
-                    continue
-                num = sum(x * y for x, y in zip(rows[i], rows[j]))
-                den = sum(x * x for x in rows[j])
-                if den == 0:
-                    continue
-                k = (2 * num + den) // (2 * den)
-                if k:
-                    cand = [x - k * y for x, y in zip(rows[i], rows[j])]
-                    if sum(x * x for x in cand) < sum(x * x for x in rows[i]):
-                        rows[i] = cand
-                        changed = True
-    return rows
+def _gso_row(basis, k, d, lam):
+    """Integral Gram-Schmidt data of row k from that of rows < k (Cohen,
+    Alg. 2.6.7, step 2): d[k + 1] = d[k] * |b*_k|^2 with d[0] = 1, so d[i]
+    is the Gram determinant of the first i rows, and lam[k][j] =
+    d[j + 1] * mu_kj for j < k.  Every division is exact."""
+    bk, lk = basis[k], lam[k]
+    for j in range(k + 1):
+        u, lj = sum(map(mul, bk, basis[j])), lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+        if j < k:
+            lk[j] = u
+        else:
+            d[k + 1] = u
+    if not d[k + 1]:
+        raise ValueError("basis rows are linearly dependent")
 
 
-def enumerate_short_vectors(L: Lattice, bound: int):
-    """All nonzero v in L with |v|^2 <= bound, by exact branch-and-bound.
+def lll_reduce(rows):
+    """An LLL-reduced basis (delta = LLL_DELTA) of the span of independent
+    integer rows, as a list of tuples.
 
-    Works directly on a size-reduced basis with Fraction arithmetic for
-    the Cholesky data, so results carry no rounding error.  Rank is
-    capped: this is the independent low-rank oracle, not the workhorse.
+    Integral LLL (de Weger 1987; Cohen, Alg. 2.6.7): the Gram
+    determinants d and the scaled coefficients lam = d * mu are integers
+    and are updated in place by size reduction and swaps, so no rational
+    number is formed.  Rows are size-reduced (|mu_kj| <= 1/2) and meet
+    the Lovasz condition |b*_k|^2 >= (delta - mu_k,k-1^2) |b*_k-1|^2,
+    which in integers reads den * (d[k+1] d[k-1] + lam^2) >= num * d[k]^2.
+    """
+    b = [list(row) for row in rows]
+    r = len(b)
+    d, lam = [1] + [0] * r, [[0] * r for _ in range(r)]
+    num, den = LLL_DELTA
+
+    def reduce(k, j):  # b_k -= round(mu_kj) * b_j
+        dj, lk = d[j + 1], lam[k]
+        if 2 * abs(lk[j]) > dj:
+            c = (2 * lk[j] + dj) // (2 * dj)
+            b[k] = [x - c * y for x, y in zip(b[k], b[j])]
+            lk[j] -= c * dj
+            for i, y in enumerate(lam[j][:j]):
+                lk[i] -= c * y
+
+    def swap(k, kmax):  # exchange b_k-1 and b_k
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lo, hi = lam[k - 1], lam[k]
+        lo[: k - 1], hi[: k - 1] = hi[: k - 1], lo[: k - 1]
+        lk = hi[k - 1]
+        B = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for li in lam[k + 1 : kmax + 1]:
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lk * t) // d[k]
+            li[k - 1] = (B * t + lk * li[k]) // d[k + 1]
+        d[k] = B
+
+    if r:
+        _gso_row(b, 0, d, lam)
+    k, kmax = 1, 0
+    while k < r:
+        if k > kmax:
+            kmax = k
+            _gso_row(b, k, d, lam)
+        reduce(k, k - 1)
+        if den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < num * d[k] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return [tuple(row) for row in b]
+
+
+def enumerate_short_vectors(L: Lattice, bound: int, basis=None):
+    """All nonzero v in L with |v|^2 <= bound as sorted (|v|^2, v) pairs,
+    by Fincke-Pohst enumeration in integers only.
+
+    `basis` is a basis of L, LLL-reduced by lll_reduce when not given.
+    With d and lam its integral Gram-Schmidt data, the coefficient t of
+    row i adds (t * d[i+1] + N)^2 * w_i to the scaled squared norm, where
+    N = sum over j > i of c_j * lam[j][i] (the centre is -N / d[i+1]),
+    w_i = D / (d[i] * d[i+1]) and D = lcm of the d[i] * d[i+1].  The
+    budget is bound * D, so every comparison is between integers.  Each
+    level scans up from the centre's ceiling and down from one below it,
+    so the cost is monotone in each direction, and every vector found is
+    re-checked against the bound.  Rank is capped at ENUM_MAX_RANK: this
+    is the independent oracle for the shape walk, not the workhorse.
     """
     r = L.rank
     if r > ENUM_MAX_RANK:
         raise SearchInfeasibleError(f"rank {r} > {ENUM_MAX_RANK} for exact enumeration")
-    basis = _size_reduce([list(row) for row in L.rows])
-    gram = [[sum(x * y for x, y in zip(a, b)) for b in basis] for a in basis]
-    d = [Fraction(0)] * r
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        d[i] = Fraction(gram[i][i])
-        for k in range(i):
-            d[i] -= d[k] * mu[k][i] * mu[k][i]
-        if d[i] <= 0:
-            raise ValueError("basis rows are linearly dependent")
-        for j in range(i + 1, r):
-            s = Fraction(gram[i][j])
-            for k in range(i):
-                s -= d[k] * mu[k][i] * mu[k][j]
-            mu[i][j] = s / d[i]
-
+    if basis is None:
+        basis = lll_reduce(L.rows)
+    d, lam = [1] + [0] * r, [[0] * r for _ in range(r)]
+    for k in range(r):
+        _gso_row(basis, k, d, lam)
+    scale = lcm(*(d[i] * d[i + 1] for i in range(r)))
+    w = [scale // (d[i] * d[i + 1]) for i in range(r)]
     out = []
     coeff = [0] * r
-    budget = Fraction(bound)
 
     def descend(i, remaining):
         if i < 0:
             if any(coeff):
                 v = [0] * L.n
-                for t, c in enumerate(coeff):
+                for c, row in zip(coeff, basis):
                     if c:
-                        row = basis[t]
-                        for j in range(L.n):
-                            v[j] += c * row[j]
+                        v = [x + c * y for x, y in zip(v, row)]
                 norm2 = sum(x * x for x in v)
                 if 0 < norm2 <= bound:
                     out.append((norm2, tuple(v)))
             return
-        center = -sum(mu[i][j] * coeff[j] for j in range(i + 1, r))
-        # scan up from ceil(center) and down from ceil(center) - 1 so the
-        # distance to center is monotone in each direction; seeding both
-        # scans at floor(center) silently drops branches when the
-        # fractional part exceeds 1/2
-        up0 = ceil(center)
-        t = up0
-        while d[i] * (Fraction(t) - center) ** 2 <= remaining:
-            coeff[i] = t
-            descend(i - 1, remaining - d[i] * (Fraction(t) - center) ** 2)
-            t += 1
-        t = up0 - 1
-        while d[i] * (Fraction(t) - center) ** 2 <= remaining:
-            coeff[i] = t
-            descend(i - 1, remaining - d[i] * (Fraction(t) - center) ** 2)
-            t -= 1
+        N = sum(coeff[j] * lam[j][i] for j in range(i + 1, r))
+        di, wi = d[i + 1], w[i]
+        up0 = -(N // di)  # ceil(-N / di)
+        for t, step in ((up0, 1), (up0 - 1, -1)):
+            while (cost := (t * di + N) ** 2 * wi) <= remaining:
+                coeff[i] = t
+                descend(i - 1, remaining - cost)
+                t += step
         coeff[i] = 0
 
-    descend(r - 1, budget)
+    descend(r - 1, bound * scale)
     return sorted(set(out))
 
 
 def minimal_vectors(L: Lattice):
-    """All minimal vectors of L via exact enumeration (small rank only);
-    none for the zero lattice."""
+    """All minimal vectors of L, sorted; none for the zero lattice.
+
+    The basis is LLL-reduced once; its shortest row bounds the minimum
+    from above, and enumerate_short_vectors walks that same basis up to
+    it.  The rank is capped as for enumerate_short_vectors.
+    """
     if L.rank == 0:
         return []
-    start = min(sum(x * x for x in row) for row in _size_reduce([list(r) for r in L.rows]))
-    found = enumerate_short_vectors(L, start)
+    if L.rank > ENUM_MAX_RANK:
+        raise SearchInfeasibleError(f"rank {L.rank} > {ENUM_MAX_RANK} for exact enumeration")
+    basis = lll_reduce(L.rows)
+    found = enumerate_short_vectors(L, min(sum(x * x for x in row) for row in basis), basis)
     best = found[0][0]
     return [v for norm2, v in found if norm2 == best]
 

@@ -260,7 +260,7 @@ def test_c10_property_suites():
         d1, _, _ = intmat.smith_normal_form(h1, n)
         d2, _, _ = intmat.smith_normal_form(h2, n)
         c.expect(d1 == d2, "SNF divisors not invariant")
-    # census: the signature route matches the branch-and-bound
+    # census: the signature route matches the Fincke-Pohst
     # enumeration route
     hl2 = hermlat.build(2)
     census = lattice.census_pm1(hl2.L, 2)

@@ -210,6 +210,17 @@ def test_aut_fixes_lattice_reads_the_action(monkeypatch):
     assert len(calls) == 1  # and its refusal is kept
 
 
+def test_aut_payload_runs_one_stability_pass(counted, monkeypatch):
+    """`aut` reads lattice_check off the class-group action; a generator
+    that moves L gives False and no action."""
+    payload = cli.aut_payload(curve_make(2))
+    assert counted["lattice_stable_under"] == counted["induced_classgroup_action"] == 1
+    assert payload["lattice_check"] is True and payload["classgroup_injective"] is False
+    monkeypatch.setattr(autgrp, "lattice_stable_under", lambda *a, **k: False)
+    payload = cli.aut_payload(curve_make(2))
+    assert payload["lattice_check"] is False and payload["classgroup_injective"] is None
+
+
 SELF_CHECKS = """
 from hfl import autgrp, gf, hermlat, lattice
 from hfl.curve import Curve, Vertical, curve_make

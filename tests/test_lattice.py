@@ -1,5 +1,8 @@
 import itertools
 import random
+import signal
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -251,10 +254,10 @@ def test_census_brute_oracle():
 
 
 def test_scan_vs_enumeration():
-    """Shape-complete scan and branch-and-bound must agree exactly.  The
-    subset lattices have short vectors in shapes with repeated parts,
-    entries 2 and 3, and mirrored pairs, with quotients of two or three
-    factors."""
+    """Shape-complete scan and Fincke-Pohst enumeration must agree
+    exactly.  The subset lattices have short vectors in shapes with
+    repeated parts, entries 2 and 3, and mirrored pairs, with quotients
+    of two or three factors."""
     rng = random.Random(7)
     a2_scaled = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3)
     cases = [(a2_scaled, 2), (a2_scaled, 8)]  # none, then the six vectors of shape (2 | 2)
@@ -318,6 +321,93 @@ def test_enumeration_rank_cap():
     L = full_root_lattice(15)
     with pytest.raises(SearchInfeasibleError):
         lattice.enumerate_short_vectors(L, 2)
+
+
+def _gram_schmidt(rows):
+    """mu and |b*_i|^2 of a basis, in rationals (the oracle)."""
+    star, mu, norms = [], [], []
+    for b in rows:
+        coeffs = [sum(x * y for x, y in zip(b, s)) / n for s, n in zip(star, norms)]
+        v = [Fraction(x) for x in b]
+        for c, s in zip(coeffs, star):
+            v = [x - c * y for x, y in zip(v, s)]
+        star.append(v)
+        mu.append(coeffs)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def _lll_cases():
+    rng = random.Random(11)
+    for n in range(3, 11):
+        for _ in range(3):
+            yield random_full_rank(rng, n)
+    for moduli in ((11,), (3, 3), (2, 2, 4)):
+        G = abelian.AbelianGroup(moduli)
+        for n in (4, 7, G.order - 1):
+            yield abelian.lattice_for_subset(G, rng.sample(range(1, G.order), n - 1))
+    yield hermlat.build(2).L
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, when a broken reduction stops terminating."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 20 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_lll_reduce_against_rational_oracle(deadline):
+    """The reduced basis spans L, is size-reduced and meets the Lovasz
+    condition for delta = 99/100, each recomputed in rationals."""
+    delta = Fraction(*lattice.LLL_DELTA)
+    assert delta == Fraction(99, 100)
+    for L in _lll_cases():
+        reduced = lattice.lll_reduce(L.rows)
+        assert len(reduced) == L.rank
+        assert lattice.Lattice.from_generators(reduced, L.n) == L
+        mu, norms = _gram_schmidt(reduced)
+        for k in range(1, L.rank):
+            assert all(abs(m) <= Fraction(1, 2) for m in mu[k]), (L.rows, k)
+            assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1], (L.rows, k)
+
+
+def test_lll_reduce_keeps_a_reduced_basis_and_refuses_dependence():
+    L = full_root_lattice(6)
+    assert lattice.lll_reduce(L.rows) == list(L.rows)  # already LLL-reduced
+    assert lattice.lll_reduce([]) == []
+    with pytest.raises(ValueError):
+        lattice.lll_reduce([(1, -1, 0), (2, -2, 0)])
+
+
+def test_enumeration_on_given_basis(monkeypatch):
+    """minimal_vectors reduces once and hands the basis on."""
+    L = hermlat.build(2).L
+    calls = []
+    real = lattice.lll_reduce
+    monkeypatch.setattr(lattice, "lll_reduce", lambda rows: calls.append(1) or real(rows))
+    mv = lattice.minimal_vectors(L)
+    assert len(calls) == 1 and len(mv) == 108
+    assert lattice.enumerate_short_vectors(L, 4, L.rows) == lattice.enumerate_short_vectors(L, 4)
+
+
+def test_enumeration_is_a_second_route_to_min_at_q3(monkeypatch):
+    """On the rank-27 Hermitian lattice of q = 3 the LLL basis makes the
+    enumeration short: it equals the +-1 census, 2,016 vectors of norm 6."""
+    monkeypatch.setattr(lattice, "ENUM_MAX_RANK", 27)
+    L = hermlat.build(3).L
+    t0 = time.perf_counter()
+    found = lattice.enumerate_short_vectors(L, 6)
+    assert time.perf_counter() - t0 < 10
+    assert {norm for norm, _ in found} == {6}
+    assert {v for _, v in found} == set(lattice.census_pm1(L, 3))
+    assert len(found) == 2016
 
 
 def test_permute_moves_values():
