@@ -64,13 +64,6 @@ class AbelianGroup:
     def scale(self, k: int, a):
         return tuple((k * x) % m for x, m in zip(a, self.moduli))
 
-    def element_order(self, a) -> int:
-        g, k = a, 1
-        while any(g):
-            g = self.add(g, a)
-            k += 1
-        return k
-
     def subgroup_generated(self, gens):
         """Set of elements reachable from gens; gens may be encodings or tuples."""
         gens = [self.decode(g) if isinstance(g, int) else tuple(g) for g in gens]

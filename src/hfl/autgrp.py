@@ -8,14 +8,12 @@ deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
 Algorithms*, 2003).  Its order, point stabilizers, orbits, membership and
 the kernel of the induced action on the divisor class group are all
 computed exactly from the stabilizer chain, never assumed, and without
-listing the group, so no group order is refused: ``max_order`` bounds
-only ``PermGroup.elements`` and ``closure``, the two routes that list.
-``closure`` lists every element by BFS and is kept as the independent
-oracle.
+listing the group, so no group order is refused.  ``closure`` lists every
+element by BFS, within ``max_order``, and is kept as the independent
+oracle that the tests compare the chain against.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 
 from .curve import Curve
@@ -29,6 +27,18 @@ from .errors import (
 from .lattice import permute
 
 DEFAULT_ORDER_CAP = 10**6
+
+
+def _mul(a, b):
+    """a after b on image tuples: _mul(a, b)[i] = a[b[i]]."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inv(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,13 +56,10 @@ class PlacePerm:
 
     def compose(self, other: "PlacePerm") -> "PlacePerm":
         """self after other: (self.compose(other))(i) = self(other(i))."""
-        return PlacePerm(tuple(self.image[j] for j in other.image), "composite")
+        return PlacePerm(_mul(self.image, other.image), "composite")
 
     def inverse(self) -> "PlacePerm":
-        inv = [0] * len(self.image)
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return PlacePerm(tuple(inv), "composite")
+        return PlacePerm(_inv(self.image), "composite")
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.image))
@@ -126,18 +133,6 @@ def inversion(curve: Curve) -> PlacePerm:
     return PlacePerm(tuple(image), "inversion")
 
 
-def _mul(a, b):
-    """a after b on image tuples: _mul(a, b)[i] = a[b[i]]."""
-    return tuple(map(a.__getitem__, b))
-
-
-def _inv(a):
-    inv = [0] * len(a)
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
-
-
 @dataclass(frozen=True, eq=False)
 class PermGroup:
     """A permutation group as a base and strong generating set.
@@ -153,7 +148,6 @@ class PermGroup:
     base: tuple
     transversals: tuple
     strong: tuple
-    max_order: int = DEFAULT_ORDER_CAP
 
     @property
     def order(self) -> int:
@@ -170,18 +164,6 @@ class PermGroup:
                 return False
             g = _mul(_inv(u), g)
         return all(i == j for i, j in enumerate(g))
-
-    @cached_property
-    def elements(self) -> tuple:
-        """Every element, sorted by image; refused above max_order."""
-        if self.order > self.max_order:
-            raise OrderBudgetExceededError(
-                f"listing {self.order} elements exceeds cap {self.max_order}"
-            )
-        els = [tuple(range(self.degree))]
-        for t in reversed(self.transversals):
-            els = [_mul(u, g) for u in t.values() for g in els]
-        return tuple(PlacePerm(g, "element") for g in sorted(els))
 
 
 def _chain(gens, n: int, prefix=()):
@@ -261,13 +243,13 @@ def _chain(gens, n: int, prefix=()):
     return tuple(base), tuple(trans), tuple(tuple(s) for s in strong)
 
 
-def schreier_sims(generators, base=(), max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def schreier_sims(generators, base=()) -> PermGroup:
     """The group generated by PlacePerms, as a BSGS whose base starts with `base`."""
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
     n = len(generators[0].image)
-    return PermGroup(n, generators, *_chain([g.image for g in generators], n, base), max_order)
+    return PermGroup(n, generators, *_chain([g.image for g in generators], n, base))
 
 
 @dataclass(frozen=True)
@@ -321,15 +303,15 @@ def translation_generators(curve: Curve):
     return gens
 
 
-def full_group(curve: Curve, max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def full_group(curve: Curve, max_order=None) -> PermGroup:
     """The group generated by translations, scalings, and the inversion,
-    with the infinite place as first base point; max_order bounds only
-    the listing of its elements."""
+    with the infinite place as first base point.  max_order is accepted
+    and ignored: the chain never lists the group, so no order is refused."""
     F = curve.field
     gens = translation_generators(curve)
     gens.append(scaling(curve, F.root_of_unity(F.order - 1)))
     gens.append(inversion(curve))
-    return schreier_sims(gens, base=(0,), max_order=max_order)
+    return schreier_sims(gens, base=(0,))
 
 
 def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
@@ -341,7 +323,6 @@ def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
             group.degree,
             group.generators,
             *_chain(gens, group.degree, (index,)),
-            group.max_order,
         )
     gens = group.strong[1] if len(group.strong) > 1 else ()
     return PermGroup(
@@ -350,7 +331,6 @@ def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
         group.base[1:],
         group.transversals[1:],
         group.strong[1:],
-        group.max_order,
     )
 
 
@@ -380,15 +360,14 @@ def orbit_of_vector(group: PermGroup, v):
     return _orbit(group.generators, tuple(v), permute)
 
 
-def lattice_stable_under(group: PermGroup, L, generators_only: bool = False) -> bool:
+def lattice_stable_under(group: PermGroup, L, generators_only=True) -> bool:
     """True iff every group element maps the lattice onto itself.
 
-    With generators_only the check runs over group.generators; that is
-    equivalent (stability is closed under composition and, the group
-    being finite, under inversion) and much cheaper for big groups.
+    The check runs over group.generators alone, which is equivalent:
+    stability is closed under composition and, the group being finite,
+    under inversion.  generators_only is accepted and ignored.
     """
-    perms = group.generators if generators_only else group.elements
-    return all(L.fixed_by(g.image) for g in perms)
+    return all(L.fixed_by(g.image) for g in group.generators)
 
 
 @dataclass(frozen=True)
@@ -447,7 +426,7 @@ def _kernel_size(group: PermGroup, cls, mods) -> int:
 
 def induced_classgroup_action(group: PermGroup, L) -> ClassgroupAction:
     """The action on A_{n-1}/L, after re-checking that the generators fix L."""
-    if not lattice_stable_under(group, L, generators_only=True):
+    if not lattice_stable_under(group, L):
         raise LatticeNotStableError("a generator moves the lattice; no induced action")
     mods, gens = L.quotient_generators()
     _, cls = L.class_map()

@@ -1,24 +1,10 @@
-"""Exact integer matrix kernels: extended gcd, row echelon and Hermite
-forms, Smith normal form with tracked column transforms, and left kernels.
-Everything runs on arbitrary-precision Python ints; no floating point.
+"""Exact integer matrix kernels: row echelon and Hermite forms, span
+membership, Smith normal form with tracked column transforms, and left
+kernels.  Everything runs on arbitrary-precision Python ints; no floating
+point.
 """
 
 from bisect import bisect_left
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, s, t with g = gcd(a, b) = s*a + t*b and g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def identity(n: int) -> list[list[int]]:
@@ -160,19 +146,6 @@ def hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
                     r[j] -= f * b[j]
         support[i] = [j for j in range(pivots[i], width) if r[j]]
     return rows, pivots
-
-
-def reduce_mod_rows(rows, pivots, vec) -> list[int]:
-    """Residue of vec after eliminating along the echelon rows (exact
-    divisions only); the residue is zero iff vec lies in the row span."""
-    v = list(vec)
-    for r, c in zip(rows, pivots):
-        if v[c] and v[c] % r[c] == 0:
-            m = v[c] // r[c]
-            for j in range(c, len(v)):
-                if r[j]:
-                    v[j] -= m * r[j]
-    return v
 
 
 def solve_in_span(rows, pivots, vec):

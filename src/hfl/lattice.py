@@ -88,8 +88,7 @@ class Lattice:
             raise DimensionMismatchError(f"vector length {len(v)} != n = {self.n}")
         if sum(v) != 0:
             return False
-        residue = intmat.reduce_mod_rows(self._hnf, self._pivots, list(v[1:]))
-        return not any(residue)
+        return intmat.solve_in_span(self._hnf, self._pivots, list(v[1:])) is not None
 
     def is_full_rank(self) -> bool:
         return self.rank == self.n - 1

@@ -89,12 +89,21 @@ def dense_echelon(vectors, width, ops=None):
     return rows, pivots
 
 
+def element_order(G, a) -> int:
+    """The least k >= 1 with k * a = 0 in G, by repeated addition."""
+    g, k = a, 1
+    while any(g):
+        g = G.add(g, a)
+        k += 1
+    return k
+
+
 def automorphisms_bruteforce(G):
     """Aut(G) as sorted perms with perm[enc(g)] = enc(phi(g)): every tuple of
     images of the canonical generators whose orders divide the moduli,
     kept when the map it defines is a bijection."""
     els = G.elements()
-    candidates = [[g for g in els if m % G.element_order(g) == 0] for m in G.moduli]
+    candidates = [[g for g in els if m % element_order(G, g) == 0] for m in G.moduli]
     out = []
     for images in itertools.product(*candidates):
         perm = []

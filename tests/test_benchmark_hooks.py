@@ -12,7 +12,8 @@ import pytest
 
 from hfl import abelian
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -44,3 +45,19 @@ def test_benchmark_groups_within_the_listing_budget(perfbench):
         costs[moduli] = G.automorphism_count() * G.order
     # the largest is Z_2^4: 20,160 automorphisms of 16 entries
     assert max(costs.values()) == costs[(2, 2, 2, 2)] == 322560 <= abelian.AUT_MAX_WORK
+
+
+def test_benchmark_operations_all_pass(perfbench):
+    """One small pass over each workload's kinds of operation: whatever the
+    benchmark passes (max_order=, generators_only=, workers=) is still
+    accepted, and every operation returns its expected value."""
+    workloads = perfbench("workloads")
+    plan = (((11,), (6,), 1), ((2, 2, 4), (6,), 1))
+    ops = (
+        workloads.hermitian_verify_ops(2)
+        + workloads.build_families_ops(3, 2)
+        + workloads.abelian_ops(workloads.read_golden(str(ROOT)), workloads.draw_subsets(5, plan))
+    )
+    records = workloads.run_ops(ops)
+    assert len(records) == len(ops) > 60
+    assert [r for r in records if not r["ok"]] == []

@@ -41,6 +41,17 @@ def test_census_budget_refused(capsys):
     assert "--cap" in err or "HFL_BUDGET" in err
 
 
+def test_fixed_cap_refusal_names_no_budget(capsys, monkeypatch):
+    """A rank cap that neither --cap nor HFL_BUDGET lifts is refused with
+    exit 2 and one line that points at neither."""
+    monkeypatch.setenv("HFL_BUDGET", str(10**11))
+    subset = ",".join(map(str, range(1, 14)))
+    rc, out, err = run_cli(capsys, "group", "ls", "--moduli", "2,2,2,2", "--subset", subset)
+    assert rc == 2 and out == ""
+    assert err == "hfl: rank 13 > 12 for exact enumeration\n"
+    assert "--cap" not in err and "HFL_BUDGET" not in err
+
+
 def test_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("HFL_BUDGET", "5")
     rc, _, _ = run_cli(capsys, "herm", "census", "--q", "2")

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import hfl
-from hfl import autgrp, cli, hermlat, lattice
+from hfl import abelian, autgrp, cli, hermlat, lattice
 from hfl.curve import curve_make
 from hfl.errors import InternalIdentityViolationError, LatticeNotStableError
 
@@ -29,6 +30,7 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
+    count(abelian, "catalogue")
     count(autgrp, "full_group")
     count(autgrp, "lattice_stable_under")
     count(autgrp, "induced_classgroup_action")
@@ -57,6 +59,14 @@ def test_verify_builds_each_object_once(counted, capsys):
         "lattice_stable_under": 1,
         "census_pm1": 2,
     }
+
+
+def test_group_verify_builds_the_catalogue_once(counted, capsys):
+    """The row counts and the golden CSV are read off one catalogue."""
+    golden = Path(__file__).parent / "golden" / "table1_golden.csv"
+    assert cli.main(["verify", "--group", "7", "--table1", "--golden", str(golden)]) == 0
+    capsys.readouterr()
+    assert counted == {"catalogue": 1}
 
 
 def test_memory_and_internal_defects_exit_4(monkeypatch, capsys):

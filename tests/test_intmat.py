@@ -1,22 +1,12 @@
 import random
+from functools import reduce
+from math import gcd
 
 import pytest
 
 from hfl import intmat
 from hfl.curve import curve_make
 from oracles import dense_echelon
-
-
-def test_xgcd():
-    rng = random.Random(1)
-    for _ in range(300):
-        a = rng.randint(-40, 40)
-        b = rng.randint(-40, 40)
-        g, s, t = intmat.xgcd(a, b)
-        assert g == s * a + t * b
-        assert g >= 0
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def _random_vectors(rng, n, k, lo=-6, hi=6):
@@ -81,15 +71,17 @@ def test_membership_and_solve():
         # an actual span member
         coeffs = [rng.randint(-4, 4) for _ in rows]
         member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
-        assert not any(intmat.reduce_mod_rows(rows, pivots, member))
         got = intmat.solve_in_span(rows, pivots, member)
         assert got is not None
         rebuilt = [sum(c * r[j] for c, r in zip(got, rows)) for j in range(n)]
         assert rebuilt == member
-        # membership and solve agree on arbitrary vectors
-        probe = [rng.randint(-5, 5) for _ in range(n)]
-        residue_zero = not any(intmat.reduce_mod_rows(rows, pivots, probe))
-        assert (intmat.solve_in_span(rows, pivots, probe) is not None) == residue_zero
+        # membership agrees with the HNF being canonical: a probe lies in
+        # the span iff adding it changes nothing.  Arbitrary probes mostly
+        # lie outside, a member divided by its content mostly inside.
+        content = reduce(gcd, member) or 1
+        for probe in ([rng.randint(-5, 5) for _ in range(n)], [x // content for x in member]):
+            in_span = intmat.hnf([list(v) for v in vecs] + [probe], n) == (rows, pivots)
+            assert (intmat.solve_in_span(rows, pivots, probe) is not None) == in_span
 
 
 def test_left_kernel():
@@ -124,7 +116,7 @@ def test_left_kernel_saturated():
         for trial in range(200):
             y = [rng.randint(-3, 3) for _ in range(k)]
             if all(sum(a * b for a, b in zip(y, col)) == 0 for col in span):
-                assert not any(intmat.reduce_mod_rows(krows, kpivots, y))
+                assert intmat.solve_in_span(krows, kpivots, y) is not None
 
 
 def test_smith_normal_form():
@@ -161,7 +153,7 @@ def test_smith_normal_form():
 
         for _ in range(20):
             probe = [rng.randint(-6, 6) for _ in range(n)]
-            direct = not any(intmat.reduce_mod_rows(rows, pivots, probe))
+            direct = intmat.solve_in_span(rows, pivots, probe) is not None
             assert in_span_snf(probe) == direct
 
         # index agreement on full-rank inputs
