@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import os
+import resource
 import sys
 import time
 from array import array
@@ -576,6 +577,14 @@ def cmd_export(args):
     return 0
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # reported in bytes there
+        kib //= 1024
+    return round(kib / 1024, 1)
+
+
 def cmd_verify(args):
     """`verify`, and `herm verify` with the aut checks off and the census
     checks only under --all."""
@@ -583,7 +592,9 @@ def cmd_verify(args):
         checks = group_checks(args.group, table1=args.table1, golden_path=args.golden)
         target = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
+        t0 = time.perf_counter()
         hl = hermlat.build(args.q)
+        build_seconds = round(time.perf_counter() - t0, 6)
         cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
         checks = herm_checks(hl, cap=cap, with_census=args.all)
         if args.with_aut:
@@ -593,6 +604,9 @@ def cmd_verify(args):
         raise UsageError("verify needs --q or --group")
     report = run_checks(checks)
     report["target"] = target
+    if args.q is not None:
+        report["build_seconds"] = build_seconds
+        report["peak_rss_mb"] = _peak_rss_mb()
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 

@@ -44,21 +44,44 @@ def _tail_reduce(rows, pivots, sups, v, pos) -> None:
                     v[j] -= m * r[j]
 
 
+def _reduce_above(rows, pivots, sups, pos) -> None:
+    """Reduce the rows above pos at pivot column pivots[pos] by nearest
+    division against rows[pos], walking only rows[pos]'s support and
+    rebuilding the support of each row it changes."""
+    r, c, sup = rows[pos], pivots[pos], sups[pos]
+    for i in range(pos):
+        u = rows[i]
+        if u[c]:
+            m = _nearest_div(u[c], r[c])
+            if m:
+                for j in sup:
+                    u[j] -= m * r[j]
+                sups[i] = _support(u, pivots[i])
+
+
 def echelon_insert(rows: list[list[int]], pivots: list[int], sups: list[list[int]], vec) -> None:
     """Reduce vec against an echelon basis in place, extending it if needed.
 
     rows are kept sorted by pivot column; the span of rows is unchanged
     except possibly growing by vec.  sups[k] lists the nonzero columns of
     rows[k], so a row operation touches only those; a support is rebuilt
-    whenever its row is inserted, swapped in or tail-reduced.  Leading
-    entries are combined by Euclidean division-with-swap: unlike a
-    one-shot Bezout combination this never scales a row by a large
-    factor, so entries stay near the size of the inputs across thousands
-    of insertions.
+    whenever its row changes.  Leading entries are combined by Euclidean
+    division-with-swap: unlike a one-shot Bezout combination this never
+    scales a row by a large factor, so entries stay near the size of the
+    inputs across thousands of insertions.
+
+    Rows are kept reduced above each pivot (Gauss-Jordan upkeep): a row
+    inserted or swapped in is first reduced against the rows below it,
+    then every row above it is reduced at its pivot column by nearest
+    division.  So an entry above a unit pivot is 0, and stays 0, and an
+    entry x above a pivot p has 2|x| <= |p| when p is set.  Later upkeep
+    may push an entry above a non-unit pivot out of that range again;
+    echelon's closing pass brings it back.
     """
     v = list(vec)
-    c = _first_nonzero(v)
-    while c >= 0:
+    for c in range(len(v)):
+        if not v[c]:
+            continue
         pos = bisect_left(pivots, c)
         if pos == len(pivots) or pivots[pos] != c:
             if v[c] < 0:
@@ -67,6 +90,7 @@ def echelon_insert(rows: list[list[int]], pivots: list[int], sups: list[list[int
             rows.insert(pos, v)
             pivots.insert(pos, c)
             sups.insert(pos, _support(v, c))
+            _reduce_above(rows, pivots, sups, pos)
             return
         r = rows[pos]
         sup = sups[pos]
@@ -84,10 +108,12 @@ def echelon_insert(rows: list[list[int]], pivots: list[int], sups: list[list[int
         if swapped:
             _tail_reduce(rows, pivots, sups, r, pos + 1)
             sups[pos] = _support(r, c)
-        c = _first_nonzero(v, c + 1)
+            _reduce_above(rows, pivots, sups, pos)
 
 
 def echelon(vectors, width: int) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of the vectors, each row reduced against every row
+    below it: 2*|rows[i][pivots[k]]| <= |rows[k][pivots[k]]| for i < k."""
     rows: list[list[int]] = []
     pivots: list[int] = []
     sups: list[list[int]] = []
@@ -95,6 +121,10 @@ def echelon(vectors, width: int) -> tuple[list[list[int]], list[int]]:
         if len(vec) != width:
             raise ValueError(f"row width {len(vec)} != {width}")
         echelon_insert(rows, pivots, sups, vec)
+    # bottom up, so every row subtracted is already reduced
+    for i in range(len(rows) - 2, -1, -1):
+        _tail_reduce(rows, pivots, sups, rows[i], i + 1)
+        sups[i] = _support(rows[i], pivots[i])
     return rows, pivots
 
 

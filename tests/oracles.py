@@ -34,22 +34,35 @@ def divisor_from_points(curve, line, pts):
     return tuple(div)
 
 
+def _dense_tail_reduce(rows, pivots, v, pos, ops):
+    for k in range(pos, len(rows)):
+        c = pivots[k]
+        if v[c]:
+            r = rows[k]
+            m = _nearest_div(v[c], r[c])
+            if m:
+                if ops is not None:
+                    ops["tail"] += 1
+                for j in range(c, len(v)):
+                    if r[j]:
+                        v[j] -= m * r[j]
+
+
 def dense_echelon_insert(rows, pivots, vec, ops=None):
     """The echelon insertion with every row operation scanning all columns
-    from the pivot on; `ops` counts the swaps and tail reductions made."""
+    from the pivot on; `ops` counts the swaps, the tail reductions and the
+    reductions of the rows above a pivot that is inserted or swapped in."""
 
-    def tail_reduce(v, pos):
-        for k in range(pos, len(rows)):
-            c = pivots[k]
-            if v[c]:
-                r = rows[k]
-                m = _nearest_div(v[c], r[c])
+    def reduce_above(pos):
+        r, c = rows[pos], pivots[pos]
+        for u in rows[:pos]:
+            if u[c]:
+                m = _nearest_div(u[c], r[c])
                 if m:
                     if ops is not None:
-                        ops["tail"] += 1
-                    for j in range(c, len(v)):
-                        if r[j]:
-                            v[j] -= m * r[j]
+                        ops["above"] += 1
+                    for j in range(c, len(u)):
+                        u[j] -= m * r[j]
 
     v = list(vec)
     c = _first_nonzero(v)
@@ -58,9 +71,10 @@ def dense_echelon_insert(rows, pivots, vec, ops=None):
         if pos == len(pivots) or pivots[pos] != c:
             if v[c] < 0:
                 v = [-x for x in v]
-            tail_reduce(v, pos)
+            _dense_tail_reduce(rows, pivots, v, pos, ops)
             rows.insert(pos, v)
             pivots.insert(pos, c)
+            reduce_above(pos)
             return
         r = rows[pos]
         swapped = False
@@ -77,15 +91,20 @@ def dense_echelon_insert(rows, pivots, vec, ops=None):
                 if ops is not None:
                     ops["swap"] += 1
         if swapped:
-            tail_reduce(rows[pos], pos + 1)
+            _dense_tail_reduce(rows, pivots, rows[pos], pos + 1, ops)
+            reduce_above(pos)
         c = _first_nonzero(v, c + 1)
 
 
 def dense_echelon(vectors, width, ops=None):
+    """Insert every vector, then reduce each row against the rows below
+    it, bottom up."""
     rows, pivots = [], []
     for vec in vectors:
         assert len(vec) == width
         dense_echelon_insert(rows, pivots, vec, ops)
+    for i in range(len(rows) - 2, -1, -1):
+        _dense_tail_reduce(rows, pivots, rows[i], i + 1, ops)
     return rows, pivots
 
 

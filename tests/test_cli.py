@@ -79,6 +79,18 @@ def test_verify_q2_passes(capsys):
     assert err.count("[PASS]") == len(ids)
 
 
+@pytest.mark.parametrize("argv", [("verify", "--q", "2"), ("herm", "verify", "--q", "3")])
+def test_verify_reports_build_time_and_peak_rss(capsys, argv):
+    report = run_json(capsys, *argv)
+    assert report["build_seconds"] > 0
+    assert report["peak_rss_mb"] > 0
+
+
+def test_group_verify_report_has_no_build_keys(capsys):
+    report = run_json(capsys, "verify", "--group", "7")
+    assert "build_seconds" not in report and "peak_rss_mb" not in report
+
+
 def test_verify_group_golden_ok(capsys):
     rc, out, _ = run_cli(
         capsys, "verify", "--group", "7", "--table1", "--golden", str(GOLDEN)
@@ -266,6 +278,10 @@ PINNED_OUTPUTS = [
      "export --kind lattice --q 2"),
     ("herm build --q 3", "cd2fcc4783303e8325bac8f1964d1d04aa98e91f8eb061ff74ef9595f83ac650",
      "export --kind lattice --q 3"),
+    ("herm build --q 4", "7ae548707dfeaf1a91a3d13456257fc3e1cd9a3535f8b6445e40fd77b775b278",
+     "export --kind lattice --q 4"),
+    ("herm build --q 5", "7f5b773ebbbb0dcf49cf5db7fc41479a8510737a4a1395dcc078712348f53fe2",
+     "export --kind lattice --q 5"),
     ("herm census --q 2", "bf3dc8875a1704afb7db00bb53fea2a60be21c69cba37fe1c5c2d4ff4f9626c0",
      "export --kind census --q 2"),
     ("herm census --q 3", "446863152ad7396b02f94bc2bdde55dba2d577fd1d9de82705359a2478031466",

@@ -30,6 +30,14 @@ def test_structure_q3(hl3):
     assert nontrivial == [4] * 6
 
 
+def test_structure_q7():
+    """The q = 7 build, about a second: index 8^42, quotient Z_8^42."""
+    hl = hermlat.build(7)
+    assert hl.L.rank == 343
+    assert hl.L.index_in_ambient() == 8**42
+    assert hl.quotient.nontrivial == (8,) * 42
+
+
 def test_divisors_span_checked_at_build(hl2):
     # every line divisor is in the lattice it spans, and the rank is full
     for line in hl2.curve.all_lines():

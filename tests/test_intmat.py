@@ -6,7 +6,7 @@ import pytest
 
 from hfl import intmat
 from hfl.curve import curve_make
-from oracles import dense_echelon
+from oracles import dense_echelon, dense_echelon_insert
 
 
 def _random_vectors(rng, n, k, lo=-6, hi=6):
@@ -190,22 +190,61 @@ def _hnf_over(monkeypatch, echelon, vectors, width):
         return intmat.hnf(vectors, width)
 
 
+def _replay_inserts(vectors, ops):
+    """Insert one vector at a time into both engines; after each insertion
+    the rows and pivots must agree and every support must list exactly
+    its row's nonzero columns."""
+    rows, pivots, sups = [], [], []
+    dense_rows, dense_pivots = [], []
+    for vec in vectors:
+        intmat.echelon_insert(rows, pivots, sups, vec)
+        dense_echelon_insert(dense_rows, dense_pivots, vec, ops)
+        assert (rows, pivots) == (dense_rows, dense_pivots)
+        assert sups == [[j for j in range(c, len(r)) if r[j]] for r, c in zip(rows, pivots)]
+
+
 def test_support_echelon_matches_dense_on_random_matrices(monkeypatch):
     """Support-list row operations give the dense engine's echelon and HNF
-    exactly, on matrices that force swaps and tail reductions."""
+    exactly, insertion by insertion, on matrices that force swaps, tail
+    reductions and reductions of the rows above a new pivot."""
     rng = random.Random(7)
-    ops = {"swap": 0, "tail": 0}
+    ops = {"swap": 0, "tail": 0, "above": 0}
     for _ in range(300):
         n, vecs = _sparse_random_matrix(rng)
-        assert intmat.echelon(vecs, n) == dense_echelon(vecs, n, ops)
+        _replay_inserts(vecs, ops)
+        assert intmat.echelon(vecs, n) == dense_echelon(vecs, n)
         assert intmat.hnf(vecs, n) == _hnf_over(monkeypatch, dense_echelon, vecs, n)
-    assert ops["swap"] > 500 and ops["tail"] > 500, ops
+    assert ops["swap"] > 500 and ops["tail"] > 500 and ops["above"] > 500, ops
+
+
+def _line_divisor_rows(q):
+    curve = curve_make(q)
+    divs = [list(curve.divisor_of_line(line)[1:]) for line in curve.all_lines()]
+    return divs, curve.n - 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_support_echelon_matches_dense_on_line_divisors(q, monkeypatch):
-    curve = curve_make(q)
-    divs = [list(curve.divisor_of_line(line)[1:]) for line in curve.all_lines()]
-    width = curve.n - 1
+    divs, width = _line_divisor_rows(q)
+    ops = {"swap": 0, "tail": 0, "above": 0}
+    _replay_inserts(divs, ops)
     assert intmat.echelon(divs, width) == dense_echelon(divs, width)
     assert intmat.hnf(divs, width) == _hnf_over(monkeypatch, dense_echelon, divs, width)
+    assert ops["above"] > 0, ops
+
+
+def _assert_reduced_above_pivots(rows, pivots):
+    """2|entry| <= |pivot| above every pivot, so 0 above a unit pivot."""
+    for k, c in enumerate(pivots):
+        p = abs(rows[k][c])
+        for i in range(k):
+            assert 2 * abs(rows[i][c]) <= p, (i, k, rows[i][c], p)
+
+
+def test_echelon_rows_reduced_above_each_pivot():
+    rng = random.Random(7)
+    for _ in range(300):
+        n, vecs = _sparse_random_matrix(rng)
+        _assert_reduced_above_pivots(*intmat.echelon(vecs, n))
+    for q in (2, 3, 4, 5):
+        _assert_reduced_above_pivots(*intmat.echelon(*_line_divisor_rows(q)))
