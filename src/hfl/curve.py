@@ -6,9 +6,13 @@ canonical forms, x - c and y + b*x + c, and every line's divisor of
 zeros/poles on the curve is computed in closed form: a vertical meets the
 curve in the q points above x = c, a tangent meets it in one point with
 multiplicity q + 1, and any other line meets it in q + 1 distinct points.
+
+Lines are named tuples, so a line's hash and equality run in C.  A
+Slope(b, c) therefore equals the plain tuple (b, c), which is also how an
+affine place is written: no dict or set holds both lines and places.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalIdentityViolationError, NotOnCurveError, UnsupportedQError
 from .gf import Field, field_make
@@ -16,15 +20,13 @@ from .gf import Field, field_make
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8)
 
 
-@dataclass(frozen=True)
-class Vertical:
+class Vertical(NamedTuple):
     """The line x - c."""
 
     c: int
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(NamedTuple):
     """The line y + b*x + c."""
 
     b: int
@@ -71,10 +73,12 @@ class Curve:
             raise InternalIdentityViolationError(f"{len(places)} places, expected {self.n}")
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
-        # line -> points on it, its divisor, the divisor's support; each computed once
+        # line -> points on it, its divisor, the divisor's support, and the
+        # steps of its decomposition (hermlat); each computed once
         self._points: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._divisors: dict[Line, tuple[int, ...]] = {}
         self._supports: dict[Line, tuple[tuple[int, int], ...]] = {}
+        self._decompositions: dict[Line, tuple] = {}
 
     # -- lines ----------------------------------------------------------------
 

@@ -5,16 +5,17 @@ verified construction: quotients of suitable line pairs give vectors of
 squared norm exactly 2q (minimal_pair_vector checks the pair conditions
 and rejects anything else), and decompose_line rewrites any line divisor
 as a signed sum of such vectors, raising if the bookkeeping identity
-fails; generated_by_minimals turns them into the proof that minimal
-vectors generate L.  The three closed families of line-quotient vectors,
-listed pair by pair by family_pairs, carry the kissing-number lower
-bound q^2(q^2-1)(q^3+1).
+fails.  A curve decomposes each line once and keeps the steps, while the
+identity is re-checked on every call.  generated_by_minimals turns the
+decompositions into the proof that minimal vectors generate L.  The
+three closed families of line-quotient vectors, listed pair by pair by
+family_pairs, carry the kissing-number lower bound q^2(q^2-1)(q^3+1).
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from operator import add, mul, sub
+from operator import mul, sub
 
 from . import lattice
 from .curve import Curve, Line, Slope, Vertical, curve_make
@@ -221,33 +222,45 @@ def _tangent_steps(curve: Curve, line: Slope):
 
 
 def _dispatch(curve: Curve, line: Line, beta=None):
-    if isinstance(line, Vertical):
-        if beta is not None:
+    """A fresh list of the line's steps.  Without beta the steps are built
+    once per curve and kept on it, so the secant and tangent recursions
+    reuse the decompositions of their inner lines."""
+    if beta is not None:
+        if isinstance(line, Vertical) or curve.is_tangent(line):
             raise ValueError("beta applies only to non-tangent slope lines")
-        if line.c == 0:
-            return _vertical_origin_steps(curve)
-        return _vertical_steps(curve, line.c)
-    if curve.is_tangent(line):
-        if beta is not None:
-            raise ValueError("beta applies only to non-tangent slope lines")
-        return _tangent_steps(curve, line)
-    return _secant_steps(curve, line, beta=beta)
+        return _secant_steps(curve, line, beta=beta)
+    steps = curve._decompositions.get(line)
+    if steps is None:
+        if isinstance(line, Vertical) and line.c == 0:
+            built = _vertical_origin_steps(curve)
+        elif isinstance(line, Vertical):
+            built = _vertical_steps(curve, line.c)
+        elif curve.is_tangent(line):
+            built = _tangent_steps(curve, line)
+        else:
+            built = _secant_steps(curve, line)
+        steps = curve._decompositions[line] = tuple(built)
+    return list(steps)
 
 
 def decompose_line(curve: Curve, line: Line, beta=None):
     """Signed minimal vectors summing exactly to divisor_of_line(line).
 
-    Every step is built through minimal_pair_vector, and the signed-sum
-    identity is recomputed before returning; a mismatch is an internal
+    Every step is built through minimal_pair_vector.  A curve decomposes
+    each line once and hands out a fresh list on every call; a route with
+    an explicit beta is built anew each time.  The signed-sum identity is
+    recomputed on every call before returning; a mismatch is an internal
     defect, never an input error.
     """
     curve.check_line(line)
     if beta is not None and not 0 <= beta < curve.field.order:
         raise ValueError(f"beta {beta} outside field of order {curve.field.order}")
     steps = _dispatch(curve, line, beta=beta)
-    total = (0,) * curve.n
-    for s in steps:
-        total = tuple(map(add if s.sign > 0 else sub, total, s.vector))
+    # column sums of the added and of the subtracted steps
+    zero = (0,) * curve.n
+    plus = map(sum, zip(zero, *(s.vector for s in steps if s.sign > 0), strict=True))
+    minus = map(sum, zip(zero, *(s.vector for s in steps if s.sign < 0), strict=True))
+    total = tuple(map(sub, plus, minus))
     expected = curve.divisor_of_line(line)
     if total != expected:
         raise InternalIdentityViolationError(
@@ -279,7 +292,7 @@ class KissingFamilies:
         return len(self.pair_vertical) + len(self.vertical_slope) + len(self.slope_slope)
 
     def union(self):
-        return set(self.pair_vertical) | set(self.vertical_slope) | set(self.slope_slope)
+        return set().union(self.pair_vertical, self.vertical_slope, self.slope_slope)
 
 
 def family_pairs(curve: Curve):

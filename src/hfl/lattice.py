@@ -80,7 +80,7 @@ class Lattice:
                 raise DimensionMismatchError(f"generator length {len(v)} != n = {n}")
             if sum(v) != 0:
                 raise ValueError(f"generator does not sum to zero: {v}")
-        rows, pivots = intmat.hnf([list(v[1:]) for v in vectors], n - 1)
+        rows, pivots = intmat.hnf([v[1:] for v in vectors], n - 1)
         return cls(n, rows, pivots)
 
     def contains(self, v) -> bool:

@@ -61,3 +61,21 @@ def test_benchmark_operations_all_pass(perfbench):
     records = workloads.run_ops(ops)
     assert len(records) == len(ops) > 60
     assert [r for r in records if not r["ok"]] == []
+
+
+def test_traced_pass_decomposes_each_line_once(perfbench):
+    """The benchmark's own tracer sees fewer pair vectors built than
+    decomposition steps handed out: the secant and tangent recursions
+    reuse the decompositions of their inner lines."""
+    tracer, workloads = perfbench("tracer"), perfbench("workloads")
+    tr = tracer.Tracer("tier-1")
+    tr.install()
+    try:
+        records = workloads.run_ops(workloads.build_families_ops(3, 3))
+    finally:
+        tr.uninstall()
+    assert [r for r in records if not r["ok"]] == []
+    layers = tr.metrics(0.0)
+    # every q = 3 line once: 756 steps from 216 pair vectors
+    assert layers["hermlat.decompose_line.steps"] == 756
+    assert layers["hermlat.minimal_pair_vector.calls"] < layers["hermlat.decompose_line.steps"]

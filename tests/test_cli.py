@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hfl import cli
+from hfl.curve import Slope, Vertical, curve_make
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_golden.csv"
 
@@ -171,6 +172,17 @@ def test_parse_line_spec():
             cli.parse_line_spec(bad)
 
 
+def test_line_type():
+    """Lines keep their reprs and stay apart by kind; every line's spec
+    parses back to the line."""
+    assert repr(Vertical(3)) == "Vertical(c=3)"
+    assert repr(Slope(1, 2)) == "Slope(b=1, c=2)"
+    assert Vertical(0) != Slope(0, 0)
+    assert len({Vertical(0), Slope(0, 0), Vertical(0)}) == 2
+    for line in curve_make(3).all_lines():
+        assert cli.parse_line_spec(cli._line_str(line)) == line
+
+
 def test_decompose_bad_specs(capsys):
     rc, _, _ = run_cli(capsys, "herm", "decompose", "--q", "2", "--line", "x-c")
     assert rc == 2
@@ -290,6 +302,16 @@ PINNED_OUTPUTS = [
      "export --kind aut --q 2"),
     ("aut --q 3", "c95ea6b272656701c315f115c4c80bc3202b6954beef57073697f2a78bda2bf0",
      "export --kind aut --q 3"),
+    ("herm decompose --q 3 --line x-c:c=3",
+     "6a39a1680a472bc6c40acaa4258d1b222dd1c60760247b7509a05ab71dce2b31", None),
+    ("herm decompose --q 3 --line x-c:c=0",
+     "6cffb6cc53f2c9e611bd43a2905165b398b1450da98e59c25d3e39d43f4e9420", None),
+    ("herm decompose --q 3 --line y+bx+c:b=1,c=2",  # a tangent
+     "960d3a78fae2c7dd6d52099d3382ce947f4c6bebdc310db7a4bb63292081e1e2", None),
+    ("herm decompose --q 3 --line y+bx+c:b=1,c=3",  # a secant
+     "e0f5ba9ad7ad29d778a4f5617ef919e83b8ac9461ce45c82f29ef6aebae9faa1", None),
+    ("herm decompose --q 3 --line y+bx+c:b=1,c=3 --beta 5",
+     "577afb00f210d522035457d5d2a811a6c7a22ec462df65aa3d7c2997c240d3fd", None),
     ("export --kind places --q 2",
      "f5caadc9108bc0921e57ec9a514bc8421b388b7d7a9c6cbc2fc0be71f93c07c5", None),
     ("export --kind lines --q 2",

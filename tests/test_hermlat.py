@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from hfl import hermlat, lattice
-from hfl.curve import Slope, Vertical
+from hfl.curve import Slope, Vertical, curve_make
 from hfl.errors import BudgetExceededError, NotMinimalPairError
 
 
@@ -170,6 +170,65 @@ def test_decompose_beta_only_on_secants(curve2):
     )
     with pytest.raises(ValueError):
         hermlat.decompose_line(curve2, tangent, beta=0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_memoized_decompositions_match_fresh_ones(q):
+    """Each line's steps, decomposed in turn on one curve, equal those
+    built on a second curve whose memo is emptied before every line."""
+    curve, fresh = curve_make(q), curve_make(q)
+    for line in curve.all_lines():
+        fresh._decompositions.clear()
+        assert hermlat.decompose_line(curve, line) == hermlat.decompose_line(fresh, line)
+
+
+def test_decompose_returns_a_fresh_list():
+    curve = curve_make(2)
+    line = Slope(0, 1)
+    first = hermlat.decompose_line(curve, line)
+    expected = list(first)
+    first.append(first[0])
+    first.pop(0)
+    assert hermlat.decompose_line(curve, line) == expected
+
+
+def test_each_pair_vector_built_once_per_curve(monkeypatch):
+    calls = []
+    real = hermlat.minimal_pair_vector
+
+    def counted(curve, num, den):
+        calls.append((num, den))
+        return real(curve, num, den)
+
+    monkeypatch.setattr(hermlat, "minimal_pair_vector", counted)
+    curve = curve_make(4)
+    steps = sum(len(hermlat.decompose_line(curve, line)) for line in curve.all_lines())
+    # without the memo every one of the 3,136 steps built its own vector
+    assert steps == 3136 and len(calls) <= 896
+    calls.clear()
+    assert sum(len(hermlat.decompose_line(curve, line)) for line in curve.all_lines()) == steps
+    assert calls == []
+
+
+def test_beta_decompositions_bypass_the_memo(curve3):
+    """An explicit beta gives the same steps on a cold and on a warm
+    curve, leaves no entry for its line, and the smallest beta is the
+    default route."""
+    F = curve3.field
+    secants = [
+        l for l in curve3.all_lines() if isinstance(l, Slope) and not curve3.is_tangent(l)
+    ]
+    for line in curve3.all_lines():
+        hermlat.decompose_line(curve3, line)
+    cold = curve_make(3)
+    for secant in secants[:6]:
+        betas = F.trace_fiber(F.norm(F.neg(F.frobenius(secant.b))))
+        for beta in betas:
+            got = hermlat.decompose_line(cold, secant, beta=beta)
+            assert secant not in cold._decompositions
+            assert got == hermlat.decompose_line(curve3, secant, beta=beta)
+        default = hermlat.decompose_line(cold, secant, beta=betas[0])
+        assert default == hermlat.decompose_line(curve3, secant)
 
 
 FAMILY_SIZES = {
