@@ -202,6 +202,7 @@ def census_payload(hl: hermlat.HermitianLattice, cap: int):
 
 def decompose_payload(curve: Curve, line, beta=None):
     steps = hermlat.decompose_line(curve, line, beta=beta)
+    div = curve.divisor_of_line
     return {
         "q": curve.q,
         "line": _line_str(line),
@@ -212,7 +213,7 @@ def decompose_payload(curve: Curve, line, beta=None):
                 "tag": s.tag,
                 "numerator": _line_str(s.numerator),
                 "denominator": _line_str(s.denominator),
-                "vector": list(s.vector),
+                "vector": list(map(sub, div(s.numerator), div(s.denominator))),
             }
             for s in steps
         ],
@@ -281,7 +282,7 @@ def group_subset_payload(moduli, subset, correspondence: bool = True):
 class Check:
     def __init__(self, check_id, tag, expected, fn):
         self.check_id = check_id
-        self.tag = tag  # formula | pinned | definition
+        self.tag = tag  # formula | pinned
         self.expected = expected
         self.fn = fn
 
@@ -349,20 +350,18 @@ def family_pass(curve: Curve):
     """(sizes, norms, distinct) of the family vectors: counts per family
     and in total, a Counter of squared norms, and how many are distinct.
     One walk over hermlat.family_pairs holds no dense vector: each
-    div(num) - div(den) is merged from two sparse line supports and kept
-    as a packed key, index << 8 | value & 255 per nonzero entry, which is
-    injective while every |value| < 128, as norm^2 = 2q <= 16 ensures."""
-    support = curve.line_support
+    Curve.quotient_support is kept as a packed key, index << 8 | value &
+    255 per nonzero entry, which is injective while every |value| < 128,
+    as norm^2 = 2q <= 16 ensures."""
+    quotient = curve.quotient_support
     sizes = dict.fromkeys(hermlat.FAMILIES, 0)
     norms = Counter()
     keys = set()
     for family, num, den in hermlat.family_pairs(curve):
         sizes[family] += 1
-        vec = dict(support(num))
-        for i, x in support(den):
-            vec[i] = vec.get(i, 0) - x
+        vec = quotient(num, den)
         norms[sum(x * x for x in vec.values())] += 1
-        keys.add(array("i", sorted([i << 8 | x & 255 for i, x in vec.items() if x])).tobytes())
+        keys.add(array("i", sorted([i << 8 | x & 255 for i, x in vec.items()])).tobytes())
     sizes["total"] = sum(sizes.values())
     return sizes, norms, len(keys)
 

@@ -73,8 +73,8 @@ class Curve:
             raise InternalIdentityViolationError(f"{len(places)} places, expected {self.n}")
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
-        # line -> points on it, its divisor, the divisor's support, and the
-        # steps of its decomposition (hermlat); each computed once
+        # line -> points on it, its divisor, the divisor's support, and its
+        # decomposition steps (hermlat: line pairs, no vectors); each computed once
         self._points: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._divisors: dict[Line, tuple[int, ...]] = {}
         self._supports: dict[Line, tuple[tuple[int, int], ...]] = {}
@@ -149,6 +149,17 @@ class Curve:
             zeros = sorted((self.place_index[pt], mult) for pt in pts)
             sup = self._supports[line] = ((0, -mult * len(pts)), *zeros)
         return sup
+
+    def quotient_support(self, num: Line, den: Line) -> dict[int, int]:
+        """The nonzero entries of div(num) - div(den), place index ->
+        value, merged from the two cached line supports."""
+        vec = dict(self.line_support(num))
+        for i, x in self.line_support(den):
+            if y := vec.get(i, 0) - x:
+                vec[i] = y
+            else:
+                del vec[i]
+        return vec
 
     def divisor_of_line(self, line: Line) -> tuple[int, ...]:
         """Valuation vector of the line over all places; always sums to zero."""

@@ -5,11 +5,13 @@ verified construction: quotients of suitable line pairs give vectors of
 squared norm exactly 2q (minimal_pair_vector checks the pair conditions
 and rejects anything else), and decompose_line rewrites any line divisor
 as a signed sum of such vectors, raising if the bookkeeping identity
-fails.  A curve decomposes each line once and keeps the steps, while the
-identity is re-checked on every call.  generated_by_minimals turns the
-decompositions into the proof that minimal vectors generate L.  The
-three closed families of line-quotient vectors, listed pair by pair by
-family_pairs, carry the kissing-number lower bound q^2(q^2-1)(q^3+1).
+fails.  A step is a checked line pair whose vector is rebuilt on demand.
+A curve decomposes each line once and keeps the steps, while the
+identity is re-checked over sparse line supports on every call.
+generated_by_minimals turns the decompositions into the proof that
+minimal vectors generate L.  The three closed families of line-quotient
+vectors, listed pair by pair by family_pairs, carry the kissing-number
+lower bound q^2(q^2-1)(q^3+1).
 """
 
 from dataclasses import dataclass, field
@@ -37,16 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionStep:
-    """One signed minimal vector in a line decomposition.
-
-    vector = divisor(numerator) - divisor(denominator); the step
-    contributes sign * vector to the decomposed divisor.
-    """
+    """One signed minimal vector in a line decomposition, kept as the
+    checked line pair: the step contributes sign * (divisor(numerator) -
+    divisor(denominator)) to the decomposed divisor, and that vector is
+    rebuilt on demand from the cached line divisors."""
 
     sign: int
-    vector: tuple
     numerator: Line
     denominator: Line
     tag: str
@@ -129,40 +129,31 @@ def minimal_pair_vector(curve: Curve, num: Line, den: Line):
 
 
 def _step(curve, sign, num, den, tag):
-    return DecompositionStep(sign, minimal_pair_vector(curve, num, den), num, den, tag)
+    minimal_pair_vector(curve, num, den)  # checks the pair, drops the vector
+    return DecompositionStep(sign, num, den, tag)
 
 
 def _vertical_steps(curve: Curve, c: int):
     """x - c with c != 0 equals the product over i of (y - d_i)/(x - z^i c),
     d_i the trace fiber of norm(c), z the chosen (q+1)st root of unity."""
     F = curve.field
-    ds = F.trace_fiber(F.norm(c))
-    steps = []
-    for i, d in enumerate(ds, start=1):
-        num = Slope(0, F.neg(d))
-        den = Vertical(F.mul(F.pow(curve.zeta, i), c))
-        steps.append(_step(curve, 1, num, den, "vertical"))
-    return steps
+    return [
+        _step(curve, 1, Slope(0, F.neg(d)), Vertical(F.mul(F.pow(curve.zeta, i), c)), "vertical")
+        for i, d in enumerate(F.trace_fiber(F.norm(c)), start=1)
+    ]
 
 
 def _vertical_origin_steps(curve: Curve):
     """The line x equals the product of (y - x - r_i)/(x - z_i) with r_i
     the trace-zero elements and z_i the values 1 + zeta^m, zeta^m != -1."""
     F = curve.field
-    one = 1
-    minus_one = F.neg(one)
-    rhos = F.trace_fiber(0)
-    zs = []
-    for m in range(curve.q + 1):
-        zm = F.pow(curve.zeta, m)
-        if zm != minus_one:
-            zs.append(F.add(one, zm))
-    steps = []
-    for rho, z in zip(rhos, zs):
-        num = Slope(minus_one, F.neg(rho))
-        den = Vertical(z)
-        steps.append(_step(curve, 1, num, den, "vertical_origin"))
-    return steps
+    minus_one = F.neg(1)
+    zms = (F.pow(curve.zeta, m) for m in range(curve.q + 1))
+    zs = [F.add(1, zm) for zm in zms if zm != minus_one]
+    return [
+        _step(curve, 1, Slope(minus_one, F.neg(rho)), Vertical(z), "vertical_origin")
+        for rho, z in zip(F.trace_fiber(0), zs)
+    ]
 
 
 def _secant_steps(curve: Curve, line: Slope, beta=None):
@@ -202,8 +193,7 @@ def _tangent_steps(curve: Curve, line: Slope):
     F = curve.field
     b, c = line.b, line.c
     alpha = F.neg(F.frobenius(b))
-    one = 1
-    minus_one = F.neg(one)
+    minus_one = F.neg(1)
     tag = "tangent_origin" if b == 0 and c == 0 else "tangent"
 
     j = next(m for m in range(curve.q + 1) if F.pow(curve.zeta, m) == minus_one)
@@ -213,7 +203,7 @@ def _tangent_steps(curve: Curve, line: Slope):
             continue
         zi = F.pow(curve.zeta, i)
         num = Slope(F.sub(b, zi), F.add(c, F.mul(zi, alpha)))
-        den = Slope(b, F.sub(c, F.add(one, zi)))
+        den = Slope(b, F.sub(c, F.add(1, zi)))
         steps.append(_step(curve, 1, num, den, tag))
     zj = F.pow(curve.zeta, j)
     rest = Slope(F.sub(b, zj), F.add(c, F.mul(zj, alpha)))
@@ -246,22 +236,22 @@ def _dispatch(curve: Curve, line: Line, beta=None):
 def decompose_line(curve: Curve, line: Line, beta=None):
     """Signed minimal vectors summing exactly to divisor_of_line(line).
 
-    Every step is built through minimal_pair_vector.  A curve decomposes
-    each line once and hands out a fresh list on every call; a route with
-    an explicit beta is built anew each time.  The signed-sum identity is
-    recomputed on every call before returning; a mismatch is an internal
-    defect, never an input error.
+    Every step's pair is checked through minimal_pair_vector.  A curve
+    decomposes each line once and hands out a fresh list on every call; a
+    route with an explicit beta is built anew each time.  The signed sum
+    of the steps' sparse supports is recomputed on every call before
+    returning; a mismatch is an internal defect, never an input error.
     """
     curve.check_line(line)
     if beta is not None and not 0 <= beta < curve.field.order:
         raise ValueError(f"beta {beta} outside field of order {curve.field.order}")
     steps = _dispatch(curve, line, beta=beta)
-    # column sums of the added and of the subtracted steps
-    zero = (0,) * curve.n
-    plus = map(sum, zip(zero, *(s.vector for s in steps if s.sign > 0), strict=True))
-    minus = map(sum, zip(zero, *(s.vector for s in steps if s.sign < 0), strict=True))
-    total = tuple(map(sub, plus, minus))
-    expected = curve.divisor_of_line(line)
+    sums = {}
+    for s in steps:
+        for i, x in curve.quotient_support(s.numerator, s.denominator).items():
+            sums[i] = sums.get(i, 0) + s.sign * x
+    total = sorted((i, x) for i, x in sums.items() if x)
+    expected = list(curve.line_support(line))
     if total != expected:
         raise InternalIdentityViolationError(
             f"decomposition of {line} sums to {total}, divisor is {expected}"

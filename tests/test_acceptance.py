@@ -119,8 +119,11 @@ def test_c06_decompose_all_lines():
         for line in lines:
             # decompose_line re-checks the signed-sum identity internally
             steps = hermlat.decompose_line(hl.curve, line)
+            vectors = [
+                hermlat.minimal_pair_vector(hl.curve, s.numerator, s.denominator) for s in steps
+            ]
             c.expect(
-                all(sum(x * x for x in s.vector) == 2 * q for s in steps),
+                all(sum(x * x for x in v) == 2 * q for v in vectors),
                 f"q={q} {line} step norms",
             )
         c.expect(hermlat.generated_by_minimals(hl) == 1, f"q={q} span index != 1")

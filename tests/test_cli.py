@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -389,10 +390,16 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 9
+
+
+def test_module_entry_point_refuses_unsupported_q():
+    """python -m hfl needs no install: an unsupported q exits 2."""
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "hfl", "herm", "build", "--q", "9"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
         timeout=120,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 2, proc.stderr

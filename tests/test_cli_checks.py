@@ -1,6 +1,7 @@
 """Verify runs share one lattice, one line pass, one family pass, one
 census, one group chain and one class-group action."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -88,6 +89,27 @@ def test_memory_and_internal_defects_exit_4(monkeypatch, capsys):
     assert cli.main(["herm", "decompose", "--q", "2", "--line", "x-c:c=1"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("hfl: internal defect: decomposition of")
+
+
+@pytest.mark.parametrize("defect", [
+    lambda s: dataclasses.replace(s, sign=-s.sign),
+    lambda s: dataclasses.replace(s, numerator=s.denominator, denominator=s.numerator),
+], ids=["flipped_sign", "swapped_pair"])
+def test_sparse_decomposition_check_catches_a_wrong_step(defect, monkeypatch, capsys):
+    """The signed sum over the steps' sparse supports misses the line's
+    divisor when one step has the wrong sign or its lines swapped."""
+    real = hermlat._dispatch
+
+    def faulty(*a, **k):
+        steps = real(*a, **k)
+        steps[0] = defect(steps[0])
+        return steps
+
+    monkeypatch.setattr(hermlat, "_dispatch", faulty)
+    for spec in ("x-c:c=1", "y+bx+c:b=1,c=3"):
+        assert cli.main(["herm", "decompose", "--q", "3", "--line", spec]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hfl: internal defect: decomposition of")
 
 
 def _census_checks(q, cap):
