@@ -313,13 +313,14 @@ def catalogue():
             L = lattice_for_subset(group, gens)
             minvecs = lattice.minimal_vectors(L)
             d2 = sum(x * x for x in minvecs[0])
+            index = lattice.generated_by_minimals_index(L, minvecs)  # 0: rank-deficient span
             rows.append(
                 CatalogueRow(
                     n_minus_1=k,
                     label="".join(str(g) for g in gens),
                     d_squared=d2,
-                    well_rounded=lattice.well_rounded(L, minvecs),
-                    gen_by_min_index=lattice.generated_by_minimals_index(L, minvecs),
+                    well_rounded=index != 0,
+                    gen_by_min_index=index,
                     aut_star=_z7_aut_star_digits(gens),
                 )
             )

@@ -259,6 +259,7 @@ def group_subset_payload(moduli, subset, correspondence: bool = True):
     minvecs = lattice.minimal_vectors(L)
     perms = abelian.extendable_subset_perms(G, subset)
     d2 = sum(x * x for x in minvecs[0])
+    index = lattice.generated_by_minimals_index(L, minvecs)  # 0: rank-deficient span
     payload = {
         "moduli": list(G.moduli),
         "subset": list(subset),
@@ -267,8 +268,8 @@ def group_subset_payload(moduli, subset, correspondence: bool = True):
         "index": abelian.subset_index_in_ambient(G, subset),
         "d_squared": d2,
         "minimal_count": len(minvecs),
-        "well_rounded": lattice.well_rounded(L, minvecs),
-        "gen_by_min_index": lattice.generated_by_minimals_index(L, minvecs),
+        "well_rounded": index != 0,
+        "gen_by_min_index": index,
         "subset_aut_count": len(perms),
     }
     if correspondence:

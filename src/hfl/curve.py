@@ -73,8 +73,9 @@ class Curve:
             raise InternalIdentityViolationError(f"{len(places)} places, expected {self.n}")
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
-        # line -> points on it, its divisor, the divisor's support, and its
-        # decomposition steps (hermlat: line pairs, no vectors); each computed once
+        # line -> points on it, its dense divisor (lattice generators, output),
+        # the divisor's support (all that hermlat's checks read) and its
+        # decomposition steps (line pairs, no vectors); each computed once
         self._points: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._divisors: dict[Line, tuple[int, ...]] = {}
         self._supports: dict[Line, tuple[tuple[int, int], ...]] = {}

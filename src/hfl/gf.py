@@ -259,9 +259,7 @@ class Field:
         return self.encode(tuple((x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))))
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self.encode(tuple((-x) % self.p for x in self.decode(a)))
+        return self.mul(a, self.p - 1)  # -1 is p - 1 in the prime field
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -5,9 +5,10 @@ verified construction: quotients of suitable line pairs give vectors of
 squared norm exactly 2q (minimal_pair_vector checks the pair conditions
 and rejects anything else), and decompose_line rewrites any line divisor
 as a signed sum of such vectors, raising if the bookkeeping identity
-fails.  A step is a checked line pair whose vector is rebuilt on demand.
-A curve decomposes each line once and keeps the steps, while the
-identity is re-checked over sparse line supports on every call.
+fails.  Line quotients are held as sparse supports, steps as checked
+line pairs; only kissing_families, whose output they are, builds n-wide
+vectors.  A curve decomposes each line once and keeps the steps, while
+the identity is re-checked by net line coefficients on every call.
 generated_by_minimals turns the decompositions into the proof that
 minimal vectors generate L.  The three closed families of line-quotient
 vectors, listed pair by pair by family_pairs, carry the kissing-number
@@ -17,7 +18,6 @@ lower bound q^2(q^2-1)(q^3+1).
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from operator import mul, sub
 
 from . import lattice
 from .curve import Curve, Line, Slope, Vertical, curve_make
@@ -96,9 +96,10 @@ def build(q: int) -> HermitianLattice:
     return HermitianLattice(curve_make(q))
 
 
-def minimal_pair_vector(curve: Curve, num: Line, den: Line):
-    """divisor(num) - divisor(den) when the pair provably gives a vector
-    of squared norm 2q; otherwise NotMinimalPairError with the reason.
+def minimal_pair_vector(curve: Curve, num: Line, den: Line) -> dict[int, int]:
+    """divisor(num) - divisor(den) as {place index: value}, its nonzero
+    entries, when the pair provably gives a vector of squared norm 2q;
+    otherwise NotMinimalPairError with the reason.
 
     Accepted pairs: two verticals; a vertical and a non-tangent slope
     line meeting the curve in exactly one common point; two non-tangent
@@ -121,8 +122,8 @@ def minimal_pair_vector(curve: Curve, num: Line, den: Line):
             raise NotMinimalPairError(
                 f"{kind} pair shares {len(common)} curve points, need exactly 1"
             )
-    vec = tuple(map(sub, curve.divisor_of_line(num), curve.divisor_of_line(den)))
-    norm2 = sum(map(mul, vec, vec))
+    vec = curve.quotient_support(num, den)
+    norm2 = sum(x * x for x in vec.values())
     if norm2 != 2 * curve.q:
         raise InternalIdentityViolationError(f"pair vector has norm^2 {norm2} != {2 * curve.q}")
     return vec
@@ -238,23 +239,31 @@ def decompose_line(curve: Curve, line: Line, beta=None):
 
     Every step's pair is checked through minimal_pair_vector.  A curve
     decomposes each line once and hands out a fresh list on every call; a
-    route with an explicit beta is built anew each time.  The signed sum
-    of the steps' sparse supports is recomputed on every call before
-    returning; a mismatch is an internal defect, never an input error.
+    route with an explicit beta is built anew each time.  Every call gives
+    each line a net coefficient (the line -1, each step's numerator +sign
+    and denominator -sign) and requires the weighted line supports, each
+    added once, to sum to zero; a mismatch is an internal defect.
     """
     curve.check_line(line)
     if beta is not None and not 0 <= beta < curve.field.order:
         raise ValueError(f"beta {beta} outside field of order {curve.field.order}")
     steps = _dispatch(curve, line, beta=beta)
-    sums = {}
+    coeffs = {line: -1}
     for s in steps:
-        for i, x in curve.quotient_support(s.numerator, s.denominator).items():
-            sums[i] = sums.get(i, 0) + s.sign * x
-    total = sorted((i, x) for i, x in sums.items() if x)
-    expected = list(curve.line_support(line))
-    if total != expected:
+        coeffs[s.numerator] = coeffs.get(s.numerator, 0) + s.sign
+        coeffs[s.denominator] = coeffs.get(s.denominator, 0) - s.sign
+    sums = {}
+    for other, k in coeffs.items():
+        if k:
+            for i, x in curve.line_support(other):
+                sums[i] = sums.get(i, 0) + k * x
+    if any(sums.values()):
+        expected = curve.line_support(line)
+        for i, x in expected:  # back to the steps' sum
+            sums[i] = sums.get(i, 0) + x
+        total = sorted((i, x) for i, x in sums.items() if x)
         raise InternalIdentityViolationError(
-            f"decomposition of {line} sums to {total}, divisor is {expected}"
+            f"decomposition of {line} sums to {total}, divisor is {list(expected)}"
         )
     return steps
 

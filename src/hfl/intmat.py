@@ -128,10 +128,6 @@ def echelon(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def rank_of(vectors, width: int) -> int:
-    return len(echelon(vectors, width)[0])
-
-
 def _distinct_by_leading_column(vectors) -> list[tuple[int, ...]]:
     """The rows up to sign, each once, latest leading column first.
 

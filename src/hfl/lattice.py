@@ -44,10 +44,7 @@ class QuotientStructure:
 
     @property
     def index(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
+        return prod(self.divisors)
 
 
 def permute(vec, perm):
@@ -97,10 +94,7 @@ class Lattice:
         """[A_{n-1} : L]; requires full rank."""
         if not self.is_full_rank():
             raise NotFullRankError(f"rank {self.rank} < {self.n - 1}")
-        out = 1
-        for r, c in zip(self._hnf, self._pivots):
-            out *= r[c]
-        return out
+        return prod(r[c] for r, c in zip(self._hnf, self._pivots))
 
     def quotient(self) -> QuotientStructure:
         """Elementary divisors of A_{n-1}/L (ascending chain, 1s included)."""
@@ -585,9 +579,7 @@ def minimal_vectors(L: Lattice):
 
 def well_rounded(L: Lattice, minvecs) -> bool:
     """Do the minimal vectors span rank(L) independent directions?"""
-    if not minvecs:
-        return False
-    return intmat.rank_of([list(v) for v in minvecs], L.n) == L.rank
+    return generated_by_minimals_index(L, minvecs) != 0
 
 
 def generated_by_minimals_index(L: Lattice, minvecs) -> int:
@@ -608,10 +600,7 @@ def generated_by_minimals_index(L: Lattice, minvecs) -> int:
     rows, pivots = intmat.hnf(coeff_rows, L.rank)
     if len(rows) < L.rank:
         return 0
-    out = 1
-    for r, c in zip(rows, pivots):
-        out *= r[c]
-    return out
+    return prod(r[c] for r, c in zip(rows, pivots))
 
 
 # -- coordinate-permutation automorphisms --------------------------------------

@@ -34,6 +34,14 @@ def divisor_from_points(curve, line, pts):
     return tuple(div)
 
 
+def dense_vector(n, support):
+    """The n-wide vector with the given {index: value} entries, zero elsewhere."""
+    vec = [0] * n
+    for i, x in support.items():
+        vec[i] = x
+    return tuple(vec)
+
+
 def _dense_tail_reduce(rows, pivots, v, pos, ops):
     for k in range(pos, len(rows)):
         c = pivots[k]

@@ -14,7 +14,7 @@ import numpy as np
 
 from hfl import abelian, autgrp, cli, gf, hermlat, intmat, lattice
 from hfl.curve import Vertical, curve_make
-from oracles import points_on_line_bruteforce
+from oracles import dense_vector, points_on_line_bruteforce
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_golden.csv"
 
@@ -123,7 +123,7 @@ def test_c06_decompose_all_lines():
                 hermlat.minimal_pair_vector(hl.curve, s.numerator, s.denominator) for s in steps
             ]
             c.expect(
-                all(sum(x * x for x in v) == 2 * q for v in vectors),
+                all(sum(x * x for x in v.values()) == 2 * q for v in vectors),
                 f"q={q} {line} step norms",
             )
         c.expect(hermlat.generated_by_minimals(hl) == 1, f"q={q} span index != 1")
@@ -170,7 +170,7 @@ def test_c09_automorphism_group():
                  f"q={q} some element moves the lattice")
         if q == 2:
             v = hermlat.minimal_pair_vector(hl.curve, Vertical(0), Vertical(1))
-            orbit = autgrp.orbit_of_vector(G, v)
+            orbit = autgrp.orbit_of_vector(G, dense_vector(hl.curve.n, v))
             c.expect(len(orbit) == 108, f"orbit size {len(orbit)}")
             c.expect(orbit == hermlat.kissing_families(hl.curve).union(),
                      "orbit != family union")

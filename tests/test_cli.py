@@ -329,6 +329,27 @@ def test_output_bytes_pinned(capsys, argv, sha, twin):
         assert run_cli(capsys, *twin.split()) == (0, out, "")
 
 
+# sha256 of each `verify` report once the timing keys are dropped: the
+# top-level seconds, build_seconds and peak_rss_mb, and each check's seconds
+PINNED_REPORTS = [
+    ("verify --q 2", "1c353f64ac23ca5ae505da9d8372aa885a9aefdcc8fb43b8b543234d7275fcb0"),
+    ("verify --q 3", "bba60c009cb7983420093e7caa0219207d74edc84969c850b8e54ab7de116da0"),
+    ("verify --q 4", "23d6bf071f1b3f96c23b7f25b8e088f9b82bd2b417b34237c60ae5e7b5507df9"),
+    ("verify --q 5", "fc8d976ae606529350c74f2b428b727e5394410518d8b23e88c29da589795b52"),
+    ("herm verify --q 3 --all", "e735852da56510ae1f969c852c80911c7f4841016619042e01a9c99f89e11349"),
+]
+
+
+@pytest.mark.parametrize("argv, sha", PINNED_REPORTS, ids=[c[0] for c in PINNED_REPORTS])
+def test_verify_report_content_pinned(capsys, argv, sha):
+    report = run_json(capsys, *argv.split())
+    for key in ("seconds", "build_seconds", "peak_rss_mb"):
+        del report[key]
+    for rec in report["checks"]:
+        del rec["seconds"]
+    assert hashlib.sha256(cli._render(report).encode()).hexdigest() == sha
+
+
 def test_herm_verify_is_verify_without_aut(capsys):
     def checks(*argv):
         recs = run_json(capsys, *argv)["checks"]

@@ -13,7 +13,7 @@ import pytest
 
 import hfl
 from hfl import abelian, autgrp, cli, hermlat, lattice
-from hfl.curve import curve_make
+from hfl.curve import Slope, curve_make
 from hfl.errors import InternalIdentityViolationError, LatticeNotStableError
 
 
@@ -91,18 +91,33 @@ def test_memory_and_internal_defects_exit_4(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("hfl: internal defect: decomposition of")
 
 
+def _other_numerator(curve, s):
+    """The step with its numerator swapped for another non-tangent slope
+    line through the pair's common point: still a checked pair."""
+    pt = (set(curve.points_on_line(s.numerator)) & set(curve.points_on_line(s.denominator))).pop()
+    other = next(
+        line for line in curve.all_lines()
+        if isinstance(line, Slope) and line != s.numerator and not curve.is_tangent(line)
+        and pt in curve.points_on_line(line)
+    )
+    hermlat.minimal_pair_vector(curve, other, s.denominator)
+    return dataclasses.replace(s, numerator=other)
+
+
 @pytest.mark.parametrize("defect", [
-    lambda s: dataclasses.replace(s, sign=-s.sign),
-    lambda s: dataclasses.replace(s, numerator=s.denominator, denominator=s.numerator),
-], ids=["flipped_sign", "swapped_pair"])
+    lambda curve, s: dataclasses.replace(s, sign=-s.sign),
+    lambda curve, s: dataclasses.replace(s, numerator=s.denominator, denominator=s.numerator),
+    _other_numerator,
+], ids=["flipped_sign", "swapped_pair", "other_numerator"])
 def test_sparse_decomposition_check_catches_a_wrong_step(defect, monkeypatch, capsys):
-    """The signed sum over the steps' sparse supports misses the line's
-    divisor when one step has the wrong sign or its lines swapped."""
+    """The net line coefficients miss the line's divisor when one step has
+    the wrong sign, its lines swapped, or another line through the same
+    point as its numerator."""
     real = hermlat._dispatch
 
-    def faulty(*a, **k):
-        steps = real(*a, **k)
-        steps[0] = defect(steps[0])
+    def faulty(curve, *a, **k):
+        steps = real(curve, *a, **k)
+        steps[0] = defect(curve, steps[0])
         return steps
 
     monkeypatch.setattr(hermlat, "_dispatch", faulty)
@@ -269,10 +284,8 @@ def raises(fn):
 
 curve = curve_make(2)
 # a wrong line divisor: one point of x - 1 doubled, the pole deepened
-div = list(curve.divisor_of_line(Vertical(1)))
-div[div.index(1)] += 1
-div[0] -= 1
-curve._divisors[Vertical(1)] = tuple(div)
+(pole, deg), (pt, mult), *rest = curve.line_support(Vertical(1))
+curve._supports[Vertical(1)] = ((pole, deg - 1), (pt, mult + 1), *rest)
 found = [raises(lambda: hermlat.minimal_pair_vector(curve, Vertical(0), Vertical(1)))]
 found.append(raises(lambda: autgrp._affine_perm(curve, lambda pt: curve.places[1], "collapse")))
 L = lattice.Lattice.from_generators([(1, -1, 0, 0)], 4)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,26 @@ def test_roots_of_unity(p, k):
         assert F.mult_order(z) == m
     with pytest.raises(ValueError):
         F.root_of_unity(F.order)  # does not divide order - 1
+
+
+# (p, k, route, how many elements to check; None: all of them)
+NEG_FIELDS = [(7, 2, "tables", None), (2, 4, "tables", None), (3, 6, "log", None),
+              (5, 8, "generic", 2000)]
+
+
+@pytest.mark.parametrize("p,k,route,sample", NEG_FIELDS, ids=[f"{p}^{k}" for p, k, *_ in NEG_FIELDS])
+def test_neg_is_digitwise_negation(p, k, route, sample):
+    """neg(a) = (p - 1) * a is the additive inverse and negates every
+    digit, on each multiplication route: full tables, log tables (GF(3^6))
+    and the generic polynomial product (GF(5^8), a seeded sample)."""
+    F = gf.field_make(p, k)
+    tables, logs = F._mul_table is not None, F._exp is not None
+    assert route == ("tables" if tables else "log" if logs else "generic")
+    elems = F.elements() if sample is None else random.Random(17).sample(F.elements(), sample)
+    for a in elems:
+        assert F.add(a, F.neg(a)) == 0
+        assert F.decode(F.neg(a)) == tuple(-x % p for x in F.decode(a))
+        assert F.sub(0, a) == F.neg(a)
 
 
 def test_gf4_pinned_values():

@@ -8,10 +8,16 @@ import pytest
 from hfl import hermlat, lattice
 from hfl.curve import Slope, Vertical, curve_make
 from hfl.errors import BudgetExceededError, NotMinimalPairError
+from oracles import dense_vector
 
 
 def norm2(v):
     return sum(x * x for x in v)
+
+
+def dense_difference(curve, num, den):
+    """div(num) - div(den) from the two dense line divisors."""
+    return tuple(x - y for x, y in zip(curve.divisor_of_line(num), curve.divisor_of_line(den)))
 
 
 def test_structure_q2(hl2):
@@ -50,17 +56,17 @@ def test_minimal_pair_vector_accepts(curve2):
     q = curve2.q
     # two verticals
     v = hermlat.minimal_pair_vector(curve2, Vertical(1), Vertical(2))
-    assert norm2(v) == 2 * q
+    assert norm2(v.values()) == 2 * q
     d1, d2 = curve2.divisor_of_line(Vertical(1)), curve2.divisor_of_line(Vertical(2))
-    assert v == tuple(x - y for x, y in zip(d1, d2))
-    assert sum(v) == 0 and v[0] == 0
+    assert dense_vector(curve2.n, v) == tuple(x - y for x, y in zip(d1, d2))
+    assert sum(v.values()) == 0 and 0 not in v
     # vertical and secant through a shared point
     secant = next(
         l for l in curve2.all_lines() if isinstance(l, Slope) and not curve2.is_tangent(l)
     )
     pt = curve2.points_on_line(secant)[0]
     v2 = hermlat.minimal_pair_vector(curve2, Vertical(pt[0]), secant)
-    assert norm2(v2) == 2 * q
+    assert norm2(v2.values()) == 2 * q
     # two secants through a shared point
     other = next(
         l
@@ -71,7 +77,25 @@ def test_minimal_pair_vector_accepts(curve2):
         and pt in curve2.points_on_line(l)
     )
     v3 = hermlat.minimal_pair_vector(curve2, secant, other)
-    assert norm2(v3) == 2 * q
+    assert norm2(v3.values()) == 2 * q
+
+
+def test_minimal_pair_vector_is_the_sparse_dense_difference(curve2):
+    """Every ordered pair of distinct lines at q = 2 is refused, or gives
+    exactly the nonzero entries of the dense difference, of norm^2 2q."""
+    lines = curve2.all_lines()
+    accepted = 0
+    for num, den in itertools.permutations(lines, 2):
+        try:
+            v = hermlat.minimal_pair_vector(curve2, num, den)
+        except NotMinimalPairError:
+            continue
+        dense = dense_difference(curve2, num, den)
+        assert v == {i: x for i, x in enumerate(dense) if x}
+        assert norm2(v.values()) == norm2(dense) == 2 * curve2.q
+        accepted += 1
+    # the 108 family vectors come from distinct pairs, all of them accepted
+    assert accepted == 108
 
 
 def test_minimal_pair_vector_rejects(curve2):
@@ -123,7 +147,8 @@ def test_decompose_all_lines(q, total_steps, curve2, curve3):
         for s in steps:
             assert s.sign in (-1, 1)
             # every step is a checked pair quotient
-            assert norm2(hermlat.minimal_pair_vector(curve, s.numerator, s.denominator)) == 2 * q
+            vec = hermlat.minimal_pair_vector(curve, s.numerator, s.denominator)
+            assert norm2(vec.values()) == 2 * q
         seen += len(steps)
     assert seen == total_steps
 
@@ -155,7 +180,9 @@ def test_decompose_beta_choices(curve3):
         steps = hermlat.decompose_line(curve3, secant, beta=beta)
         assert len(steps) == 3 * curve3.q - 1
         runs.append(tuple(
-            (s.sign, hermlat.minimal_pair_vector(curve3, s.numerator, s.denominator))
+            (s.sign, tuple(sorted(
+                hermlat.minimal_pair_vector(curve3, s.numerator, s.denominator).items()
+            )))
             for s in steps
         ))
     # different beta, different route, same verified divisor sum
@@ -374,7 +401,7 @@ def test_certificate_matches_hnf_oracle(q):
     hl = hermlat.build(q)
     curve = hl.curve
     steps = [
-        hermlat.minimal_pair_vector(curve, s.numerator, s.denominator)
+        dense_vector(curve.n, hermlat.minimal_pair_vector(curve, s.numerator, s.denominator))
         for line in curve.all_lines()
         for s in hermlat.decompose_line(curve, line)
     ]

@@ -96,7 +96,7 @@ def test_left_kernel():
             for col in zip(*rows):
                 assert sum(a * b for a, b in zip(y, col)) == 0
         # dimension count: len(ker) == k - rank
-        assert len(ker) == k - intmat.rank_of([list(r) for r in rows], n)
+        assert len(ker) == k - len(intmat.echelon([list(r) for r in rows], n)[0])
 
 
 def test_left_kernel_saturated():

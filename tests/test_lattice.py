@@ -544,6 +544,21 @@ def test_generated_by_minimals_index_cases():
     assert lattice.generated_by_minimals_index(L2, mv2) == 0
 
 
+@pytest.mark.parametrize("gens, n, expected", [
+    ([(2, -2, 0), (0, 2, -2)], 3, True),
+    ([(2, -2, 0), (0, 2, -2), (1, 1, -2)], 3, False),
+    ([(5, -5, 0, 0), (0, 0, 1, -1)], 4, False),
+], ids=["scaled_a2", "collapsed", "rank_deficient"])
+def test_well_rounded_is_a_nonzero_index(gens, n, expected):
+    """One Hermite span decides both: well_rounded is index != 0, and it
+    agrees with the echelon rank of the minimal vectors."""
+    L = lattice.Lattice.from_generators(gens, n)
+    mv = lattice.minimal_vectors(L)
+    index = lattice.generated_by_minimals_index(L, mv)
+    echelon_rank = len(intmat.echelon([list(v) for v in mv], n)[0])
+    assert lattice.well_rounded(L, mv) == (index != 0) == (echelon_rank == L.rank) == expected
+
+
 def test_eq_and_hash_canonical():
     A = lattice.Lattice.from_generators([(1, -1, 0), (0, 1, -1)], 3)
     B = lattice.Lattice.from_generators([(0, 1, -1), (1, 0, -1), (1, -1, 0)], 3)
