@@ -295,41 +295,67 @@ class _Budget:
 
 def _keyed_placements(n: int, part, words: ClassWords):
     """Placements of the values `part` (non-increasing) on distinct
-    coordinates: their class keys in walk order, and the leaf rows
-    (start, prefix, free), each putting keys[start + t] on the coordinates
-    prefix + (free[t],).  Equal values take increasing coordinates; packed
-    class sums grow down the combination tree from one word table per
-    slot, whose range leaves room for the equal values after it, and a
-    leaf row's keys are reduced in one pass."""
-    k = len(part)
-    plan = [(words.table(v), n - part[s + 1 :].count(v)) for s, v in enumerate(part)]
-    keys, rows = [], []
+    coordinates: (keys, rows, tails), their class keys in walk order and
+    the leaf rows (start, prefix, idx), each putting keys[start + t] on the
+    coordinates prefix + tails[idx[t]].
 
-    def walk(s, start, prefix, acc):
-        tab, stop = plan[s]
+    Equal values take increasing coordinates, and packed class sums grow
+    down the combination tree from one word table per slot, whose range
+    leaves room for the equal values after it.  The last slot is the tail:
+    when the last two values are equal it is one pair slot, whose tails are
+    the pairs i < j in combination order and whose words are the reduced
+    sums table(v)[i] + table(v)[j], one word each; otherwise it is the last
+    value alone.  The tails from coordinate `start` on are a suffix of that
+    list, so a leaf's idx is a range, filtered only when a coordinate of
+    its prefix lies in the suffix (a larger value placed before), and its
+    keys are reduced in one pass."""
+    v, last = part[-1], len(part) - 1
+    vtab = words.table(v)
+    # off[s]: index of the first tail whose coordinates are all >= s
+    if last and part[-2] == v:
+        last -= 1
+        tails = list(itertools.combinations(range(n), 2))
+        pairs = words.keys(vtab[i] + vtab[j] for i, j in tails)
+        tail_words = [int.from_bytes(key, "little") for key in pairs]
+        off = [0, *itertools.accumulate(range(n - 1, 0, -1))]
+    else:
+        tails, tail_words, off = [(i,) for i in range(n)], vtab, range(n + 1)
+    plan = [(words.table(x), n - part[s + 1 :].count(x)) for s, x in enumerate(part[:last])]
+    # depth first from an explicit stack (no self-referencing closure, so
+    # the keys are freed when the caller drops them, not at a later gc pass)
+    keys, rows, stack = [], [], [(0, 0, (), 0)]
+    while stack:
+        s, start, prefix, acc = stack.pop()
         if s and not s % words.every:
             acc = int.from_bytes(words.reduce(acc), "little")
-        free = [i for i in range(start, stop) if i not in prefix]
-        if s == k - 1:
-            rows.append((len(keys), prefix, free))
-            keys.extend(words.keys(map(acc.__add__, map(tab.__getitem__, free))))
-            return
+        if s == last:
+            o = off[start]
+            idx, sel = range(o, len(tails)), tail_words[o:]
+            if prefix and max(prefix) >= start:
+                free = list(map(set(prefix).isdisjoint, tails[o:]))
+                idx, sel = list(itertools.compress(idx, free)), itertools.compress(sel, free)
+            rows.append((len(keys), prefix, idx))
+            keys.extend(words.keys(map(acc.__add__, sel)))
+            continue
+        tab, stop = plan[s]
         same = part[s + 1] == part[s]
-        for i in free:
-            walk(s + 1, i + 1 if same else 0, prefix + (i,), acc + tab[i])
+        stack += [
+            (s + 1, i + 1 if same else 0, prefix + (i,), acc + tab[i])
+            for i in reversed(range(start, stop))
+            if i not in prefix
+        ]
+    return keys, rows, tails
 
-    walk(0, 0, (), 0)
-    return keys, rows
 
-
-def _buckets(keys, rows, wanted):
+def _buckets(keys, rows, tails, wanted):
     """Coordinate tuples of the placements whose key is in `wanted`, by
-    key, read back from the leaf rows of _keyed_placements."""
+    key: placement start + t of a leaf row (start, prefix, idx) of
+    _keyed_placements is prefix + tails[idx[t]]."""
     starts = [row[0] for row in rows]
     out: dict[bytes, list[tuple]] = {}
     for j in itertools.compress(itertools.count(), map(wanted.__contains__, keys)):
-        start, prefix, free = rows[bisect_right(starts, j) - 1]
-        out.setdefault(keys[j], []).append(prefix + (free[j - start],))
+        start, prefix, idx = rows[bisect_right(starts, j) - 1]
+        out.setdefault(keys[j], []).append(prefix + tails[idx[j - start]])
     return out
 
 
@@ -339,24 +365,28 @@ def shape_vectors(L: Lattice, pos, neg, cap=None):
     tuples with equal sums), sorted.
 
     Meet in the middle (Horowitz-Sahni): placements of pos and of neg on
-    disjoint coordinates give a lattice vector iff their class keys agree,
-    so disjoint pairs are read off within each key shared by two or more
-    placements.  `cap`, or a scan's shared budget, bounds the placements
-    (of one side when pos == neg) plus the pairs tested in those buckets.
-    Needs full rank.
+    disjoint coordinates give a lattice vector iff their class keys agree.
+    Each side is walked once into a flat list of keys and its leaf rows
+    (_keyed_placements); the keys shared by the two sides, or by two or
+    more placements when pos == neg, are picked in C, and only their
+    placements are read back as coordinate tuples (_buckets), so disjoint
+    pairs are tested within each shared key alone.  `cap`, or a scan's
+    shared budget, bounds the placements (of one side when pos == neg)
+    plus the pairs tested in those buckets.  Needs full rank.
     """
     if not pos:
         return []  # the zero vector is left out
     budget = cap if isinstance(cap, _Budget) else _Budget(L.n, [(pos, neg)], cap)
     words = L.class_words()
-    pkeys, prows = _keyed_placements(L.n, pos, words)
+    placed = _keyed_placements(L.n, pos, words)
     if neg == pos:
-        shared = {key for key, count in Counter(pkeys).items() if count > 1}
-        plus = minus = _buckets(pkeys, prows, shared)
+        counts = Counter(placed[0])
+        shared = set(itertools.compress(counts, map((1).__lt__, counts.values())))
+        plus = minus = _buckets(*placed, shared)
     else:
-        nkeys, nrows = _keyed_placements(L.n, neg, words)
-        shared = set(pkeys).intersection(nkeys)
-        plus, minus = _buckets(pkeys, prows, shared), _buckets(nkeys, nrows, shared)
+        negs = _keyed_placements(L.n, neg, words)
+        shared = set(placed[0]).intersection(negs[0])
+        plus, minus = _buckets(*placed, shared), _buckets(*negs, shared)
     signed = pos + tuple(-x for x in neg)
     out = []
     for key, A in plus.items():

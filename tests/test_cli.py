@@ -299,6 +299,8 @@ PINNED_OUTPUTS = [
      "export --kind census --q 2"),
     ("herm census --q 3", "446863152ad7396b02f94bc2bdde55dba2d577fd1d9de82705359a2478031466",
      "export --kind census --q 3"),
+    ("herm census --q 4", "faf78fef694910d0f0cf37b60530daeadc381c6d44711f90deb0bc5d2c2283ce",
+     "export --kind census --q 4"),
     ("aut --q 2", "320c4062c739c5d5523e670ee345945f7416cfff8ed63df4bd7b58790c9c0708",
      "export --kind aut --q 2"),
     ("aut --q 3", "c95ea6b272656701c315f115c4c80bc3202b6954beef57073697f2a78bda2bf0",

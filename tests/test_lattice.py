@@ -227,16 +227,24 @@ def test_census_budget():
 def test_census_brute_oracle():
     """Census against direct support enumeration with plain contains();
     support size 3 checks the incremental class sums below the top level,
-    and the subset lattices give quotients with two and three factors."""
+    size 4 the pair slot under a two-slot prefix, and the subset lattices
+    give quotients with two and three factors.  Z_2 x Z_128 reduces after
+    every word and Z_257 takes two-byte digits, at n = 8 to 10."""
     rng = random.Random(29)
     lattices = [random_full_rank(rng, rng.randint(4, 8)) for _ in range(10)]
+    lattices += [random_full_rank(rng, n) for n in (8, 9, 10)]
     for moduli in ((3, 3), (2, 4), (2, 2, 2)):
         G = abelian.AbelianGroup(moduli)
         for n in (6, 8):
             lattices.append(abelian.lattice_for_subset(G, rng.sample(range(1, G.order), n - 1)))
+    for moduli in ((2, 128), (257,)):
+        G = abelian.AbelianGroup(moduli)
+        for n in (8, 9, 10):
+            lattices.append(abelian.lattice_for_subset(G, range(1, n)))
+        lattices.append(abelian.lattice_for_subset(G, rng.sample(range(1, G.order), 9)))
     for L in lattices:
         n = L.n
-        for q in (1, 2, 3):
+        for q in (1, 2, 3, 4):
             if 2 * q > n:
                 continue
             expected = set()
@@ -251,6 +259,34 @@ def test_census_brute_oracle():
                     if L.contains(v):
                         expected.add(tuple(v))
             assert set(lattice.census_pm1(L, q)) == expected
+
+
+def test_walk_places_what_the_budget_charges():
+    """Each side of every shape is walked once per placement: as many keys
+    as _placements charges, read back as distinct placements on distinct
+    coordinates, each under its own class key.  A_8 has one class, so
+    every placement shares a key; Z_2 x Z_128 reduces after every word
+    and Z_257 takes two-byte digits."""
+    n = 9
+    lattices = [full_root_lattice(n)]
+    for moduli in ((2, 128), (257,)):
+        lattices.append(abelian.lattice_for_subset(abelian.AbelianGroup(moduli), range(1, n)))
+    for L in lattices:
+        words = L.class_words()
+        for part in {p for shape in lattice._shape_pairs(10, n) for p in shape}:
+            keys, rows, tails = lattice._keyed_placements(n, part, words)
+            assert len(keys) == lattice._placements(n, part), part
+            buckets = lattice._buckets(keys, rows, tails, set(keys))
+            placed = set()
+            for key, coords in buckets.items():
+                for c in coords:
+                    assert len(set(c)) == len(c) == len(part), (part, c)
+                    v = [0] * n
+                    for i, x in zip(c, part):
+                        v[i] = x
+                    assert words.key(v) == key, (part, c)
+                    placed.add(tuple(v))
+            assert len(placed) == len(keys), part
 
 
 def test_scan_vs_enumeration():
