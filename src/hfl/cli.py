@@ -25,14 +25,12 @@ from . import abelian, autgrp, hermlat, lattice
 from .curve import Curve, Slope, Vertical, curve_make
 from .errors import (
     BudgetExceededError,
-    EmptyGeneratorSetError,
-    GroupTooLargeError,
+    Error,
     InternalIdentityViolationError,
     LatticeNotStableError,
     SearchInfeasibleError,
-    UnsupportedQError,
 )
-from .gf import field_make
+from .gf import modulus
 
 MAX_SAFE_INT = 2**53 - 1
 
@@ -91,6 +89,17 @@ def _emit(payload, out_path):
         raise
 
 
+def _positive_int(text: str) -> int:
+    """A budget, from --cap or HFL_BUDGET: a positive integer."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = 0
+    if val <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return val
+
+
 def _budget(args, flag, default):
     """The value of the budget flag if given, else HFL_BUDGET, else default."""
     if getattr(args, flag, None) is not None:
@@ -99,12 +108,9 @@ def _budget(args, flag, default):
     if raw is None:
         return default
     try:
-        val = int(raw)
-    except ValueError:
-        raise UsageError(f"HFL_BUDGET must be an integer, got {raw!r}")
-    if val <= 0:
-        raise UsageError("HFL_BUDGET must be positive")
-    return val
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as e:
+        raise UsageError(f"HFL_BUDGET: {e}")
 
 
 # -- payload builders -------------------------------------------------------------
@@ -149,12 +155,11 @@ def parse_line_spec(spec: str):
 
 
 def field_payload(p: int, k: int):
-    F = field_make(p, k)
     return {
-        "p": F.p,
-        "k": F.k,
-        "order": F.order,
-        "modulus_coeffs": list(F.modulus),
+        "p": p,
+        "k": k,
+        "order": p**k,
+        "modulus_coeffs": list(modulus(p, k)),
     }
 
 
@@ -592,10 +597,10 @@ def cmd_verify(args):
         checks = group_checks(args.group, table1=args.table1, golden_path=args.golden)
         target = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
+        cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)  # refused before the build
         t0 = time.perf_counter()
         hl = hermlat.build(args.q)
         build_seconds = round(time.perf_counter() - t0, 6)
-        cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
         checks = herm_checks(hl, cap=cap, with_census=args.all)
         if args.with_aut:
             checks += aut_checks(hl)
@@ -629,7 +634,7 @@ def _add_out(p):
 
 
 def _add_budget(p):
-    p.add_argument("--cap", type=int, help="enumeration budget override")
+    p.add_argument("--cap", type=_positive_int, help="enumeration budget override")
 
 
 def build_parser():
@@ -719,14 +724,10 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"hfl: {e} (raise --cap or HFL_BUDGET)", file=sys.stderr)
         return 2
-    except (
-        UsageError,
-        UnsupportedQError,
-        GroupTooLargeError,
-        EmptyGeneratorSetError,
-        SearchInfeasibleError,
-        ValueError,
-    ) as e:
+    except InternalIdentityViolationError as e:
+        print(f"hfl: internal defect: {e}", file=sys.stderr)
+        return 4
+    except (UsageError, Error, ValueError) as e:  # every deliberate refusal
         print(f"hfl: {e}", file=sys.stderr)
         return 2
     except OSError as e:
@@ -734,9 +735,6 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("hfl: out of memory", file=sys.stderr)
-        return 4
-    except InternalIdentityViolationError as e:
-        print(f"hfl: internal defect: {e}", file=sys.stderr)
         return 4
 
 

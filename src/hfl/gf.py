@@ -6,6 +6,11 @@ a0 + a1*p + ... + a_{k-1}*p**(k-1) encodes the coordinate vector
 The modulus is the monic irreducible polynomial of degree k over GF(p)
 whose non-leading coefficient vector has the smallest integer encoding,
 so field construction is deterministic with no lookup tables shipped.
+``modulus(p, k)`` finds it for every p^k up to MAX_ORDER = 2^20.
+
+Arithmetic runs on add, mul, exp and log tables built once per field,
+so a Field accepts p^k up to TABLE_MAX_ORDER = 256 elements; every
+GF(q^2) of a supported curve has at most 64.
 
 Fields of square order p^(2m) = q^2 additionally expose the q-power
 Frobenius, the relative trace and norm onto GF(q), exact fiber solvers
@@ -21,9 +26,8 @@ from .errors import (
     TargetNotInSubfieldError,
 )
 
-MAX_ORDER = 2**20
-_TABLE_ORDER = 256       # full add/mul tables below this
-_LOG_ORDER = 2**16       # log/antilog tables below this
+MAX_ORDER = 2**20        # largest p^k whose modulus is searched
+TABLE_MAX_ORDER = 256    # largest p^k with arithmetic tables
 
 
 def _is_prime(p: int) -> bool:
@@ -130,8 +134,17 @@ def _is_irreducible(coeffs, p):
     return True
 
 
-def _smallest_irreducible(p: int, k: int):
-    """Monic irreducible of degree k with the smallest low-coefficient encoding."""
+@functools.lru_cache(maxsize=None)
+def modulus(p: int, k: int):
+    """The monic irreducible of degree k over GF(p) with the smallest
+    low-coefficient encoding, little-endian; p prime, 1 <= k <= 8 and
+    p^k <= MAX_ORDER."""
+    if not _is_prime(p):
+        raise NonPrimeError(f"p = {p} is not prime")
+    if not 1 <= k <= 8:
+        raise DegreeOutOfRangeError(f"k = {k} outside 1..8")
+    if p**k > MAX_ORDER:
+        raise DegreeOutOfRangeError(f"p^k = {p**k} exceeds {MAX_ORDER}")
     for enc in range(p**k):
         coeffs = []
         e = enc
@@ -145,29 +158,20 @@ def _smallest_irreducible(p: int, k: int):
 
 
 class Field:
-    """GF(p^k) with all operations on integer encodings."""
+    """GF(p^k) with all operations on integer encodings, by table lookup."""
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
-            raise NonPrimeError(f"p = {p} is not prime")
-        if not 1 <= k <= 8:
-            raise DegreeOutOfRangeError(f"k = {k} outside 1..8")
-        if p**k > MAX_ORDER:
-            raise DegreeOutOfRangeError(f"p^k = {p**k} exceeds {MAX_ORDER}")
+        self.modulus = modulus(p, k)
+        if p**k > TABLE_MAX_ORDER:
+            raise DegreeOutOfRangeError(
+                f"p^k = {p**k} exceeds {TABLE_MAX_ORDER}, the largest field with arithmetic"
+            )
         self.p = p
         self.k = k
         self.order = p**k
-        self.modulus = _smallest_irreducible(p, k)
-        self._exp = None
-        self._log = None
-        self._mul_table = None
-        self._add_table = None
         self._trace_fibers = None
         self._norm_fibers = None
-        if self.order <= _LOG_ORDER:
-            self._build_log_tables()
-        if self.order <= _TABLE_ORDER:
-            self._build_full_tables()
+        self._build_tables()
 
     # -- encoding ----------------------------------------------------------
 
@@ -193,40 +197,24 @@ class Field:
         prod = _poly_mulmod(self.decode(a), self.decode(b), self.modulus, self.p)
         return self.encode(prod + (0,) * (self.k - len(prod)))
 
-    def _build_log_tables(self):
-        n = self.order - 1
-        fac = _prime_factors(n)
-        g = None
-        for cand in range(2, self.order):
-            if all(self._pow_generic(cand, n // f) != 1 for f in fac):
-                g = cand
+    def _build_tables(self):
+        """exp and log from the smallest primitive element, found by
+        stepping the powers of each candidate back to 1; then the full
+        add and mul tables."""
+        q = self.order
+        n = q - 1
+        for g in range(1, q):  # the unit 1 generates GF(2)* alone
+            exp = [1]
+            acc = g
+            while acc != 1:
+                exp.append(acc)
+                acc = self._mul_generic(acc, g)
+            if len(exp) == n:
                 break
-        if g is None:  # order 2: the unit 1 generates the trivial group
-            g = 1
-        exp = [1] * (2 * n)
-        acc = 1
-        for i in range(1, n):
-            acc = self._mul_generic(acc, g)
-            exp[i] = acc
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
-        log = [0] * self.order
+        exp += exp  # exp[i] for 0 <= i < 2n, so a sum of two logs indexes it
+        log = [0] * q
         for i in range(n):
             log[exp[i]] = i
-        self._exp, self._log = exp, log
-
-    def _pow_generic(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_generic(result, base)
-            base = self._mul_generic(base, base)
-            e >>= 1
-        return result
-
-    def _build_full_tables(self):
-        q = self.order
         add = [0] * (q * q)
         mul = [0] * (q * q)
         digits = [self.decode(a) for a in range(q)]
@@ -237,8 +225,6 @@ class Field:
                 s = self.encode(tuple((x + y) % self.p for x, y in zip(da, digits[b])))
                 add[arow + b] = s
                 add[b * q + a] = s
-        n = q - 1
-        exp, log = self._exp, self._log
         for a in range(1, q):
             la = log[a]
             arow = a * q
@@ -246,17 +232,14 @@ class Field:
                 m = exp[la + log[b]]
                 mul[arow + b] = m
                 mul[b * q + a] = m
+        self._exp, self._log = exp, log
         self._add_table = add
         self._mul_table = mul
 
     # -- ring operations -----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a * self.order + b]
-        if self.p == 2:
-            return a ^ b
-        return self.encode(tuple((x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))))
+        return self._add_table[a * self.order + b]
 
     def neg(self, a: int) -> int:
         return self.mul(a, self.p - 1)  # -1 is p - 1 in the prime field
@@ -265,20 +248,12 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.order + b]
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_generic(a, b)
+        return self._mul_table[a * self.order + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self._pow_generic(a, self.order - 2)
+        return self._exp[self.order - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -288,10 +263,7 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("0 has no inverse")
             return 0 if e else 1
-        e %= self.order - 1
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.order - 1)]
-        return self._pow_generic(a, e)
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def mult_order(self, a: int) -> int:
         if a == 0:

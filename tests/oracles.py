@@ -148,3 +148,40 @@ def automorphisms_bruteforce(G):
         else:
             out.append(tuple(perm))
     return sorted(out)
+
+
+def field_tables_schoolbook(p, k, modulus):
+    """The add and mul tables of GF(p^k) on integer encodings (digit i is
+    the coefficient of x^i), as lists of rows: digit-wise sums mod p, and
+    schoolbook polynomial products reduced by the monic modulus."""
+    order = p**k
+    digits = []
+    for a in range(order):
+        d = []
+        for _ in range(k):
+            a, r = divmod(a, p)
+            d.append(r)
+        digits.append(d)
+    weights = [p**i for i in range(k)]
+
+    def encode(coeffs):
+        return sum(c % p * w for c, w in zip(coeffs, weights))
+
+    add = [[encode([x + y for x, y in zip(da, db)]) for db in digits] for da in digits]
+    mul = []
+    for da in digits:
+        row = []
+        for db in digits:
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(da):
+                if x:
+                    for j, y in enumerate(db):
+                        prod[i + j] += x * y
+            for top in range(2 * k - 2, k - 1, -1):  # x^k = -(m_0 + ... + m_{k-1} x^{k-1})
+                c = prod[top] % p
+                if c:
+                    for j in range(k):
+                        prod[top - k + j] -= c * modulus[j]
+            row.append(encode(prod[:k]))
+        mul.append(row)
+    return add, mul

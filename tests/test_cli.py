@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hfl import cli
+from hfl import cli, errors
 from hfl.curve import Slope, Vertical, curve_make
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_golden.csv"
@@ -66,6 +66,54 @@ def test_budget_env(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "herm", "census", "--q", "2")
     assert rc == 2
     assert "HFL_BUDGET" in err
+
+
+@pytest.mark.parametrize("cap", ["-3", "0", "zero"])
+def test_budget_must_be_positive(capsys, monkeypatch, cap):
+    """--cap and HFL_BUDGET pass one positive-integer check: a bad --cap
+    is a usage error, a bad HFL_BUDGET one hfl: line, both exit 2, and
+    verify refuses before it builds L."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--q", "2", "--cap", cap])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("usage: hfl verify") and "argument --cap" in err
+    monkeypatch.setenv("HFL_BUDGET", cap)
+    monkeypatch.setattr(cli.hermlat, "build", lambda q: pytest.fail("built before the check"))
+    rc, out, err = run_cli(capsys, "verify", "--q", "2")
+    assert (rc, out) == (2, "")
+    assert err.startswith("hfl: HFL_BUDGET") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "field --p 4 --k 2",  # NonPrimeError
+    "field --p 2 --k 9",  # DegreeOutOfRangeError
+    "field --p 2 --k 16",
+])
+def test_library_refusal_is_one_line_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv.split())
+    assert (rc, out) == (2, "")
+    assert err.startswith("hfl: ") and err.count("\n") == 1
+
+
+ERROR_TYPES = sorted(
+    (e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, errors.Error)),
+    key=lambda e: e.__name__,
+)
+
+
+@pytest.mark.parametrize("exc", ERROR_TYPES, ids=[e.__name__ for e in ERROR_TYPES])
+def test_every_library_error_exits_2_or_4(capsys, monkeypatch, exc):
+    """Exit 1 means a verification mismatch and nothing else: a refusal
+    exits 2, an internal defect 4."""
+
+    def refuse(args):
+        raise exc("refused")
+
+    monkeypatch.setattr(cli, "cmd_field", refuse)
+    rc, out, err = run_cli(capsys, "field", "--q", "2")
+    assert rc == (4 if exc is errors.InternalIdentityViolationError else 2)
+    assert out == "" and err.startswith("hfl: ") and err.count("\n") == 1
 
 
 def test_verify_q2_passes(capsys):
@@ -319,6 +367,28 @@ PINNED_OUTPUTS = [
      "f5caadc9108bc0921e57ec9a514bc8421b388b7d7a9c6cbc2fc0be71f93c07c5", None),
     ("export --kind lines --q 2",
      "94cb92eee17d21fb5e2808e183b3e90e76936c28938be89050272621266223b2", None),
+    ("aut --q 4", "f31d0ca0c8d68c3f4ad3b8d8b8ceea2fdb38174d6215d7dcf779da755c9dfdb7",
+     "export --kind aut --q 4"),
+    ("field --q 2",
+     "713f07d57bcda9012a1b7590e6eba0dad545f258955baaf05e656d59b571f62a", None),
+    ("field --q 3",
+     "bde03c612728d793bd556a704e8c099b23160947e9d3efc839261046336e63e3", None),
+    ("field --q 4",
+     "1bc4aad3c36f64ab6e37eec17b145496a14ab0950ee7580b89f2146820af368e", None),
+    ("field --q 5",
+     "b915165cce654a33aca7fa2bce7c33b7c36812c3d895cf29caa73a3d416b3967", None),
+    ("field --q 7",
+     "ee3f62ee3583de1810eceba60b9b09ad0062cb5ad6cb707939d8d6fcddc831f2", None),
+    ("field --q 8",
+     "8b500de7d3b98d635575e6abd84b5ee677a3c9fd81f0e6ce2a03a9c6f6f42365", None),
+    ("field --p 2 --k 8",
+     "dd65a859ba5abdda8c7183dd6a0a07ae3a71fbad171d9e129b20894536790afa", None),
+    ("field --p 3 --k 8",
+     "1c3773bd502c4c53940d1ce7f344a16bd9066b314056e5e9093f157d67e4397c", None),
+    ("field --p 5 --k 8",
+     "f1d875cea245fbc4fa2565797682f054a518934be07d79f0cc9f3c83919d9ed9", None),
+    ("field --p 7 --k 7",
+     "537d6adbffaf50017aeadf8cf7fee29b696ecbb1f291ed22a61e53868ee37e31", None),
 ]
 
 

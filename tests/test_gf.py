@@ -1,7 +1,6 @@
-import random
-
 import numpy as np
 import pytest
+from oracles import field_tables_schoolbook
 
 from hfl import gf
 from hfl.errors import (
@@ -111,21 +110,31 @@ def test_roots_of_unity(p, k):
         F.root_of_unity(F.order)  # does not divide order - 1
 
 
-# (p, k, route, how many elements to check; None: all of them)
-NEG_FIELDS = [(7, 2, "tables", None), (2, 4, "tables", None), (3, 6, "log", None),
-              (5, 8, "generic", 2000)]
+# the largest table fields: 2^8 = 256, 3^5 = 243 and the prime 251
+ORACLE_FIELDS = SQUARE_FIELDS + [(2, 8), (3, 5), (251, 1)]
+FIELD_IDS = [f"{p}^{k}" for p, k in ORACLE_FIELDS]
 
 
-@pytest.mark.parametrize("p,k,route,sample", NEG_FIELDS, ids=[f"{p}^{k}" for p, k, *_ in NEG_FIELDS])
-def test_neg_is_digitwise_negation(p, k, route, sample):
-    """neg(a) = (p - 1) * a is the additive inverse and negates every
-    digit, on each multiplication route: full tables, log tables (GF(3^6))
-    and the generic polynomial product (GF(5^8), a seeded sample)."""
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS, ids=FIELD_IDS)
+def test_tables_match_schoolbook_oracle(p, k):
+    """F.add and F.mul on every pair equal digit-wise addition and the
+    schoolbook product mod F.modulus: this pins values, where the axioms
+    hold for any field isomorphic to the right one."""
     F = gf.field_make(p, k)
-    tables, logs = F._mul_table is not None, F._exp is not None
-    assert route == ("tables" if tables else "log" if logs else "generic")
-    elems = F.elements() if sample is None else random.Random(17).sample(F.elements(), sample)
-    for a in elems:
+    add, mul = field_tables_schoolbook(p, k, F.modulus)
+    els = F.elements()
+    assert [[F.add(a, b) for b in els] for a in els] == add
+    assert [[F.mul(a, b) for b in els] for a in els] == mul
+
+
+NEG_FIELDS = [(7, 2), (2, 4), (3, 5), (2, 8)]
+
+
+@pytest.mark.parametrize("p,k", NEG_FIELDS, ids=[f"{p}^{k}" for p, k in NEG_FIELDS])
+def test_neg_is_digitwise_negation(p, k):
+    """neg(a) = (p - 1) * a is the additive inverse and negates every digit."""
+    F = gf.field_make(p, k)
+    for a in F.elements():
         assert F.add(a, F.neg(a)) == 0
         assert F.decode(F.neg(a)) == tuple(-x % p for x in F.decode(a))
         assert F.sub(0, a) == F.neg(a)
@@ -184,6 +193,12 @@ def test_construction_errors():
         gf.field_make(2, 0)
     with pytest.raises(DegreeOutOfRangeError):
         gf.field_make(2, 25)
+    # the modulus exists up to 2^20, arithmetic tables up to 256 elements
+    assert len(gf.modulus(3, 6)) == 7
+    with pytest.raises(DegreeOutOfRangeError, match="256"):
+        gf.field_make(3, 6)
+    with pytest.raises(DegreeOutOfRangeError, match=str(gf.MAX_ORDER)):
+        gf.modulus(1031, 2)
     with pytest.raises(FieldNotSquareOrderError):
         _ = gf.field_make(2, 3).q
 
@@ -195,5 +210,6 @@ def test_field_cache_identity():
 def test_modulus_is_deterministic_and_monic():
     for p, k in SQUARE_FIELDS:
         F = gf.field_make(p, k)
+        assert F.modulus == gf.modulus(p, k)
         assert len(F.modulus) == k + 1
         assert F.modulus[-1] == 1
