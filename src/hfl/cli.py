@@ -9,7 +9,6 @@ byte-stable across runs.
 """
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -173,15 +172,8 @@ def places_payload(curve: Curve):
 def lines_payload(curve: Curve):
     recs = []
     for i, line in enumerate(curve.all_lines()):
-        rec = {"index": i, "tangent": curve.is_tangent(line)}
-        if isinstance(line, Vertical):
-            rec["kind"] = "vertical"
-            rec["c"] = line.c
-        else:
-            rec["kind"] = "slope"
-            rec["b"] = line.b
-            rec["c"] = line.c
-        recs.append(rec)
+        kind = "vertical" if isinstance(line, Vertical) else "slope"
+        recs.append({"index": i, "tangent": curve.is_tangent(line), "kind": kind, **line._asdict()})
     return {"q": curve.q, "count": len(recs), "lines": recs}
 
 
@@ -227,20 +219,15 @@ def decompose_payload(curve: Curve, line, beta=None):
 
 
 def aut_payload(curve: Curve):
-    group = autgrp.full_group(curve)
-    hl = hermlat.HermitianLattice(curve)
-    orbit_sizes = _orbit_sizes(group, curve.n)
-    # the action re-checks that every generator fixes L, so stability is
-    # read from it: one stability pass, and no action when a generator
-    # moves L
+    group, action = _aut_facts(hermlat.HermitianLattice(curve))
     try:
-        injective = autgrp.induced_classgroup_action(group, hl.L).injective
+        injective = action().injective
     except LatticeNotStableError:
         injective = None
     return {
-        "order": group.order,
-        "stabilizer_order": autgrp.stabilizer(group, 0).order,
-        "orbit_sizes": orbit_sizes,
+        "order": group().order,
+        "stabilizer_order": autgrp.stabilizer(group(), 0).order,
+        "orbit_sizes": _orbit_sizes(group(), curve.n),
         "lattice_check": injective is not None,
         "classgroup_injective": injective,
     }
@@ -294,58 +281,60 @@ class Check:
 
 
 def run_checks(checks, verbose=True):
+    """Run each check once; its status follows one rule.  PASS or FAIL
+    compares its value with the expected one; a budget refusal
+    (BudgetExceededError, SearchInfeasibleError) is SKIP; any other
+    hfl.errors.Error is FAIL with the error as `reason`.  An internal
+    defect and MemoryError end the run."""
     records = []
-    passed = failed = skipped = 0
+    counts = Counter()
     t_all = time.perf_counter()
     for c in checks:
         t0 = time.perf_counter()
         rec = {"check_id": c.check_id, "tag": c.tag, "expected": c.expected}
         try:
-            actual = c.fn()
+            rec["actual"] = c.fn()
         except (BudgetExceededError, SearchInfeasibleError) as e:
             rec["skipped"] = True
             rec["reason"] = str(e)
-            skipped += 1
-            status = "SKIP"
+        except InternalIdentityViolationError:
+            raise
+        except Error as e:
+            rec["pass"] = False
+            rec["reason"] = str(e)
         else:
-            rec["actual"] = actual
-            ok = actual == c.expected
-            rec["pass"] = ok
-            if ok:
-                passed += 1
-                status = "PASS"
-            else:
-                failed += 1
-                status = "FAIL"
+            rec["pass"] = rec["actual"] == c.expected
+        status = "SKIP" if rec.get("skipped") else "PASS" if rec["pass"] else "FAIL"
+        counts[status] += 1
         rec["seconds"] = round(time.perf_counter() - t0, 6)
         records.append(rec)
         if verbose:
-            detail = rec.get("reason") if status == "SKIP" else (
-                f"expected {c.expected}, got {rec.get('actual')}"
+            detail = rec["reason"] if "reason" in rec else (
+                f"expected {c.expected}, got {rec['actual']}"
             )
             print(f"[{status}] {c.check_id}: {detail} ({rec['seconds']:.2f}s)", file=sys.stderr)
-    report = {
+    return {
         "checks": records,
-        "pass": failed == 0,
-        "counts": {"passed": passed, "failed": failed, "skipped": skipped},
+        "pass": counts["FAIL"] == 0,
+        "counts": {"passed": counts["PASS"], "failed": counts["FAIL"], "skipped": counts["SKIP"]},
         "seconds": round(time.perf_counter() - t_all, 6),
     }
-    return report
 
 
-def _once(fn, refusal):
-    """fn() computed on the first call and returned on every call; a
-    refusal (an exception of that type) is kept and raised again, so a
-    refused computation also runs at most once per run."""
+def _once(fn):
+    """fn() computed on the first call and returned on every call.  A
+    refusal (any hfl.errors.Error that fn raises) is kept and raised again
+    on every later call, so each fact of a run is computed at most once,
+    refused or not."""
     kept = []
 
     def get():
         if not kept:
             try:
                 kept.append(fn())
-            except refusal as e:
+            except Error as e:
                 kept.append(e)
-        if isinstance(kept[0], refusal):
+        if isinstance(kept[0], Error):
             raise kept[0]
         return kept[0]
 
@@ -376,7 +365,7 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
     curve = hl.curve
     q, n = curve.q, curve.n
     index = (q + 1) ** (q * q - q)
-    families = functools.cache(lambda: family_pass(curve))
+    families = _once(lambda: family_pass(curve))
 
     def families_valid():
         # L is a group: a family vector div(num) - div(den) lies in L when
@@ -410,12 +399,9 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
     ]
 
     if with_census:
-
-        @functools.cache
-        def distance():
-            # one scan up to 2q serves min_distance and, within the cap, both
-            # census checks
-            return hermlat.min_distance(hl, cap=cap)
+        # one scan up to 2q serves min_distance and, within the cap, both
+        # census checks
+        distance = _once(lambda: hermlat.min_distance(hl, cap=cap))
 
         def exact_scan():
             res = distance()
@@ -433,7 +419,7 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
             vecs = distance().vectors
             return [v for v in vecs if set(v) <= {-1, 0, 1} and sum(map(abs, v)) == 2 * q]
 
-        census = _once(pm1_vectors, BudgetExceededError)
+        census = _once(pm1_vectors)
 
         def census_superset():
             found = set(census())  # a refused census streams no family vector
@@ -447,27 +433,27 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
     return checks
 
 
+def _aut_facts(hl: hermlat.HermitianLattice):
+    """The `group` and `action` memos of one run: Aut(H) as a chain, and
+    its induced action on the class group A_{n-1}/L.  The action re-checks
+    that every generator fixes L and is refused with LatticeNotStableError
+    when one moves it, so stability is read from it: one stability pass
+    per run."""
+    group = _once(lambda: autgrp.full_group(hl.curve))
+    action = _once(lambda: autgrp.induced_classgroup_action(group(), hl.L))
+    return group, action
+
+
 def aut_checks(hl: hermlat.HermitianLattice):
     curve = hl.curve
     q = curve.q
     stab_order = q**3 * (q * q - 1)
-    group = functools.cache(lambda: autgrp.full_group(curve))
-    # the action re-checks that every generator fixes L, so stability is
-    # read from it: one stability pass per run
-    action = _once(lambda: autgrp.induced_classgroup_action(group(), hl.L), LatticeNotStableError)
-
-    def fixes_lattice():
-        try:
-            action()
-        except LatticeNotStableError:
-            return False
-        return True
-
+    group, action = _aut_facts(hl)
     checks = [
         Check("aut_order", "formula", stab_order * curve.n, lambda: group().order),
         Check("aut_stabilizer", "formula", stab_order, lambda: autgrp.stabilizer(group(), 0).order),
         Check("aut_transitive", "formula", curve.n, lambda: len(autgrp.orbit_of_index(group(), 0))),
-        Check("aut_fixes_lattice", "formula", True, fixes_lattice),
+        Check("aut_fixes_lattice", "formula", True, lambda: action() is not None),
     ]
 
     def kernel():
@@ -487,7 +473,7 @@ def group_checks(moduli, table1=False, golden_path=None):
         raise UsageError("--golden needs --table1")
 
     # the catalogue is built once per run; the CSV is derived from its rows
-    rows = functools.cache(abelian.catalogue)
+    rows = _once(abelian.catalogue)
     checks = []
     if table1:
         checks += [
@@ -517,6 +503,7 @@ def group_checks(moduli, table1=False, golden_path=None):
 
 def cmd_field(args):
     if args.q is not None:
+        _refuse(args, "field --q", "p", "k")
         curve = curve_make(args.q)  # validates q
         F = curve.field
         payload = field_payload(F.p, F.k)
@@ -533,11 +520,7 @@ def cmd_field(args):
 def cmd_herm_decompose(args):
     curve = curve_make(args.q)
     line = parse_line_spec(args.line)
-    try:
-        payload = decompose_payload(curve, line, beta=args.beta)
-    except ValueError as e:
-        raise UsageError(str(e))
-    _emit(payload, args.out)
+    _emit(decompose_payload(curve, line, beta=args.beta), args.out)  # a bad beta: ValueError, exit 2
     return 0
 
 
@@ -551,6 +534,14 @@ def cmd_group_ls(args):
         payload = group_subset_payload(moduli, args.subset)
     _emit(payload, args.out)
     return 0
+
+
+def _refuse(args, path, *flags):
+    """Refuse, rather than ignore, a flag that path never reads: any of
+    flags whose value is not None."""
+    for flag in flags:
+        if getattr(args, flag, None) is not None:
+            raise UsageError(f"{path} does not read --{flag}")
 
 
 def _export_curve(args):
@@ -578,6 +569,10 @@ EXPORTS = {
 
 
 def cmd_export(args):
+    if args.kind != "census":
+        _refuse(args, f"export --kind {args.kind}", "cap")
+    if args.kind == "table1":
+        _refuse(args, "export --kind table1", "q")
     _emit(EXPORTS[args.kind](args), args.out)
     return 0
 
@@ -594,9 +589,13 @@ def cmd_verify(args):
     """`verify`, and `herm verify` with the aut checks off and the census
     checks only under --all."""
     if args.group is not None:
-        checks = group_checks(args.group, table1=args.table1, golden_path=args.golden)
-        target = "group " + "x".join(str(m) for m in args.group)
+        _refuse(args, "verify --group", "q", "cap")
+        report = run_checks(group_checks(args.group, table1=args.table1, golden_path=args.golden))
+        report["target"] = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
+        _refuse(args, "verify --q", "table1", "golden")
+        if not args.all:
+            _refuse(args, "herm verify without --all", "cap")  # only the census checks read it
         cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)  # refused before the build
         t0 = time.perf_counter()
         hl = hermlat.build(args.q)
@@ -604,14 +603,12 @@ def cmd_verify(args):
         checks = herm_checks(hl, cap=cap, with_census=args.all)
         if args.with_aut:
             checks += aut_checks(hl)
-        target = f"herm q={args.q}"
-    else:
-        raise UsageError("verify needs --q or --group")
-    report = run_checks(checks)
-    report["target"] = target
-    if args.q is not None:
+        report = run_checks(checks)
+        report["target"] = f"herm q={args.q}"
         report["build_seconds"] = build_seconds
         report["peak_rss_mb"] = _peak_rss_mb()
+    else:
+        raise UsageError("verify needs --q or --group")
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -707,7 +704,8 @@ def build_parser():
     p = sub.add_parser("verify", help="full verification report")
     p.add_argument("--q", type=int)
     p.add_argument("--group", type=_int_list, help="moduli, e.g. 7")
-    p.add_argument("--table1", action="store_true", help="(with --group) catalogue checks")
+    p.add_argument("--table1", action="store_true", default=None,  # None unless given
+                   help="(with --group) catalogue checks")
     p.add_argument("--golden", help="CSV file the catalogue must match byte for byte")
     _add_budget(p)
     _add_out(p)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hfl import cli, errors
+from hfl import cli, errors, hermlat
 from hfl.curve import Slope, Vertical, curve_make
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_golden.csv"
@@ -116,6 +116,40 @@ def test_every_library_error_exits_2_or_4(capsys, monkeypatch, exc):
     assert out == "" and err.startswith("hfl: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc", ERROR_TYPES, ids=[e.__name__ for e in ERROR_TYPES])
+def test_refused_check_outcome(exc, monkeypatch, capsys, tmp_path):
+    """One rule for a check that raises an hfl.errors.Error: a budget
+    refusal is SKIP (exit 0), an internal defect ends the run (exit 4),
+    and any other error is FAIL with the error as reason (exit 1).  The
+    report is written unless the run ends."""
+
+    def refuse(hl):
+        raise exc("refused here")
+
+    monkeypatch.setattr(hermlat, "generated_by_minimals", refuse)
+    out = tmp_path / "report.json"
+    rc = cli.main(["verify", "--q", "2", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if exc is errors.InternalIdentityViolationError:
+        assert rc == 4 and not out.exists()
+        assert [line for line in err if line.startswith("hfl:")] == [
+            "hfl: internal defect: refused here"
+        ]
+        return
+    report = json.loads(out.read_text())
+    rec = next(r for r in report["checks"] if r["check_id"] == "minimal_step_span")
+    assert rec["reason"] == "refused here" and "actual" not in rec
+    assert not any(line.startswith("hfl:") for line in err)
+    if issubclass(exc, (errors.BudgetExceededError, errors.SearchInfeasibleError)):
+        assert rc == 0 and rec["skipped"] is True and "pass" not in rec
+        assert report["counts"] == {"passed": 17, "failed": 0, "skipped": 1}
+        assert "[SKIP] minimal_step_span: refused here" in "\n".join(err)
+    else:
+        assert rc == 1 and rec["pass"] is False and "skipped" not in rec
+        assert report["counts"] == {"passed": 17, "failed": 1, "skipped": 0}
+        assert "[FAIL] minimal_step_span: refused here" in "\n".join(err)
+
+
 def test_verify_q2_passes(capsys):
     rc, out, err = run_cli(capsys, "verify", "--q", "2")
     assert rc == 0
@@ -207,6 +241,24 @@ def test_group_ls_other_moduli_needs_subset(capsys):
 def test_field_needs_args(capsys):
     rc, _, _ = run_cli(capsys, "field")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --q 2 --group 7",
+    "verify --q 2 --table1",
+    "verify --q 2 --golden tests/golden/table1_golden.csv",
+    "verify --group 7 --cap 5",
+    "herm verify --q 2 --cap 5",  # without --all no check reads --cap
+    "export --kind lattice --q 2 --cap 5",  # only the census reads --cap
+    "export --kind table1 --q 3",
+    "field --q 3 --p 2 --k 2",
+])
+def test_unread_flags_are_refused(capsys, argv):
+    """A flag that the chosen path never reads is refused, not ignored:
+    exit 2 and one `hfl:` line, before any work."""
+    rc, out, err = run_cli(capsys, *argv.split())
+    assert (rc, out) == (2, "")
+    assert err.startswith("hfl: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 # -- line spec parsing ------------------------------------------------------------
@@ -369,6 +421,18 @@ PINNED_OUTPUTS = [
      "94cb92eee17d21fb5e2808e183b3e90e76936c28938be89050272621266223b2", None),
     ("aut --q 4", "f31d0ca0c8d68c3f4ad3b8d8b8ceea2fdb38174d6215d7dcf779da755c9dfdb7",
      "export --kind aut --q 4"),
+    ("aut --q 5", "b57e77837234033a25fb67a9dd1ce0e8dec7fb2f44d0f05686ea1084eff2513a",
+     "export --kind aut --q 5"),
+    ("group ls --moduli 7 --subset 1,2,4",
+     "f042b2b483df0abeac57a6bdb875cebd0d85d6ab1dc67e8de7d36d707db62fee", None),
+    ("group ls --moduli 3,3 --subset 1,3,4",  # not well-rounded
+     "1c2d8495e44e69aaa67b9066175111560e907e445456182c9fceec5ebd804289", None),
+    ("group ls --moduli 2,2,4 --subset 1,2,8",  # <S> = Z_2^3: no correspondence
+     "387ed8ec1d4ff39c239e31441032425391d7337ae9efea78c4b9e0a0889f014c", None),
+    ("group ls --moduli 257 --subset 1,2,3,5",  # two-byte class words
+     "72ceb4280e06b8bd4e45dc136da7ed79b326e66f5e503608b9c9f727c3b1e854", None),
+    ("group ls --moduli 7",  # the whole catalogue
+     "68895c1ec712b18c5428695304bc5f847127df1cf2fe437c89f75753addf7e53", None),
     ("field --q 2",
      "713f07d57bcda9012a1b7590e6eba0dad545f258955baaf05e656d59b571f62a", None),
     ("field --q 3",

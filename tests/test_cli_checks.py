@@ -2,6 +2,7 @@
 census, one group chain and one class-group action."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import hfl
 from hfl import abelian, autgrp, cli, hermlat, lattice
 from hfl.curve import Slope, curve_make
-from hfl.errors import InternalIdentityViolationError, LatticeNotStableError
+from hfl.errors import InternalIdentityViolationError
 
 
 @pytest.fixture
@@ -234,8 +235,9 @@ def test_family_checks_hold_no_dense_vectors():
 
 
 def test_aut_fixes_lattice_reads_the_action(monkeypatch):
-    """A lattice that a generator moves fails aut_fixes_lattice, and the
-    refused action is not recomputed."""
+    """A lattice that a generator moves fails aut_fixes_lattice and
+    classgroup_kernel with the action's refusal, and the refused action
+    is not recomputed."""
     hl = hermlat.build(2)
     n = hl.curve.n
     rows = []
@@ -249,12 +251,25 @@ def test_aut_fixes_lattice_reads_the_action(monkeypatch):
     monkeypatch.setattr(
         autgrp, "induced_classgroup_action", lambda *a: calls.append(1) or real(*a)
     )
-    checks = {c.check_id: c for c in cli.aut_checks(hl)}
-    assert checks["aut_fixes_lattice"].fn() is False
-    assert len(calls) == 1  # stability is read from the action
-    with pytest.raises(LatticeNotStableError):
-        checks["classgroup_kernel"].fn()
-    assert len(calls) == 1  # and its refusal is kept
+    recs = _records(cli.aut_checks(hl), ("aut_fixes_lattice", "classgroup_kernel"))
+    assert len(calls) == 1  # stability is read from the action, and its refusal is kept
+    assert set(recs) == {"aut_fixes_lattice", "classgroup_kernel"}
+    for rec in recs.values():
+        assert rec["pass"] is False and "actual" not in rec
+        assert rec["reason"].startswith("a generator moves the lattice")
+
+
+def test_moved_lattice_is_a_mismatch_with_a_report(monkeypatch, capsys, tmp_path):
+    """When a generator moves L, `verify` writes its report and exits 1:
+    both aut checks that read the action FAIL with its refusal."""
+    monkeypatch.setattr(autgrp, "lattice_stable_under", lambda *a, **k: False)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--q", "2", "--out", str(out)]) == 1
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    failed = {r["check_id"]: r["reason"] for r in report["checks"] if not r.get("pass")}
+    assert set(failed) == {"aut_fixes_lattice", "classgroup_kernel"}
+    assert all(reason.startswith("a generator moves the lattice") for reason in failed.values())
 
 
 def test_aut_payload_runs_one_stability_pass(counted, monkeypatch):
