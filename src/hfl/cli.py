@@ -361,7 +361,7 @@ def family_pass(curve: Curve):
     return sizes, norms, len(keys)
 
 
-def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True):
+def herm_checks(hl: hermlat.HermitianLattice, cap: int):
     curve = hl.curve
     q, n = curve.q, curve.n
     index = (q + 1) ** (q * q - q)
@@ -376,6 +376,15 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
         if distinct != sizes["total"]:
             return "families overlap"
         return "line divisor outside lattice" if hl.lines_outside else "ok"
+
+    # d^2 = 2q forces every entry into {-1, 0, 1} and deg f = q, so Min(L)
+    # is exactly the +-1 census and census_size is the kissing number
+    census = _once(lambda: lattice.census_pm1(hl.L, q, cap=cap))
+
+    def census_superset():
+        found = set(census())  # a refused census streams no family vector
+        div, pairs = curve.divisor_of_line, hermlat.family_pairs(curve)
+        return all(tuple(map(sub, div(u), div(v))) in found for _, u, v in pairs)
 
     family_sizes = {
         "pair_vertical": q * q * (q * q - 1),
@@ -396,40 +405,11 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int, with_census: bool = True
         Check("family_membership", "formula", "ok", families_valid),
         Check("decompose_all_lines", "formula", q**4 + q * q, lambda: hl.lines_decomposed),
         Check("minimal_step_span", "formula", 1, lambda: hermlat.generated_by_minimals(hl)),
+        Check("min_distance", "formula", 2 * q, lambda: hermlat.min_distance(hl)),
+        Check("census_contains_families", "formula", True, census_superset),
     ]
-
-    if with_census:
-        # one scan up to 2q serves min_distance and, within the cap, both
-        # census checks
-        distance = _once(lambda: hermlat.min_distance(hl, cap=cap))
-
-        def exact_scan():
-            res = distance()
-            if not res.exact:
-                raise BudgetExceededError(
-                    f"{res.refusal}; families give the upper bound {res.d_squared}"
-                )
-            return res
-
-        def pm1_vectors():
-            # the vectors with q entries +1 and q entries -1: read off the
-            # scan, or walked alone under the same cap when the scan is refused
-            if not distance().exact:
-                return lattice.census_pm1(hl.L, q, cap=cap)
-            vecs = distance().vectors
-            return [v for v in vecs if set(v) <= {-1, 0, 1} and sum(map(abs, v)) == 2 * q]
-
-        census = _once(pm1_vectors)
-
-        def census_superset():
-            found = set(census())  # a refused census streams no family vector
-            div, pairs = curve.divisor_of_line, hermlat.family_pairs(curve)
-            return all(tuple(map(sub, div(u), div(v))) in found for _, u, v in pairs)
-
-        checks.append(Check("min_distance", "formula", 2 * q, lambda: exact_scan().d_squared))
-        checks.append(Check("census_contains_families", "formula", True, census_superset))
-        if q in CENSUS_SIZE:
-            checks.append(Check("census_size", "pinned", CENSUS_SIZE[q], lambda: len(census())))
+    if q in CENSUS_SIZE:
+        checks.append(Check("census_size", "pinned", CENSUS_SIZE[q], lambda: len(census())))
     return checks
 
 
@@ -556,8 +536,7 @@ def _export_census(args):
     return census_payload(hermlat.HermitianLattice(curve), cap=cap)
 
 
-# every export kind and its payload builder; `herm build`, `herm census`,
-# `group table1` and `aut` are the lattice, census, table1 and aut kinds
+# every export kind and its payload builder
 EXPORTS = {
     "places": lambda args: places_payload(_export_curve(args)),
     "lines": lambda args: lines_payload(_export_curve(args)),
@@ -586,24 +565,17 @@ def _peak_rss_mb() -> float:
 
 
 def cmd_verify(args):
-    """`verify`, and `herm verify` with the aut checks off and the census
-    checks only under --all."""
     if args.group is not None:
         _refuse(args, "verify --group", "q", "cap")
         report = run_checks(group_checks(args.group, table1=args.table1, golden_path=args.golden))
         report["target"] = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
         _refuse(args, "verify --q", "table1", "golden")
-        if not args.all:
-            _refuse(args, "herm verify without --all", "cap")  # only the census checks read it
         cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)  # refused before the build
         t0 = time.perf_counter()
         hl = hermlat.build(args.q)
         build_seconds = round(time.perf_counter() - t0, 6)
-        checks = herm_checks(hl, cap=cap, with_census=args.all)
-        if args.with_aut:
-            checks += aut_checks(hl)
-        report = run_checks(checks)
+        report = run_checks(herm_checks(hl, cap=cap) + aut_checks(hl))
         report["target"] = f"herm q={args.q}"
         report["build_seconds"] = build_seconds
         report["peak_rss_mb"] = _peak_rss_mb()
@@ -651,30 +623,12 @@ def build_parser():
     herm = sub.add_parser("herm", help="Hermitian-curve lattice commands")
     hs = herm.add_subparsers(dest="herm_command", required=True)
 
-    p = hs.add_parser("build", help="lattice basis, divisors, determinant")
-    p.add_argument("--q", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(fn=cmd_export, kind="lattice")
-
-    p = hs.add_parser("census", help="every lattice vector of squared norm 2q")
-    p.add_argument("--q", type=int, required=True)
-    _add_budget(p)
-    _add_out(p)
-    p.set_defaults(fn=cmd_export, kind="census")
-
     p = hs.add_parser("decompose", help="split a line divisor into minimal vectors")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--line", required=True, help='"x-c:c=0" or "y+bx+c:b=0,c=0"')
     p.add_argument("--beta", type=int, help="chart choice for non-tangent slopes")
     _add_out(p)
     p.set_defaults(fn=cmd_herm_decompose)
-
-    p = hs.add_parser("verify", help="run the structural checks for one q")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--all", action="store_true", help="include census-based checks")
-    _add_budget(p)
-    _add_out(p)
-    p.set_defaults(fn=cmd_verify, group=None, with_aut=False)
 
     grp = sub.add_parser("group", help="abelian subset lattice commands")
     gs = grp.add_subparsers(dest="group_command", required=True)
@@ -684,15 +638,6 @@ def build_parser():
     p.add_argument("--subset", type=_int_list, help="nonzero element encodings")
     _add_out(p)
     p.set_defaults(fn=cmd_group_ls)
-
-    p = gs.add_parser("table1", help="the full Z_7 catalogue as CSV")
-    _add_out(p)
-    p.set_defaults(fn=cmd_export, kind="table1")
-
-    p = sub.add_parser("aut", help="curve automorphisms and induced actions")
-    p.add_argument("--q", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(fn=cmd_export, kind="aut")
 
     p = sub.add_parser("export", help="deterministic artifacts")
     p.add_argument("--kind", required=True, choices=list(EXPORTS))
@@ -709,7 +654,7 @@ def build_parser():
     p.add_argument("--golden", help="CSV file the catalogue must match byte for byte")
     _add_budget(p)
     _add_out(p)
-    p.set_defaults(fn=cmd_verify, all=True, with_aut=True)
+    p.set_defaults(fn=cmd_verify)
 
     return top
 

@@ -54,7 +54,8 @@ class GroupTooLargeError(Error):
 
 
 class NotMinimalPairError(Error):
-    """The two lines do not form a minimal-vector quotient pair."""
+    """The two lines do not form a minimal-vector quotient pair, or the
+    degree bound falls short of the pair's norm."""
 
 
 class NotOnCurveError(Error):

@@ -12,23 +12,23 @@ the identity is re-checked by net line coefficients on every call.
 generated_by_minimals turns the decompositions into the proof that
 minimal vectors generate L.  The three closed families of line-quotient
 vectors, listed pair by pair by family_pairs, carry the kissing-number
-lower bound q^2(q^2-1)(q^3+1).
+lower bound q^2(q^2-1)(q^3+1).  min_distance certifies d^2 = 2q by
+the degree bound, with no scan.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
 from . import lattice
 from .curve import Curve, Line, Slope, Vertical, curve_make
-from .errors import BudgetExceededError, InternalIdentityViolationError, NotMinimalPairError
+from .errors import InternalIdentityViolationError, NotMinimalPairError
 
 __all__ = [
     "FAMILIES",
     "DecompositionStep",
     "HermitianLattice",
     "KissingFamilies",
-    "MinDistanceResult",
     "build",
     "decompose_line",
     "family_pairs",
@@ -50,17 +50,6 @@ class DecompositionStep:
     numerator: Line
     denominator: Line
     tag: str
-
-
-@dataclass(frozen=True)
-class MinDistanceResult:
-    d_squared: int
-    exact: bool
-    mode: str  # "census" or "families"
-    minimal_count: int | None
-    # the scan's vectors up to 2q ("census") or its refusal ("families")
-    vectors: tuple = field(default=(), compare=False, repr=False)
-    refusal: str = field(default="", compare=False, repr=False)
 
 
 class HermitianLattice:
@@ -325,19 +314,42 @@ def kissing_families(curve: Curve) -> KissingFamilies:
     return KissingFamilies(*map(tuple, fams.values()))
 
 
-def min_distance(hl: HermitianLattice, cap: int | None = None) -> MinDistanceResult:
-    """Exact squared minimum from the shape-complete scan up to 2q when it
-    fits the budget, otherwise the family upper bound 2q, flagged as such:
-    the quotient of two vertical lines is a lattice vector of norm^2 2q."""
-    q = hl.curve.q
-    try:
-        vecs = lattice.scan_short_vectors(hl.L, 2 * q, cap=cap)
-    except BudgetExceededError as e:
-        minimal_pair_vector(hl.curve, Vertical(0), Vertical(1))
-        return MinDistanceResult(2 * q, False, "families", None, refusal=str(e))
-    norms = [sum(x * x for x in v) for v in vecs]
-    best = min(norms)
-    return MinDistanceResult(best, True, "census", norms.count(best), tuple(vecs))
+def min_distance(hl: HermitianLattice) -> int:
+    """d^2 = 2q, certified by the degree bound for function-field lattices
+    (Rosenbloom and Tsfasman, 1990; Fukshansky and Maharaj, 2014), with
+    no scan.
+
+    Every v in L is div(f) for a product f of lines, so deg f = |v|_1 / 2
+    and, v being integral, |v|^2 >= |v|_1 = 2 deg f.  Each fibre of f over
+    the q^2 + 1 points of P^1(GF(q^2)) holds at most deg f of the n
+    rational places, so n <= (q^2 + 1) deg f and d^2 >= 2 ceil(n / (q^2 +
+    1)).  The quotient of the verticals x and x - 1 meets that bound.
+    Equality forces every |v_i| <= 1 and deg f = q, so Min(L) is the +-1
+    census.
+
+    Recomputed here: n, the ceiling, the witness's norm, and each line's
+    pole at infinity, q for a vertical and q + 1 for a slope line, all of
+    it balanced by zeros at rational places, so no line has other zeros.
+    Quoted: the fibre inequality and the pole orders v_inf(x) = -q and
+    v_inf(y) = -(q + 1).  A line with another pole is an internal defect;
+    a bound that misses the witness is NotMinimalPairError.
+    """
+    curve = hl.curve
+    q = curve.q
+    for line in curve.all_lines():
+        sup = curve.line_support(line)
+        pole = q if isinstance(line, Vertical) else q + 1
+        if sup[0] != (0, -pole) or sum(x for _, x in sup):
+            raise InternalIdentityViolationError(f"{line} has divisor {sup}, need pole {pole}")
+    n = len(curve.places)
+    bound = 2 * -(-n // (q * q + 1))
+    witness = minimal_pair_vector(curve, Vertical(0), Vertical(1))
+    d2 = sum(x * x for x in witness.values())
+    if d2 != bound:
+        raise NotMinimalPairError(
+            f"the vertical pair has norm^2 {d2}, the degree bound over {n} places gives {bound}"
+        )
+    return d2
 
 
 def generated_by_minimals(hl: HermitianLattice) -> int:

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, payload shapes, deterministic artifacts."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -32,13 +33,13 @@ def run_json(capsys, *argv):
 
 
 def test_unsupported_q(capsys):
-    rc, _, err = run_cli(capsys, "herm", "build", "--q", "9")
+    rc, _, err = run_cli(capsys, "export", "--kind", "lattice", "--q", "9")
     assert rc == 2
     assert "9" in err
 
 
 def test_census_budget_refused(capsys):
-    rc, _, err = run_cli(capsys, "herm", "census", "--q", "2", "--cap", "5")
+    rc, _, err = run_cli(capsys, "export", "--kind", "census", "--q", "2", "--cap", "5")
     assert rc == 2
     assert "--cap" in err or "HFL_BUDGET" in err
 
@@ -56,14 +57,14 @@ def test_fixed_cap_refusal_names_no_budget(capsys, monkeypatch):
 
 def test_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("HFL_BUDGET", "5")
-    rc, _, _ = run_cli(capsys, "herm", "census", "--q", "2")
+    rc, _, _ = run_cli(capsys, "export", "--kind", "census", "--q", "2")
     assert rc == 2
     # explicit flag overrides the environment
     monkeypatch.setenv("HFL_BUDGET", "5")
-    rc, out, _ = run_cli(capsys, "herm", "census", "--q", "2", "--cap", "100000000")
+    rc, out, _ = run_cli(capsys, "export", "--kind", "census", "--q", "2", "--cap", "100000000")
     assert rc == 0
     monkeypatch.setenv("HFL_BUDGET", "zero")
-    rc, _, err = run_cli(capsys, "herm", "census", "--q", "2")
+    rc, _, err = run_cli(capsys, "export", "--kind", "census", "--q", "2")
     assert rc == 2
     assert "HFL_BUDGET" in err
 
@@ -163,7 +164,7 @@ def test_verify_q2_passes(capsys):
     assert err.count("[PASS]") == len(ids)
 
 
-@pytest.mark.parametrize("argv", [("verify", "--q", "2"), ("herm", "verify", "--q", "3")])
+@pytest.mark.parametrize("argv", [("verify", "--q", "2"), ("verify", "--q", "3")])
 def test_verify_reports_build_time_and_peak_rss(capsys, argv):
     report = run_json(capsys, *argv)
     assert report["build_seconds"] > 0
@@ -221,9 +222,8 @@ def test_golden_missing_is_io_error(capsys, tmp_path):
 
 
 def test_out_to_bad_dir(capsys, tmp_path):
-    rc, _, _ = run_cli(
-        capsys, "herm", "build", "--q", "2", "--out", str(tmp_path / "nodir" / "x.json")
-    )
+    out = str(tmp_path / "nodir" / "x.json")
+    rc, _, _ = run_cli(capsys, "export", "--kind", "lattice", "--q", "2", "--out", out)
     assert rc == 3
 
 
@@ -248,7 +248,6 @@ def test_field_needs_args(capsys):
     "verify --q 2 --table1",
     "verify --q 2 --golden tests/golden/table1_golden.csv",
     "verify --group 7 --cap 5",
-    "herm verify --q 2 --cap 5",  # without --all no check reads --cap
     "export --kind lattice --q 2 --cap 5",  # only the census reads --cap
     "export --kind table1 --q 3",
     "field --q 3 --p 2 --k 2",
@@ -320,7 +319,7 @@ def test_field_payload(capsys):
 
 
 def test_build_payload(capsys):
-    data = run_json(capsys, "herm", "build", "--q", "2")
+    data = run_json(capsys, "export", "--kind", "lattice", "--q", "2")
     assert data["n"] == 9 and data["rank"] == 8
     assert data["det"] == {"index": 9, "radicand": 9}
     assert [d for d in data["elementary_divisors"] if d != 1] == [3, 3]
@@ -328,7 +327,7 @@ def test_build_payload(capsys):
 
 
 def test_census_payload(capsys):
-    data = run_json(capsys, "herm", "census", "--q", "2")
+    data = run_json(capsys, "export", "--kind", "census", "--q", "2")
     assert data["count"] == 108 == len(data["vectors"])
     assert all(sum(x * x for x in v) == 4 for v in data["vectors"])
 
@@ -363,7 +362,7 @@ def test_group_ls_catalogue(capsys):
 
 
 def test_aut_payload(capsys):
-    data = run_json(capsys, "aut", "--q", "2")
+    data = run_json(capsys, "export", "--kind", "aut", "--q", "2")
     assert data["order"] == 216
     assert data["stabilizer_order"] == 24
     assert data["orbit_sizes"] == [9]
@@ -375,94 +374,87 @@ def test_aut_payload(capsys):
 
 
 def test_table1_matches_golden(capsys):
-    rc, out, _ = run_cli(capsys, "group", "table1")
+    rc, out, _ = run_cli(capsys, "export", "--kind", "table1")
     assert rc == 0
     assert out == GOLDEN.read_text()
-    rc, out2, _ = run_cli(capsys, "export", "--kind", "table1")
-    assert rc == 0
-    assert out2 == out
 
 
 # sha256 of stdout: exports are byte-stable, so these must never drift.
-# `herm build`, `herm census` and `aut` must also print the same bytes as
-# their `export --kind` twins (`group table1`: test_table1_matches_golden)
 PINNED_OUTPUTS = [
-    ("herm build --q 2", "c1687bd79a234000c745d8d0c9e3d35a2e0254675828490ebe60db5a8e4c8978",
-     "export --kind lattice --q 2"),
-    ("herm build --q 3", "cd2fcc4783303e8325bac8f1964d1d04aa98e91f8eb061ff74ef9595f83ac650",
-     "export --kind lattice --q 3"),
-    ("herm build --q 4", "7ae548707dfeaf1a91a3d13456257fc3e1cd9a3535f8b6445e40fd77b775b278",
-     "export --kind lattice --q 4"),
-    ("herm build --q 5", "7f5b773ebbbb0dcf49cf5db7fc41479a8510737a4a1395dcc078712348f53fe2",
-     "export --kind lattice --q 5"),
-    ("herm census --q 2", "bf3dc8875a1704afb7db00bb53fea2a60be21c69cba37fe1c5c2d4ff4f9626c0",
-     "export --kind census --q 2"),
-    ("herm census --q 3", "446863152ad7396b02f94bc2bdde55dba2d577fd1d9de82705359a2478031466",
-     "export --kind census --q 3"),
-    ("herm census --q 4", "faf78fef694910d0f0cf37b60530daeadc381c6d44711f90deb0bc5d2c2283ce",
-     "export --kind census --q 4"),
-    ("aut --q 2", "320c4062c739c5d5523e670ee345945f7416cfff8ed63df4bd7b58790c9c0708",
-     "export --kind aut --q 2"),
-    ("aut --q 3", "c95ea6b272656701c315f115c4c80bc3202b6954beef57073697f2a78bda2bf0",
-     "export --kind aut --q 3"),
+    ("export --kind lattice --q 2",
+     "c1687bd79a234000c745d8d0c9e3d35a2e0254675828490ebe60db5a8e4c8978"),
+    ("export --kind lattice --q 3",
+     "cd2fcc4783303e8325bac8f1964d1d04aa98e91f8eb061ff74ef9595f83ac650"),
+    ("export --kind lattice --q 4",
+     "7ae548707dfeaf1a91a3d13456257fc3e1cd9a3535f8b6445e40fd77b775b278"),
+    ("export --kind lattice --q 5",
+     "7f5b773ebbbb0dcf49cf5db7fc41479a8510737a4a1395dcc078712348f53fe2"),
+    ("export --kind census --q 2",
+     "bf3dc8875a1704afb7db00bb53fea2a60be21c69cba37fe1c5c2d4ff4f9626c0"),
+    ("export --kind census --q 3",
+     "446863152ad7396b02f94bc2bdde55dba2d577fd1d9de82705359a2478031466"),
+    ("export --kind census --q 4",
+     "faf78fef694910d0f0cf37b60530daeadc381c6d44711f90deb0bc5d2c2283ce"),
+    ("export --kind aut --q 2",
+     "320c4062c739c5d5523e670ee345945f7416cfff8ed63df4bd7b58790c9c0708"),
+    ("export --kind aut --q 3",
+     "c95ea6b272656701c315f115c4c80bc3202b6954beef57073697f2a78bda2bf0"),
     ("herm decompose --q 3 --line x-c:c=3",
-     "6a39a1680a472bc6c40acaa4258d1b222dd1c60760247b7509a05ab71dce2b31", None),
+     "6a39a1680a472bc6c40acaa4258d1b222dd1c60760247b7509a05ab71dce2b31"),
     ("herm decompose --q 3 --line x-c:c=0",
-     "6cffb6cc53f2c9e611bd43a2905165b398b1450da98e59c25d3e39d43f4e9420", None),
+     "6cffb6cc53f2c9e611bd43a2905165b398b1450da98e59c25d3e39d43f4e9420"),
     ("herm decompose --q 3 --line y+bx+c:b=1,c=2",  # a tangent
-     "960d3a78fae2c7dd6d52099d3382ce947f4c6bebdc310db7a4bb63292081e1e2", None),
+     "960d3a78fae2c7dd6d52099d3382ce947f4c6bebdc310db7a4bb63292081e1e2"),
     ("herm decompose --q 3 --line y+bx+c:b=1,c=3",  # a secant
-     "e0f5ba9ad7ad29d778a4f5617ef919e83b8ac9461ce45c82f29ef6aebae9faa1", None),
+     "e0f5ba9ad7ad29d778a4f5617ef919e83b8ac9461ce45c82f29ef6aebae9faa1"),
     ("herm decompose --q 3 --line y+bx+c:b=1,c=3 --beta 5",
-     "577afb00f210d522035457d5d2a811a6c7a22ec462df65aa3d7c2997c240d3fd", None),
+     "577afb00f210d522035457d5d2a811a6c7a22ec462df65aa3d7c2997c240d3fd"),
     ("export --kind places --q 2",
-     "f5caadc9108bc0921e57ec9a514bc8421b388b7d7a9c6cbc2fc0be71f93c07c5", None),
+     "f5caadc9108bc0921e57ec9a514bc8421b388b7d7a9c6cbc2fc0be71f93c07c5"),
     ("export --kind lines --q 2",
-     "94cb92eee17d21fb5e2808e183b3e90e76936c28938be89050272621266223b2", None),
-    ("aut --q 4", "f31d0ca0c8d68c3f4ad3b8d8b8ceea2fdb38174d6215d7dcf779da755c9dfdb7",
-     "export --kind aut --q 4"),
-    ("aut --q 5", "b57e77837234033a25fb67a9dd1ce0e8dec7fb2f44d0f05686ea1084eff2513a",
-     "export --kind aut --q 5"),
+     "94cb92eee17d21fb5e2808e183b3e90e76936c28938be89050272621266223b2"),
+    ("export --kind aut --q 4",
+     "f31d0ca0c8d68c3f4ad3b8d8b8ceea2fdb38174d6215d7dcf779da755c9dfdb7"),
+    ("export --kind aut --q 5",
+     "b57e77837234033a25fb67a9dd1ce0e8dec7fb2f44d0f05686ea1084eff2513a"),
     ("group ls --moduli 7 --subset 1,2,4",
-     "f042b2b483df0abeac57a6bdb875cebd0d85d6ab1dc67e8de7d36d707db62fee", None),
+     "f042b2b483df0abeac57a6bdb875cebd0d85d6ab1dc67e8de7d36d707db62fee"),
     ("group ls --moduli 3,3 --subset 1,3,4",  # not well-rounded
-     "1c2d8495e44e69aaa67b9066175111560e907e445456182c9fceec5ebd804289", None),
+     "1c2d8495e44e69aaa67b9066175111560e907e445456182c9fceec5ebd804289"),
     ("group ls --moduli 2,2,4 --subset 1,2,8",  # <S> = Z_2^3: no correspondence
-     "387ed8ec1d4ff39c239e31441032425391d7337ae9efea78c4b9e0a0889f014c", None),
+     "387ed8ec1d4ff39c239e31441032425391d7337ae9efea78c4b9e0a0889f014c"),
     ("group ls --moduli 257 --subset 1,2,3,5",  # two-byte class words
-     "72ceb4280e06b8bd4e45dc136da7ed79b326e66f5e503608b9c9f727c3b1e854", None),
+     "72ceb4280e06b8bd4e45dc136da7ed79b326e66f5e503608b9c9f727c3b1e854"),
     ("group ls --moduli 7",  # the whole catalogue
-     "68895c1ec712b18c5428695304bc5f847127df1cf2fe437c89f75753addf7e53", None),
+     "68895c1ec712b18c5428695304bc5f847127df1cf2fe437c89f75753addf7e53"),
     ("field --q 2",
-     "713f07d57bcda9012a1b7590e6eba0dad545f258955baaf05e656d59b571f62a", None),
+     "713f07d57bcda9012a1b7590e6eba0dad545f258955baaf05e656d59b571f62a"),
     ("field --q 3",
-     "bde03c612728d793bd556a704e8c099b23160947e9d3efc839261046336e63e3", None),
+     "bde03c612728d793bd556a704e8c099b23160947e9d3efc839261046336e63e3"),
     ("field --q 4",
-     "1bc4aad3c36f64ab6e37eec17b145496a14ab0950ee7580b89f2146820af368e", None),
+     "1bc4aad3c36f64ab6e37eec17b145496a14ab0950ee7580b89f2146820af368e"),
     ("field --q 5",
-     "b915165cce654a33aca7fa2bce7c33b7c36812c3d895cf29caa73a3d416b3967", None),
+     "b915165cce654a33aca7fa2bce7c33b7c36812c3d895cf29caa73a3d416b3967"),
     ("field --q 7",
-     "ee3f62ee3583de1810eceba60b9b09ad0062cb5ad6cb707939d8d6fcddc831f2", None),
+     "ee3f62ee3583de1810eceba60b9b09ad0062cb5ad6cb707939d8d6fcddc831f2"),
     ("field --q 8",
-     "8b500de7d3b98d635575e6abd84b5ee677a3c9fd81f0e6ce2a03a9c6f6f42365", None),
+     "8b500de7d3b98d635575e6abd84b5ee677a3c9fd81f0e6ce2a03a9c6f6f42365"),
     ("field --p 2 --k 8",
-     "dd65a859ba5abdda8c7183dd6a0a07ae3a71fbad171d9e129b20894536790afa", None),
+     "dd65a859ba5abdda8c7183dd6a0a07ae3a71fbad171d9e129b20894536790afa"),
     ("field --p 3 --k 8",
-     "1c3773bd502c4c53940d1ce7f344a16bd9066b314056e5e9093f157d67e4397c", None),
+     "1c3773bd502c4c53940d1ce7f344a16bd9066b314056e5e9093f157d67e4397c"),
     ("field --p 5 --k 8",
-     "f1d875cea245fbc4fa2565797682f054a518934be07d79f0cc9f3c83919d9ed9", None),
+     "f1d875cea245fbc4fa2565797682f054a518934be07d79f0cc9f3c83919d9ed9"),
     ("field --p 7 --k 7",
-     "537d6adbffaf50017aeadf8cf7fee29b696ecbb1f291ed22a61e53868ee37e31", None),
+     "537d6adbffaf50017aeadf8cf7fee29b696ecbb1f291ed22a61e53868ee37e31"),
 ]
 
 
-@pytest.mark.parametrize("argv, sha, twin", PINNED_OUTPUTS, ids=[c[0] for c in PINNED_OUTPUTS])
-def test_output_bytes_pinned(capsys, argv, sha, twin):
+@pytest.mark.parametrize("argv, sha", PINNED_OUTPUTS, ids=[c[0] for c in PINNED_OUTPUTS])
+def test_output_bytes_pinned(capsys, argv, sha):
     rc, out, err = run_cli(capsys, *argv.split())
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == sha
-    if twin is not None:
-        assert run_cli(capsys, *twin.split()) == (0, out, "")
 
 
 # sha256 of each `verify` report once the timing keys are dropped: the
@@ -471,8 +463,7 @@ PINNED_REPORTS = [
     ("verify --q 2", "1c353f64ac23ca5ae505da9d8372aa885a9aefdcc8fb43b8b543234d7275fcb0"),
     ("verify --q 3", "bba60c009cb7983420093e7caa0219207d74edc84969c850b8e54ab7de116da0"),
     ("verify --q 4", "23d6bf071f1b3f96c23b7f25b8e088f9b82bd2b417b34237c60ae5e7b5507df9"),
-    ("verify --q 5", "fc8d976ae606529350c74f2b428b727e5394410518d8b23e88c29da589795b52"),
-    ("herm verify --q 3 --all", "e735852da56510ae1f969c852c80911c7f4841016619042e01a9c99f89e11349"),
+    ("verify --q 5", "78341f92664aa237215747fc964e48226dddda77ff6f604aad57d4d540563d8b"),
 ]
 
 
@@ -486,20 +477,20 @@ def test_verify_report_content_pinned(capsys, argv, sha):
     assert hashlib.sha256(cli._render(report).encode()).hexdigest() == sha
 
 
-def test_herm_verify_is_verify_without_aut(capsys):
-    def checks(*argv):
-        recs = run_json(capsys, *argv)["checks"]
-        return [{k: v for k, v in rec.items() if k != "seconds"} for rec in recs]
+def test_parser_offers_one_command_per_output():
+    """Every output has one command: the export kinds have no alias, and
+    `verify` is the one report."""
 
-    full = checks("verify", "--q", "2")
-    structural = [
-        rec for rec in full if not rec["check_id"].startswith(("aut_", "classgroup_"))
-    ]
-    assert len(structural) < len(full)
-    assert checks("herm", "verify", "--q", "2", "--all") == structural
-    census_ids = {"min_distance", "census_contains_families", "census_size"}
-    assert checks("herm", "verify", "--q", "2") == [
-        rec for rec in structural if rec["check_id"] not in census_ids
+    def commands(parser, prefix=""):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, p in sub.choices.items():
+            if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
+                yield from commands(p, f"{prefix}{name} ")
+            else:
+                yield prefix + name
+
+    assert sorted(commands(cli.build_parser())) == [
+        "export", "field", "group ls", "herm decompose", "verify"
     ]
 
 
@@ -543,7 +534,10 @@ def test_console_script():
     if exe is None:
         pytest.skip("console script not on PATH")
     proc = subprocess.run(
-        [exe, "herm", "build", "--q", "2"], capture_output=True, text=True, timeout=120
+        [exe, "export", "--kind", "lattice", "--q", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 9
@@ -553,7 +547,7 @@ def test_module_entry_point_refuses_unsupported_q():
     """python -m hfl needs no install: an unsupported q exits 2."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "hfl", "herm", "build", "--q", "9"],
+        [sys.executable, "-m", "hfl", "export", "--kind", "lattice", "--q", "9"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),

@@ -47,9 +47,8 @@ def counted(monkeypatch):
 def test_verify_builds_each_object_once(counted, capsys):
     assert cli.main(["verify", "--q", "2"]) == 0
     capsys.readouterr()
-    # min_distance's scan runs the k = 1 and k = 2 censuses; the two
-    # census checks reuse the k = 2 vectors of that scan.  The families
-    # are walked twice, never held: once for their sizes, norms and keys,
+    # the two census checks share one +-1 census, and min_distance walks
+    # no shape.  The families are walked twice, never held: once for their sizes, norms and keys,
     # once against the census.  Each of the 20 lines is decomposed once,
     # and lattice stability is read off the class-group action.
     assert counted == {
@@ -59,7 +58,7 @@ def test_verify_builds_each_object_once(counted, capsys):
         "full_group": 1,
         "induced_classgroup_action": 1,
         "lattice_stable_under": 1,
-        "census_pm1": 2,
+        "census_pm1": 1,
     }
 
 
@@ -137,21 +136,45 @@ def _census_checks(q, cap):
     return {rec["check_id"]: rec for rec in report["checks"]}
 
 
-def test_refused_scan_falls_back_on_the_census():
-    """At q = 4 the scan up to 2q charges 772,915 and the census alone
-    693,680 (placements plus pairs), so a cap between them refuses the
-    minimum but still runs both census checks.  At q = 5 both refuse
-    before any walk, and the census checks give the census's own refusal."""
+def test_census_checks_walk_the_census_alone():
+    """The cap bounds the census alone: at q = 4 it charges 693,680
+    (placements plus pairs), so a cap of 700,000 passes all three checks,
+    where the scan up to 2q would have charged 772,915.  At q = 5 the
+    census is refused before any walk, and the minimum is still certified."""
     recs = _census_checks(4, 700_000)
-    assert recs["min_distance"]["skipped"]
-    assert "772915" in recs["min_distance"]["reason"]
-    assert recs["census_contains_families"]["pass"]
-    assert recs["census_size"]["pass"] and recs["census_size"]["actual"] == 15600
+    assert all(rec["pass"] for rec in recs.values())
+    assert recs["census_size"]["actual"] == 15600
 
     recs = _census_checks(5, lattice.DEFAULT_CENSUS_CAP)
     assert set(recs) == {"min_distance", "census_contains_families"}
-    assert all(rec["skipped"] for rec in recs.values())
+    assert recs["min_distance"]["pass"] and recs["min_distance"]["actual"] == 10
+    assert recs["census_contains_families"]["skipped"]
     assert "244222650 placements" in recs["census_contains_families"]["reason"]
+
+
+def test_short_degree_bound_fails_min_distance(monkeypatch):
+    """A place count whose ceiling falls short of the vertical pair makes
+    min_distance FAIL with the reason, not PASS or SKIP, and the run goes
+    on to the census checks."""
+    hl = hermlat.build(2)
+    checks = [c for c in cli.herm_checks(hl, cap=None) if c.check_id.startswith(("min", "census"))]
+    monkeypatch.setattr(hl.curve, "places", hl.curve.places[:5])
+    recs = {rec["check_id"]: rec for rec in cli.run_checks(checks, verbose=False)["checks"]}
+    assert recs["min_distance"]["pass"] is False and "skipped" not in recs["min_distance"]
+    assert recs["min_distance"]["reason"].endswith("the degree bound over 5 places gives 2")
+    assert recs["census_size"]["pass"] and recs["census_contains_families"]["pass"]
+
+
+def test_verify_runs_no_scan(monkeypatch, capsys):
+    """verify --q 2, 3 and 4 pass with the shape scan refused outright."""
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("verify ran the shape scan")
+
+    monkeypatch.setattr(lattice, "scan_short_vectors", no_scan)
+    for q in ("2", "3", "4"):
+        assert cli.main(["verify", "--q", q]) == 0
+    capsys.readouterr()
 
 
 def test_census_refusal_while_pairing_is_kept(counted):
@@ -198,7 +221,7 @@ def test_non_member_line_divisors_fail_family_membership():
     hl = hermlat.build(2)
     divs = [hl.curve.divisor_of_line(line) for line in hl.curve.all_lines()]
     hl.L = lattice.Lattice.from_generators([[2 * x for x in d] for d in divs], hl.curve.n)
-    recs = _records(cli.herm_checks(hl, cap=None, with_census=False), FAMILY_IDS)
+    recs = _records(cli.herm_checks(hl, cap=None), FAMILY_IDS)
     assert recs["family_sizes"]["pass"]
     assert not recs["family_membership"]["pass"]
     assert recs["family_membership"]["actual"] == "line divisor outside lattice"
@@ -214,7 +237,7 @@ def test_repeated_pair_reports_overlap(monkeypatch):
         return pairs + pairs[:1]
 
     monkeypatch.setattr(hermlat, "family_pairs", repeated)
-    recs = _records(cli.herm_checks(hermlat.build(2), cap=None, with_census=False), FAMILY_IDS)
+    recs = _records(cli.herm_checks(hermlat.build(2), cap=None), FAMILY_IDS)
     assert recs["family_sizes"]["actual"]["total"] == 109
     assert recs["family_membership"]["actual"] == "families overlap"
 
@@ -223,7 +246,7 @@ def test_family_checks_hold_no_dense_vectors():
     """At q = 5 the 75,600 family vectors of length 126 take about 80 MB
     as tuples; the streamed checks keep only their packed keys."""
     hl = hermlat.build(5)
-    checks = cli.herm_checks(hl, cap=None, with_census=False)
+    checks = cli.herm_checks(hl, cap=None)
     tracemalloc.start()
     try:
         recs = _records(checks, FAMILY_IDS)

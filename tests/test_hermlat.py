@@ -1,13 +1,14 @@
 """Hermitian function-field lattices: structure, kissing vectors, census."""
 
 import itertools
+import re
 import tracemalloc
 
 import pytest
 
 from hfl import hermlat, lattice
 from hfl.curve import Slope, Vertical, curve_make
-from hfl.errors import BudgetExceededError, NotMinimalPairError
+from hfl.errors import BudgetExceededError, InternalIdentityViolationError, NotMinimalPairError
 from oracles import dense_vector
 
 
@@ -344,48 +345,60 @@ def test_census_budget(hl2):
         lattice.census_pm1(hl2.L, 2, cap=10)
 
 
-def test_min_distance_census_mode(hl2, hl3):
-    r2 = hermlat.min_distance(hl2)
-    assert r2 == hermlat.MinDistanceResult(4, True, "census", 108)
-    r3 = hermlat.min_distance(hl3)
-    assert r3 == hermlat.MinDistanceResult(6, True, "census", 2016)
+@pytest.mark.parametrize("q, kissing", [(2, 108), (3, 2016)])
+def test_min_distance_matches_the_scan(q, kissing, hl2, hl3):
+    """The certificate against its oracle: the scan of every shape up to
+    2q finds its minimum at min_distance, and the minimal vectors it finds
+    are exactly the +-1 census."""
+    hl = hl2 if q == 2 else hl3
+    d2 = hermlat.min_distance(hl)
+    vecs = lattice.scan_short_vectors(hl.L, 2 * q)
+    minimal = [v for v in vecs if norm2(v) == d2]
+    assert d2 == 2 * q == min(map(norm2, vecs))
+    assert len(minimal) == kissing
+    assert all(set(v) <= {-1, 0, 1} for v in minimal)
+    assert minimal == lattice.census_pm1(hl.L, q)
 
 
-def test_min_distance_families_mode(monkeypatch):
-    hl4 = hermlat.build(4)
-    calls = []
-    real = hermlat.kissing_families
+def test_min_distance_builds_no_family_and_walks_no_shape(monkeypatch):
+    """The certificate reads the line supports and one vertical pair: at
+    q = 4 and 5 it builds no family and takes no class sum, where the scan
+    up to 2q charges 772,915 and 265,916,028 placements."""
+    hls = {q: hermlat.build(q) for q in (4, 5)}
 
-    def counted(curve):
-        calls.append(curve)
-        return real(curve)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate built a family or walked a shape")
 
-    monkeypatch.setattr(hermlat, "kissing_families", counted)
-    # the scan up to 2q needs about 7.7e5 placements at q = 4
-    r = hermlat.min_distance(hl4, cap=10**5)
-    assert r == hermlat.MinDistanceResult(8, False, "families", None)
-    # one vertical pair is the probe; no family is built for it
-    assert calls == []
-
-
-def test_min_distance_refuses_before_any_walk(monkeypatch):
-    # the q = 5 scan up to 10 needs about 2.66e8 placements: refused at
-    # the default cap with no class sum taken
-    hl5 = hermlat.build(5)
-
-    def no_walk(self):
-        raise AssertionError("class sums taken by a refused scan")
-
-    monkeypatch.setattr(lattice.Lattice, "class_map", no_walk)
-    r = hermlat.min_distance(hl5)
-    assert r == hermlat.MinDistanceResult(10, False, "families", None)
-    assert r.vectors == () and "265916028 placements" in r.refusal
+    monkeypatch.setattr(hermlat, "kissing_families", refuse)
+    monkeypatch.setattr(hermlat, "family_pairs", refuse)
+    monkeypatch.setattr(lattice.Lattice, "class_map", refuse)
+    assert [hermlat.min_distance(hls[q]) for q in (4, 5)] == [8, 10]
+    for q, placements, cap in ((4, 772915, 10**5), (5, 265916028, None)):
+        with pytest.raises(BudgetExceededError, match=f"needs {placements} placements"):
+            lattice.scan_short_vectors(hls[q].L, 2 * q, cap=cap)
 
 
-def test_min_distance_forced_families(hl2):
-    # a tiny cap pushes even q=2 onto the family bound
-    r = hermlat.min_distance(hl2, cap=10)
-    assert r == hermlat.MinDistanceResult(4, False, "families", None)
+def test_min_distance_refuses_a_short_ceiling(hl2, monkeypatch):
+    """With five of the nine places left, 2 ceil(5 / 5) = 2 falls short of
+    the vertical pair's norm^2 4: the certificate is refused, not passed."""
+    monkeypatch.setattr(hl2.curve, "places", hl2.curve.places[:5])
+    with pytest.raises(NotMinimalPairError, match="bound over 5 places gives 2"):
+        hermlat.min_distance(hl2)
+
+
+def test_min_distance_checks_each_line_pole():
+    """A line whose pole at infinity is not q (vertical) or q + 1 (slope)
+    would have zeros off the rational places: an internal defect."""
+    hl = hermlat.build(2)
+    for line in (Vertical(1), Slope(0, 0)):
+        support = hl.curve.line_support(line)
+        (pole, deg), (pt, mult), *rest = support
+        hl.curve._supports[line] = ((pole, deg - 1), (pt, mult + 1), *rest)
+        wrong = re.escape(f"{line!r} has divisor")
+        with pytest.raises(InternalIdentityViolationError, match=wrong):
+            hermlat.min_distance(hl)
+        hl.curve._supports[line] = support
+    assert hermlat.min_distance(hl) == 4
 
 
 @pytest.mark.parametrize("q", [2, 3])
