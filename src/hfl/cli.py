@@ -32,6 +32,7 @@ from .errors import (
 from .gf import modulus
 
 MAX_SAFE_INT = 2**53 - 1
+BUDGET_HINT = "(raise --cap or HFL_BUDGET)"  # the flags that lift a BudgetExceededError
 
 # census sizes confirmed independently (subset-pair brute force for q <= 3,
 # the kissing families at q = 4); only pinned values become equality checks
@@ -284,8 +285,9 @@ def run_checks(checks, verbose=True):
     """Run each check once; its status follows one rule.  PASS or FAIL
     compares its value with the expected one; a budget refusal
     (BudgetExceededError, SearchInfeasibleError) is SKIP; any other
-    hfl.errors.Error is FAIL with the error as `reason`.  An internal
-    defect and MemoryError end the run."""
+    hfl.errors.Error is FAIL with the error as `reason`.  A blown budget's
+    reason ends with BUDGET_HINT; no flag lifts a SearchInfeasibleError.
+    An internal defect and MemoryError end the run."""
     records = []
     counts = Counter()
     t_all = time.perf_counter()
@@ -296,7 +298,7 @@ def run_checks(checks, verbose=True):
             rec["actual"] = c.fn()
         except (BudgetExceededError, SearchInfeasibleError) as e:
             rec["skipped"] = True
-            rec["reason"] = str(e)
+            rec["reason"] = f"{e} {BUDGET_HINT}" if isinstance(e, BudgetExceededError) else str(e)
         except InternalIdentityViolationError:
             raise
         except Error as e:
@@ -665,7 +667,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except BudgetExceededError as e:
-        print(f"hfl: {e} (raise --cap or HFL_BUDGET)", file=sys.stderr)
+        print(f"hfl: {e} {BUDGET_HINT}", file=sys.stderr)
         return 2
     except InternalIdentityViolationError as e:
         print(f"hfl: internal defect: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ automorphisms.
 """
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, lcm, perm, prod
@@ -283,59 +283,67 @@ class _Budget:
     def __init__(self, n: int, shapes, cap: int | None):
         self.cap = DEFAULT_CENSUS_CAP if cap is None else cap
         self.spent = 0
-        self.charge(sum(_placements(n, p) + (p != m) * _placements(n, m) for p, m in shapes))
+        self.charge(sum(_placements(n, p) + (p != m) * _placements(n, m) for p, m in shapes),
+                    "placements")
 
-    def charge(self, work: int):
+    def charge(self, work: int, what: str = "placements and pairs tested"):
         self.spent += work
         if self.spent > self.cap:
-            raise BudgetExceededError(
-                f"shape walk needs {self.spent} placements and pairs > cap {self.cap}"
-            )
+            raise BudgetExceededError(f"shape walk needs {self.spent} {what} > cap {self.cap}")
 
 
-def _keyed_placements(n: int, part, words: ClassWords):
+def _keyed_passes(n: int, part, words: ClassWords):
     """Placements of the values `part` (non-increasing) on distinct
-    coordinates: (keys, rows, tails), their class keys in walk order and
-    the leaf rows (start, prefix, idx), each putting keys[start + t] on the
-    coordinates prefix + tails[idx[t]].
+    coordinates, keyed by class, in one pass per value r of the key's
+    first class digit (mods[0] passes, one when the class group is
+    trivial).  Each pass yields (keys, rows): the keys whose first digit
+    is r, in walk order, and the leaf rows (start, prefix, tails, idx),
+    each putting keys[start + t] on the coordinates prefix + tails[idx[t]].
 
     Equal values take increasing coordinates, and packed class sums grow
     down the combination tree from one word table per slot, whose range
-    leaves room for the equal values after it.  The last slot is the tail:
-    when the last two values are equal it is one pair slot, whose tails are
-    the pairs i < j in combination order and whose words are the reduced
-    sums table(v)[i] + table(v)[j], one word each; otherwise it is the last
-    value alone.  The tails from coordinate `start` on are a suffix of that
-    list, so a leaf's idx is a range, filtered only when a coordinate of
-    its prefix lies in the suffix (a larger value placed before), and its
-    keys are reduced in one pass."""
+    leaves room for the equal values after it.  The prefix tree is walked
+    once and its leaves kept as (start, prefix, acc).  The last slot is
+    the tail: when the last two values are equal it is one pair slot,
+    whose tails are the pairs i < j in combination order and whose words
+    are the reduced sums table(v)[i] + table(v)[j], one word each;
+    otherwise it is the last value alone.  The tails are grouped by their
+    word's first digit d, each group in combination order, and in the pass
+    for r a leaf extends only the group d = r - (acc's first digit) mod M,
+    so every placement is keyed in exactly one pass.  A group's tails from
+    coordinate `start` on are a suffix of it, so a leaf's idx is a range,
+    filtered only when a coordinate of its prefix lies in the suffix (a
+    larger value placed before), and its keys are reduced in one go."""
     v, last = part[-1], len(part) - 1
     vtab = words.table(v)
-    # off[s]: index of the first tail whose coordinates are all >= s
     if last and part[-2] == v:
         last -= 1
         tails = list(itertools.combinations(range(n), 2))
         pairs = words.keys(vtab[i] + vtab[j] for i, j in tails)
         tail_words = [int.from_bytes(key, "little") for key in pairs]
-        off = [0, *itertools.accumulate(range(n - 1, 0, -1))]
     else:
-        tails, tail_words, off = [(i,) for i in range(n)], vtab, range(n + 1)
+        tails, tail_words = [(i,) for i in range(n)], vtab
+    M, first = words.M, 256**words.width - 1  # a word's first digit: word & first
+    groups = {}
+    for t, word in zip(tails, tail_words):
+        ts, ws = groups.setdefault(word & first, ([], []))
+        ts.append(t)
+        ws.append(word)
+    # off[s]: index of the group's first tail whose coordinates are all >= s
+    groups = {
+        d: (ts, ws, [bisect_left(ts, (s,)) for s in range(n + 1)])
+        for d, (ts, ws) in groups.items()
+    }
     plan = [(words.table(x), n - part[s + 1 :].count(x)) for s, x in enumerate(part[:last])]
     # depth first from an explicit stack (no self-referencing closure, so
     # the keys are freed when the caller drops them, not at a later gc pass)
-    keys, rows, stack = [], [], [(0, 0, (), 0)]
+    leaves, stack = [], [(0, 0, (), 0)]
     while stack:
         s, start, prefix, acc = stack.pop()
         if s and not s % words.every:
             acc = int.from_bytes(words.reduce(acc), "little")
         if s == last:
-            o = off[start]
-            idx, sel = range(o, len(tails)), tail_words[o:]
-            if prefix and max(prefix) >= start:
-                free = list(map(set(prefix).isdisjoint, tails[o:]))
-                idx, sel = list(itertools.compress(idx, free)), itertools.compress(sel, free)
-            rows.append((len(keys), prefix, idx))
-            keys.extend(words.keys(map(acc.__add__, sel)))
+            leaves.append((start, prefix, acc))
             continue
         tab, stop = plan[s]
         same = part[s + 1] == part[s]
@@ -344,19 +352,46 @@ def _keyed_placements(n: int, part, words: ClassWords):
             for i in reversed(range(start, stop))
             if i not in prefix
         ]
-    return keys, rows, tails
+    for r in range(0, M, words.scale[0] if words.scale else 1):
+        keys, rows = [], []
+        for start, prefix, acc in leaves:
+            group = groups.get((r - (acc & first)) % M)
+            if group is None:
+                continue
+            ts, ws, off = group
+            o = off[start]
+            idx, sel = range(o, len(ts)), ws[o:]
+            if prefix and max(prefix) >= start:
+                free = list(map(set(prefix).isdisjoint, ts[o:]))
+                idx, sel = list(itertools.compress(idx, free)), itertools.compress(sel, free)
+            rows.append((len(keys), prefix, ts, idx))
+            keys.extend(words.keys(map(acc.__add__, sel)))
+        yield keys, rows
 
 
-def _buckets(keys, rows, tails, wanted):
-    """Coordinate tuples of the placements whose key is in `wanted`, by
-    key: placement start + t of a leaf row (start, prefix, idx) of
-    _keyed_placements is prefix + tails[idx[t]]."""
+def _buckets(keys, rows, wanted):
+    """Coordinate tuples of the placements of one pass whose key is in
+    `wanted`, by key: placement start + t of a leaf row
+    (start, prefix, tails, idx) of _keyed_passes is prefix + tails[idx[t]]."""
     starts = [row[0] for row in rows]
     out: dict[bytes, list[tuple]] = {}
     for j in itertools.compress(itertools.count(), map(wanted.__contains__, keys)):
-        start, prefix, idx = rows[bisect_right(starts, j) - 1]
+        start, prefix, tails, idx = rows[bisect_right(starts, j) - 1]
         out.setdefault(keys[j], []).append(prefix + tails[idx[j - start]])
     return out
+
+
+def _self_shared(placed):
+    """One pass's buckets of the keys held by two or more placements."""
+    counts = Counter(placed[0])
+    plus = _buckets(*placed, set(itertools.compress(counts, map((1).__lt__, counts.values()))))
+    return plus, plus
+
+
+def _cross_shared(plus, minus):
+    """One pass's buckets of the keys held by placements of both sides."""
+    shared = set(plus[0]).intersection(minus[0])
+    return _buckets(*plus, shared), _buckets(*minus, shared)
 
 
 def shape_vectors(L: Lattice, pos, neg, cap=None):
@@ -366,47 +401,52 @@ def shape_vectors(L: Lattice, pos, neg, cap=None):
 
     Meet in the middle (Horowitz-Sahni): placements of pos and of neg on
     disjoint coordinates give a lattice vector iff their class keys agree.
-    Each side is walked once into a flat list of keys and its leaf rows
-    (_keyed_placements); the keys shared by the two sides, or by two or
-    more placements when pos == neg, are picked in C, and only their
+    Each side is walked once, in passes by the key's first class digit
+    (_keyed_passes), and two matching keys share that digit, so pairing
+    runs inside each pass and only one pass's keys are held at a time.
+    In a pass the keys shared by the two sides, or by two or more
+    placements when pos == neg, are picked in C, and only their
     placements are read back as coordinate tuples (_buckets), so disjoint
     pairs are tested within each shared key alone.  `cap`, or a scan's
     shared budget, bounds the placements (of one side when pos == neg)
-    plus the pairs tested in those buckets.  Needs full rank.
+    plus the pairs tested in those buckets, summed over the passes.
+    Needs full rank.
     """
     if not pos:
         return []  # the zero vector is left out
     budget = cap if isinstance(cap, _Budget) else _Budget(L.n, [(pos, neg)], cap)
     words = L.class_words()
-    placed = _keyed_placements(L.n, pos, words)
+    # map drops a pass's keys once they are bucketed, before the next pass
     if neg == pos:
-        counts = Counter(placed[0])
-        shared = set(itertools.compress(counts, map((1).__lt__, counts.values())))
-        plus = minus = _buckets(*placed, shared)
+        paired = map(_self_shared, _keyed_passes(L.n, pos, words))
     else:
-        negs = _keyed_placements(L.n, neg, words)
-        shared = set(placed[0]).intersection(negs[0])
-        plus, minus = _buckets(*placed, shared), _buckets(*negs, shared)
+        paired = map(
+            _cross_shared, _keyed_passes(L.n, pos, words), _keyed_passes(L.n, neg, words)
+        )
     signed = pos + tuple(-x for x in neg)
     out = []
-    for key, A in plus.items():
-        B = minus[key]
-        budget.charge(len(A) * len(B))
-        for a in A:
-            aset = set(a)
-            for b in B:
-                if aset.isdisjoint(b):
-                    v = [0] * L.n
-                    for i, x in zip(a + b, signed):
-                        v[i] = x
-                    out.append(tuple(v))
+    for plus, minus in paired:
+        for key, A in plus.items():
+            B = minus[key]
+            budget.charge(len(A) * len(B))
+            for a in A:
+                aset = set(a)
+                for b in B:
+                    if aset.isdisjoint(b):
+                        v = [0] * L.n
+                        for i, x in zip(a + b, signed):
+                            v[i] = x
+                        out.append(tuple(v))
     return sorted(out)
 
 
 def census_pm1(L: Lattice, q: int, cap=None, workers: int = 1):
     """All lattice vectors with exactly q entries +1 and q entries -1,
     sorted: shape_vectors on (1^q | 1^q), C(n, q) placements plus the
-    pairs tested.  `workers` is accepted and ignored."""
+    pairs tested, walked in mods[0] passes by the first class digit so
+    that one pass's keys are held at a time (at q = 4, five passes of
+    about 135,400 of the 677,040 keys).  `workers` is accepted and
+    ignored."""
     return shape_vectors(L, (1,) * q, (1,) * q, cap)
 
 

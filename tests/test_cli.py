@@ -122,7 +122,8 @@ def test_refused_check_outcome(exc, monkeypatch, capsys, tmp_path):
     """One rule for a check that raises an hfl.errors.Error: a budget
     refusal is SKIP (exit 0), an internal defect ends the run (exit 4),
     and any other error is FAIL with the error as reason (exit 1).  The
-    report is written unless the run ends."""
+    report is written unless the run ends, and only a budget refusal's
+    reason names the flags that lift it."""
 
     def refuse(hl):
         raise exc("refused here")
@@ -139,7 +140,8 @@ def test_refused_check_outcome(exc, monkeypatch, capsys, tmp_path):
         return
     report = json.loads(out.read_text())
     rec = next(r for r in report["checks"] if r["check_id"] == "minimal_step_span")
-    assert rec["reason"] == "refused here" and "actual" not in rec
+    hint = f" {cli.BUDGET_HINT}" if exc is errors.BudgetExceededError else ""
+    assert rec["reason"] == "refused here" + hint and "actual" not in rec
     assert not any(line.startswith("hfl:") for line in err)
     if issubclass(exc, (errors.BudgetExceededError, errors.SearchInfeasibleError)):
         assert rc == 0 and rec["skipped"] is True and "pass" not in rec
@@ -463,7 +465,7 @@ PINNED_REPORTS = [
     ("verify --q 2", "1c353f64ac23ca5ae505da9d8372aa885a9aefdcc8fb43b8b543234d7275fcb0"),
     ("verify --q 3", "bba60c009cb7983420093e7caa0219207d74edc84969c850b8e54ab7de116da0"),
     ("verify --q 4", "23d6bf071f1b3f96c23b7f25b8e088f9b82bd2b417b34237c60ae5e7b5507df9"),
-    ("verify --q 5", "78341f92664aa237215747fc964e48226dddda77ff6f604aad57d4d540563d8b"),
+    ("verify --q 5", "738495ac0b6646ceb4a204b0e6c8ca3e901a02163853397333e157df4b1a170f"),
 ]
 
 

@@ -140,7 +140,8 @@ def test_census_checks_walk_the_census_alone():
     """The cap bounds the census alone: at q = 4 it charges 693,680
     (placements plus pairs), so a cap of 700,000 passes all three checks,
     where the scan up to 2q would have charged 772,915.  At q = 5 the
-    census is refused before any walk, and the minimum is still certified."""
+    census is refused before any walk, by its placements alone and with
+    the flags that lift the cap, and the minimum is still certified."""
     recs = _census_checks(4, 700_000)
     assert all(rec["pass"] for rec in recs.values())
     assert recs["census_size"]["actual"] == 15600
@@ -149,7 +150,9 @@ def test_census_checks_walk_the_census_alone():
     assert set(recs) == {"min_distance", "census_contains_families"}
     assert recs["min_distance"]["pass"] and recs["min_distance"]["actual"] == 10
     assert recs["census_contains_families"]["skipped"]
-    assert "244222650 placements" in recs["census_contains_families"]["reason"]
+    reason = recs["census_contains_families"]["reason"]
+    assert "244222650 placements >" in reason
+    assert reason.endswith(cli.BUDGET_HINT) and "--cap" in reason and "HFL_BUDGET" in reason
 
 
 def test_short_degree_bound_fails_min_distance(monkeypatch):
@@ -255,6 +258,29 @@ def test_family_checks_hold_no_dense_vectors():
         tracemalloc.stop()
     assert recs["family_sizes"]["pass"] and recs["family_membership"]["pass"]
     assert peak < 16 * 2**20, peak
+
+
+# A forked child starts its peak RSS at its parent's resident size, which
+# survives exec on Linux; a small launcher process keeps pytest's out of it.
+FRESH_VERIFY_Q4 = """
+import subprocess, sys
+sys.exit(subprocess.run([sys.executable, "-m", "hfl", "verify", "--q", "4"]).returncode)
+"""
+
+
+def test_verify_q4_peak_rss_bound():
+    """`python -m hfl verify --q 4` in a fresh process passes every check
+    with nothing skipped, and its report's own peak RSS stays below 64 MB:
+    the census holds one pass of its keys at a time."""
+    src = os.path.dirname(os.path.dirname(hfl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_VERIFY_Q4],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["pass"] and report["counts"]["failed"] == report["counts"]["skipped"] == 0
+    assert report["peak_rss_mb"] < 64, report["peak_rss_mb"]
 
 
 def test_aut_fixes_lattice_reads_the_action(monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import random
 import signal
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,31 +263,57 @@ def test_census_brute_oracle():
 
 
 def test_walk_places_what_the_budget_charges():
-    """Each side of every shape is walked once per placement: as many keys
-    as _placements charges, read back as distinct placements on distinct
-    coordinates, each under its own class key.  A_8 has one class, so
-    every placement shares a key; Z_2 x Z_128 reduces after every word
-    and Z_257 takes two-byte digits."""
+    """Each side of every shape is walked once per placement, summed over
+    the passes: as many keys as _placements charges, read back as distinct
+    placements on distinct coordinates, each under its own class key, and
+    every key of a pass starts with that pass's class digit.  A_8 has one
+    class, so it runs one pass in which every placement shares a key;
+    Z_2 x Z_128 reduces after every word and Z_257 takes two-byte digits."""
     n = 9
     lattices = [full_root_lattice(n)]
     for moduli in ((2, 128), (257,)):
         lattices.append(abelian.lattice_for_subset(abelian.AbelianGroup(moduli), range(1, n)))
     for L in lattices:
         words = L.class_words()
+        mods, _ = L.class_map()
         for part in {p for shape in lattice._shape_pairs(10, n) for p in shape}:
-            keys, rows, tails = lattice._keyed_placements(n, part, words)
-            assert len(keys) == lattice._placements(n, part), part
-            buckets = lattice._buckets(keys, rows, tails, set(keys))
-            placed = set()
-            for key, coords in buckets.items():
-                for c in coords:
-                    assert len(set(c)) == len(c) == len(part), (part, c)
-                    v = [0] * n
-                    for i, x in zip(c, part):
-                        v[i] = x
-                    assert words.key(v) == key, (part, c)
-                    placed.add(tuple(v))
-            assert len(placed) == len(keys), part
+            passes = list(lattice._keyed_passes(n, part, words))
+            assert len(passes) == (mods[0] if mods else 1), part
+            assert sum(len(keys) for keys, _ in passes) == lattice._placements(n, part), part
+            placed, digits = set(), []
+            for keys, rows in passes:
+                first = {key[: words.width] for key in keys}
+                assert len(first) <= 1, part
+                digits += first
+                buckets = lattice._buckets(keys, rows, set(keys))
+                for key, coords in buckets.items():
+                    for c in coords:
+                        assert len(set(c)) == len(c) == len(part), (part, c)
+                        v = [0] * n
+                        for i, x in zip(c, part):
+                            v[i] = x
+                        assert words.key(v) == key, (part, c)
+                        placed.add(tuple(v))
+            assert len(placed) == lattice._placements(n, part), part
+            assert len(set(digits)) == len(digits), part
+    assert lattices[0].class_map()[0] == ()  # A_8: the single pass above
+
+
+def test_census_holds_one_pass_of_keys():
+    """The q = 4 census keys its 677,040 placements in five passes by the
+    first class digit and pairs each pass before the next is walked, so
+    its traced peak stays below 28 MB (all the keys and their Counter at
+    once would take about 65 MB)."""
+    L = hermlat.build(4).L
+    L.class_words()
+    tracemalloc.start()
+    try:
+        vectors = lattice.census_pm1(L, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vectors) == 15600
+    assert peak < 28 * 2**20, peak
 
 
 def test_scan_vs_enumeration():
