@@ -559,10 +559,19 @@ def cmd_export(args):
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MiB."""
-    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # reported in bytes there
-        kib //= 1024
+    """This process's peak resident set size so far, in MiB.
+
+    VmHWM in /proc/self/status starts afresh at exec; ru_maxrss, the
+    fallback where that file is absent, carries on Linux the peak of the
+    process that forked this one.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if sys.platform == "darwin":  # reported in bytes there
+            kib //= 1024
     return round(kib / 1024, 1)
 
 

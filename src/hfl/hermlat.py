@@ -1,14 +1,20 @@
 """The function-field lattice of a Hermitian curve.
 
-The lattice is spanned by the divisors of all lines.  Everything here is
-verified construction: quotients of suitable line pairs give vectors of
-squared norm exactly 2q (minimal_pair_vector checks the pair conditions
-and rejects anything else), and decompose_line rewrites any line divisor
-as a signed sum of such vectors, raising if the bookkeeping identity
-fails.  Line quotients are held as sparse supports, steps as checked
-line pairs; only kissing_families, whose output they are, builds n-wide
-vectors.  A curve decomposes each line once and keeps the steps, while
-the identity is re-checked by net line coefficients on every call.
+The lattice is spanned by the divisors of all lines.  A tangent line
+meets the curve only at its point P, so its divisor is (q+1)(P - P_inf):
+with coordinate 0, the place at infinity, dropped, the generators hold
+(q+1) e_j for every affine place j, and intmat.hnf reads the modulus
+q + 1 off them (it is not assumed) and builds L modulo q + 1.
+
+Everything here is verified construction: quotients of suitable line
+pairs give vectors of squared norm exactly 2q (minimal_pair_vector
+checks the pair conditions and rejects anything else), and
+decompose_line rewrites any line divisor as a signed sum of such
+vectors, raising if the bookkeeping identity fails.  Line quotients are
+held as sparse supports, steps as checked line pairs; only
+kissing_families, whose output they are, builds n-wide vectors.  A
+curve decomposes each line once and keeps the steps, while the identity
+is re-checked by net line coefficients on every call.
 generated_by_minimals turns the decompositions into the proof that
 minimal vectors generate L.  The three closed families of line-quotient
 vectors, listed pair by pair by family_pairs, carry the kissing-number

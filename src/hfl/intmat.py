@@ -1,10 +1,13 @@
 """Exact integer matrix kernels: row echelon and Hermite forms, span
 membership, Smith normal form with tracked column transforms, and left
 kernels.  Everything runs on arbitrary-precision Python ints; no floating
-point.
+point.  A Hermite form whose input certifies m * Z^r in its span, for a
+small m, is built modulo m on rows packed one byte per column.
 """
 
 from bisect import bisect_left
+from itertools import compress
+from math import gcd, lcm
 
 
 def identity(n: int) -> list[list[int]]:
@@ -149,11 +152,134 @@ def _distinct_by_leading_column(vectors) -> list[tuple[int, ...]]:
     return [v for _, v in keyed]
 
 
+MODULAR_MAX = 16  # (m - 1) + (m - 1)**2 <= 255: a row operation mod m fits a byte per digit
+
+
+def _certified_modulus(vectors, width: int) -> int:
+    """The m <= MODULAR_MAX with m * Z^width inside the span that the
+    input's unit-multiple rows c * e_j certify, or 0 when some column has
+    no such row or m is larger.  Raises ValueError on a ragged row."""
+    g = [0] * width
+    for v in vectors:
+        if len(v) != width:
+            raise ValueError(f"row width {len(v)} != {width}")
+        if v.count(0) == width - 1:
+            j = next(compress(range(width), v))
+            g[j] = gcd(g[j], v[j])
+    m = lcm(*g) if g else 0
+    return m if 0 not in g and m <= MODULAR_MAX else 0
+
+
+def digit_mod_table(m: int) -> bytes:
+    """The bytes.translate table taking each byte d to d mod m."""
+    return bytes(d % m for d in range(256))
+
+
+def reduce_digits(x: int, size: int, table: bytes) -> bytes:
+    """The size little-endian bytes of x, each digit taken through table."""
+    return x.to_bytes(size, "little").translate(table)
+
+
+def _howell_hnf(vectors, width: int, m: int) -> tuple[list[list[int]], list[int]]:
+    """hnf of a span that holds m * Z^width, built modulo m.
+
+    A row is one int with the digit of column c in byte c, each below m;
+    x - f*y is one multiply-add, x + (m - f)*y, and a reduction of every
+    digit mod m (reduce_digits).  The rows are fed latest leading column
+    first and put in Howell form (Howell 1986; Storjohann 2000): a new
+    pivot a becomes g = gcd(a, m) by a unit multiplier and its annihilator
+    row (m / g) * row is queued, a leading digit that the pivot g does
+    not divide is merged with it by a Bezout combination, and each pivot
+    row is reduced against the rows below when it is placed, and the rows
+    above against it.  Then the rows at or after column c span exactly
+    the vectors of the span mod m that vanish before c, so the Hermite
+    pivot of column c is its Howell pivot, or m where there is none, and
+    one bottom-up pass reducing each row's digits into [0, pivot) gives
+    the canonical form.  Its entries all lie in [0, m), so they are the
+    digits themselves.
+    """
+    table = digit_mod_table(m)
+
+    def red(x):
+        return int.from_bytes(reduce_digits(x, width, table), "little")
+
+    # unit[a]: a unit u of Z_m with u * a = gcd(a, m) mod m
+    unit = [0] + [next(u for u in range(1, m) if gcd(u, m) == 1 and u * a % m == gcd(a, m))
+                  for a in range(1, m)]
+    piv = [0] * width  # the pivot row of each column, 0 for none
+    pd = [256] * width  # its pivot, a divisor of m; 256 (above every digit) for none
+
+    def reduce_tail(x, c):
+        """x reduced at every pivot column after c, into [0, pivot)."""
+        b = x.to_bytes(width, "little")
+        for k in range(c + 1, width):
+            if b[k] >= pd[k]:
+                x = red(x + (m - b[k] // pd[k]) * piv[k])
+                b = x.to_bytes(width, "little")
+        return x
+
+    def pack(v):
+        digits = bytearray(width)
+        for j in compress(range(width), v):
+            digits[j] = v[j] % m
+        return int.from_bytes(digits, "little")
+
+    todo = sorted(set(map(pack, vectors)), key=lambda x: x & -x)
+    while todo:
+        x = todo.pop()
+        while x:
+            c = ((x & -x).bit_length() - 1) >> 3
+            a = (x >> 8 * c) & 255
+            y, p = piv[c], pd[c]
+            if y and not a % p:  # the pivot divides a: clear column c, walk on
+                x = red(x + (m - a // p) * y)
+                continue
+            if y:  # merge x and y into one row with pivot gcd(a, p)
+                h = gcd(a, p)
+                s, t = next((s, t) for s in range(m) for t in range(m) if (s * p + t * a) % m == h)
+                z = red(red(s * y) + t * x)
+                todo += [red(y + (m - p // h) * z), red(x + (m - a // h) * z)]
+            else:  # a new pivot, made gcd(a, m) by a unit
+                h, z = gcd(a, m), red(unit[a] * x)
+            z = piv[c] = reduce_tail(z, c)
+            pd[c] = h
+            if h != 1:
+                todo.append(red(m // h * z))
+            for k in range(c):
+                d = (piv[k] >> 8 * c) & 255
+                if d >= h:
+                    piv[k] = red(piv[k] + (m - d // h) * z)
+            break
+    rows = []
+    for c in range(width - 1, -1, -1):
+        if piv[c]:
+            piv[c] = reduce_tail(piv[c], c)
+            rows.append(list(piv[c].to_bytes(width, "little")))
+        else:
+            rows.append([0] * c + [m] + [0] * (width - 1 - c))
+    return rows[::-1], list(range(width))
+
+
 def hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     """Canonical row-style Hermite form: positive pivots, entries above a
     pivot reduced into [0, pivot).  Unique per row span, so the output is
-    independent of generator order, and the rows are fed to echelon in
-    whichever order keeps its entries small."""
+    independent of generator order and of the route that computes it.
+
+    The input picks one of two routes.  When every column j has an input
+    row c_j * e_j (c_j != 0), m = lcm over j of gcd|c_j| puts m * Z^width
+    in the span, and for m <= MODULAR_MAX the span is read off its image
+    in (Z_m)^width: _howell_hnf.  Otherwise the rows go through the
+    integer echelon, fed in whichever order keeps its entries small.
+    Both routes raise ValueError on a row whose length is not width.
+    """
+    if not isinstance(vectors, (list, tuple)):
+        vectors = list(vectors)
+    m = _certified_modulus(vectors, width)
+    return _howell_hnf(vectors, width, m) if m else _echelon_hnf(vectors, width)
+
+
+def _echelon_hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
+    """hnf by the integer echelon, then signs and a bottom-up reduction."""
     rows, pivots = echelon(_distinct_by_leading_column(vectors), width)
     for i, c in enumerate(pivots):
         if rows[i][c] < 0:

@@ -208,7 +208,7 @@ class ClassWords:
     M // mods[t] and held as one little-endian digit of `width` bytes, so
     x times the class of coordinate i is one int, table(x)[i], with digits
     below M.  Up to `every` words added to a reduced sum keep each digit
-    below 256**width; reduce() takes each digit mod M (bytes.translate
+    below 256**width; reduce() takes each digit mod M (intmat.reduce_digits
     when width is 1) and gives the class's key, zero bytes for the trivial
     class.  A multiplier's table is built on first use.
     """
@@ -222,7 +222,7 @@ class ClassWords:
         self.every = (256**w - 1) // max(M - 1, 1) - 1
         self.zero = bytes(self.size)
         self._digits = [[c * s for c, s in zip(ci, self.scale)] for ci in cls]
-        self._mod = bytes(d % M for d in range(256))
+        self._mod = intmat.digit_mod_table(M)
         self._tables = {}
 
     def table(self, x):
@@ -236,9 +236,9 @@ class ClassWords:
 
     def reduce(self, acc: int) -> bytes:
         """The key of a word sum: each digit taken mod M."""
-        raw = acc.to_bytes(self.size, "little")
         if self.width == 1:
-            return raw.translate(self._mod)
+            return intmat.reduce_digits(acc, self.size, self._mod)
+        raw = acc.to_bytes(self.size, "little")
         return b"".join((d % self.M).to_bytes(self.width, "little") for d in self._split(raw))
 
     def keys(self, sums):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from functools import reduce
 from math import gcd
 
 import pytest
 
-from hfl import intmat
+from hfl import hermlat, intmat
 from hfl.curve import curve_make
 from oracles import dense_echelon, dense_echelon_insert
 
@@ -185,9 +186,11 @@ def _sparse_random_matrix(rng):
 
 
 def _hnf_over(monkeypatch, echelon, vectors, width):
+    """The integer route's hnf, whatever the input, with `echelon` in
+    place of intmat.echelon."""
     with monkeypatch.context() as m:
         m.setattr(intmat, "echelon", echelon)
-        return intmat.hnf(vectors, width)
+        return intmat._echelon_hnf(vectors, width)
 
 
 def _replay_inserts(vectors, ops):
@@ -229,7 +232,7 @@ def test_support_echelon_matches_dense_on_line_divisors(q, monkeypatch):
     ops = {"swap": 0, "tail": 0, "above": 0}
     _replay_inserts(divs, ops)
     assert intmat.echelon(divs, width) == dense_echelon(divs, width)
-    assert intmat.hnf(divs, width) == _hnf_over(monkeypatch, dense_echelon, divs, width)
+    assert intmat._echelon_hnf(divs, width) == _hnf_over(monkeypatch, dense_echelon, divs, width)
     assert ops["above"] > 0, ops
 
 
@@ -248,3 +251,96 @@ def test_echelon_rows_reduced_above_each_pivot():
         _assert_reduced_above_pivots(*intmat.echelon(vecs, n))
     for q in (2, 3, 4, 5):
         _assert_reduced_above_pivots(*intmat.echelon(*_line_divisor_rows(q)))
+
+
+# -- the modular route: inputs with a row c_j * e_j in every column -----------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_modular_hnf_matches_dense_on_line_divisors(q, monkeypatch):
+    """A tangent line's divisor is (q+1)(P - P_inf), so the line divisors
+    certify m = q + 1, and the form built mod q + 1 is the dense one."""
+    divs, width = _line_divisor_rows(q)
+    assert intmat._certified_modulus(divs, width) == q + 1
+    assert intmat.hnf(divs, width) == _hnf_over(monkeypatch, dense_echelon, divs, width)
+
+
+def _with_unit_multiples(rng, m, vecs, n):
+    """vecs and a row +-c_j * e_j for every column j, each c_j dividing m
+    and their lcm m, shuffled together."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    cs = [rng.choice(divisors) for _ in range(n)]
+    cs[rng.randrange(n)] = m
+    units = [[rng.choice((c, -c)) if j == i else 0 for j in range(n)] for i, c in enumerate(cs)]
+    rows = vecs + units
+    rng.shuffle(rows)
+    return rows
+
+
+def test_modular_hnf_matches_dense_on_certified_inputs(monkeypatch):
+    """Random rows with injected unit multiples, prime and composite m:
+    the modular route gives the dense integer route's form."""
+    rng = random.Random(17)
+    moduli = Counter()
+    for _ in range(400):
+        m = rng.choice((2, 3, 4, 5, 6, 8, 9, 10, 12, 16))
+        n = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 1.0))
+        vecs = [
+            [rng.randint(-20, 20) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randint(0, n + 4))
+        ]
+        vecs = _with_unit_multiples(rng, m, vecs, n)
+        certified = intmat._certified_modulus(vecs, n)
+        assert certified and m % certified == 0
+        moduli[certified] += 1
+        assert intmat.hnf(vecs, n) == _hnf_over(monkeypatch, dense_echelon, vecs, n)
+    assert all(moduli[m] >= 10 for m in (4, 6, 8, 9, 12)), moduli
+
+
+def _refuse_echelon(*args):
+    raise AssertionError("the integer echelon ran")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hermitian_line_divisors_skip_the_integer_echelon(q, monkeypatch):
+    monkeypatch.setattr(intmat, "echelon", _refuse_echelon)
+    hl = hermlat.build(q)
+    assert hl.L.is_full_rank()
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        [[2, 0, 0], [0, 3, 0], [1, 1, 1]],  # column 2 has no row c * e_2
+        [[17, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]],  # m = 17
+        [[9, 0], [0, 8], [1, 1]],  # m = 72
+    ],
+)
+def test_uncertified_inputs_take_the_integer_echelon(vecs, monkeypatch):
+    calls = []
+    real = intmat.echelon
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    want = _hnf_over(monkeypatch, dense_echelon, vecs, len(vecs[0]))
+    monkeypatch.setattr(intmat, "echelon", counted)
+    assert intmat.hnf(vecs, len(vecs[0])) == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        [[2, 0], [0, 2], [1, 2, 3]],  # the square rows certify m = 2
+        [[2, 0], [0, 2], [1]],
+        [[1, 2], [1, 2, 3]],  # the integer route's input
+    ],
+)
+def test_hnf_rejects_ragged_on_both_routes(vecs):
+    with pytest.raises(ValueError):
+        intmat.hnf(vecs, 2)
+    with pytest.raises(ValueError):
+        intmat._echelon_hnf(vecs, 2)
