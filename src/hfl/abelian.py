@@ -9,6 +9,11 @@ permutation of interest therefore fixes the final index.
 The catalogue() report walks every proper subset of Z_7 containing 0 and
 records minimal distance, well-roundedness, the index of the span of the
 minimal vectors, and the subset-preserving group automorphisms.
+
+The permutation correspondence compares two independent searches: the
+automorphisms of G preserving S, from AbelianGroup.automorphisms pruned
+by S, and the lattice's coordinate permutations, from
+lattice.permutation_automorphisms pruned by its basis rows.
 """
 
 import csv
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from . import intmat, lattice
 from .errors import EmptyGeneratorSetError, GroupTooLargeError
 
-AUT_MAX_WORK = 10**6  # |Aut(G)| * |G| entries listed by automorphisms()
+AUT_MAX_WORK = 10**6  # |Aut(G)| * |G|: the entries of the full listing, bounding any search
 ENUMERATION_MAX_ORDER = 10**6
 
 
@@ -97,9 +102,10 @@ class AbelianGroup:
                 out *= (p**d - p ** (k - 1)) * p ** (e * (n - d) + (e - 1) * (n - c + 1))
         return out
 
-    def automorphisms(self):
-        """All automorphisms, each a tuple perm with perm[enc(g)] = enc(phi(g)),
-        in increasing order.
+    def automorphisms(self, preserving=()):
+        """The automorphisms phi with phi(S) = S for S the encodings
+        `preserving` (all of Aut(G) by default), each a tuple perm with
+        perm[enc(g)] = enc(phi(g)), in increasing order.
 
         Depth-first extension one canonical generator e_j at a time.  The
         encodings below m_1...m_{j-1} are the subgroup H = <e_1..e_{j-1}>,
@@ -109,11 +115,15 @@ class AbelianGroup:
         d e_j + H maps to d x + phi(H), built by translating the previous
         coset with a table of enc(a + x), made once per call for each image
         x chosen.  A rejected x is never built, and trying images in
-        increasing order emits the perms sorted.
+        increasing order emits the perms sorted.  The elements of S first
+        reached at level j, the encodings in [m_1...m_{j-1}, m_1...m_j),
+        are settled there: a partial map sending one of them outside S is
+        dropped with its whole subtree.  As phi is a bijection,
+        phi(S) <= S already gives phi(S) = S.
 
-        The work is the output, |Aut(G)| * |G| entries, charged from the
-        closed form before any listing; above AUT_MAX_WORK the call raises
-        GroupTooLargeError naming the cost and the cap.
+        The work is at most the full listing, |Aut(G)| * |G| entries,
+        charged from the closed form before any search; above AUT_MAX_WORK
+        the call raises GroupTooLargeError naming the cost and the cap.
         """
         cost = self.automorphism_count() * self.order
         if cost > AUT_MAX_WORK:
@@ -145,6 +155,10 @@ class AbelianGroup:
                 if 0 not in mults:
                     level.append((x, mults))
             levels.append(level)
+        in_S = bytearray(self.order)
+        for s in preserving:
+            in_S[s] = 1
+        settled = [[s for s in preserving if t <= s < t * m] for t, m in zip(strides, moduli)]
         shifts = {}
         out = []
 
@@ -171,7 +185,8 @@ class AbelianGroup:
                     for _ in range(1, moduli[j]):
                         block = list(map(shift.__getitem__, block))
                         new += block
-                extend(j + 1, new)
+                if all(map(in_S.__getitem__, map(new.__getitem__, settled[j]))):
+                    extend(j + 1, new)
 
         extend(0, (0,))
         return out
@@ -240,16 +255,13 @@ def extendable_subset_perms(group: AbelianGroup, gens):
     """Permutations of S = (0, g_1, ..., g_{n-1}) that extend to Aut(G).
 
     Returned as sorted, deduplicated index tuples of length n fixing 0
-    (position i holds the S-index of the image of g_i).
+    (position i holds the S-index of the image of g_i), read off the
+    automorphisms that AbelianGroup.automorphisms lists preserving S.
     """
     gens = _check_subset(group, gens)
     pos = {g: i + 1 for i, g in enumerate(gens)}
-    out = set()
-    for phi in group.automorphisms():
-        images = [phi[g] for g in gens]
-        if all(h in pos for h in images):
-            out.add((0,) + tuple(pos[h] for h in images))
-    return sorted(out)
+    perms = group.automorphisms(gens)
+    return sorted({(0, *map(pos.__getitem__, map(phi.__getitem__, gens))) for phi in perms})
 
 
 def subset_perm_to_coordinate_perm(perm):

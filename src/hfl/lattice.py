@@ -683,15 +683,19 @@ def permutation_automorphisms(L: Lattice, fixed_index: int = 0, minvecs=None):
     permutation of L permutes its minimal vectors, so coordinate i may go
     to j only if the multiset of minimal-vector values at i equals that at
     j, and likewise for the value pairs at i and each coordinate already
-    placed.  Every leaf is checked with Lattice.fixed_by, which asks only
-    that each permuted basis row lie in L: a permutation has finite order,
-    so one mapping L into L maps it onto L.  The minimal vectors are
-    computed when not given, which caps the rank at ENUM_MAX_RANK
-    (SearchInfeasibleError above it); n - 1 is capped at PERM_SEARCH_MAX.
+    placed; the profiles are sorted from the minimal vectors' columns.
+    The coordinates are placed so that the basis rows with the fewest
+    unplaced support coordinates are completed first, and each basis row
+    is checked once, with Lattice.member_fast, as soon as its support is
+    placed: a row mapped outside L drops the whole subtree.  A leaf has
+    mapped every basis row into L, which is enough: a permutation has
+    finite order, so one mapping L into L maps it onto L.  The minimal
+    vectors are computed when not given, which caps the rank at
+    ENUM_MAX_RANK (SearchInfeasibleError above it); n - 1 is capped at
+    PERM_SEARCH_MAX.
     """
     n = L.n
     m = n - 1
-    free = [i for i in range(n) if i != fixed_index]
     if m > PERM_SEARCH_MAX:
         raise SearchInfeasibleError(f"n - 1 = {m} > {PERM_SEARCH_MAX}")
     if minvecs is None:
@@ -701,43 +705,62 @@ def permutation_automorphisms(L: Lattice, fixed_index: int = 0, minvecs=None):
                 "minimal vectors; pass minvecs"
             )
         minvecs = minimal_vectors(L)
-    minvecs = set(minvecs)
+    cols = list(zip(*set(minvecs))) or [()] * n  # the zero lattice has none
     ids = {}  # profiles interned as small ints, so the search compares ints
 
     def profile(values):
         return ids.setdefault(tuple(sorted(values)), len(ids))
 
-    vert = [profile(v[i] for v in minvecs) for i in range(n)]
-    pair = [[profile((v[i], v[j]) for v in minvecs) for j in range(n)] for i in range(n)]
+    vert = list(map(profile, cols))
+    pair = [[profile(zip(ci, cj)) for cj in cols] for ci in cols]
+
+    supports = [[(i, x) for i, x in enumerate(row) if x] for row in L.rows]
+    # next: the unplaced support of the row with the fewest unplaced
+    # coordinates, or, once every row is placed, the coordinates no row touches
+    order, placed = [], {fixed_index}
+    while len(placed) < n:
+        rest = [u for u in ({i for i, _ in sup} - placed for sup in supports) if u]
+        nxt = sorted(min(rest, key=len) if rest else set(range(n)) - placed)
+        order += nxt
+        placed.update(nxt)
+    level = {i: k for k, i in enumerate(order)}
+    checks = [[] for _ in order]  # per level: the rows whose support it completes
+    for sup in supports:
+        checks[max(level.get(i, -1) for i, _ in sup)].append(sup)
 
     out = []
     image = list(range(n))
     used = [False] * n
     used[fixed_index] = True
 
+    def maps_into_L(sup):
+        v = [0] * n
+        for i, x in sup:
+            v[image[i]] = x
+        return L.member_fast(v)
+
     def extend(k):
-        if k == len(free):
-            perm = tuple(image)
-            if L.fixed_by(perm):
-                out.append(perm)
+        if k == len(order):
+            out.append(tuple(image))
             return
-        i = free[k]
-        for j in free:
+        i = order[k]
+        for j in order:
             if used[j] or vert[j] != vert[i]:
                 continue
             if pair[i][fixed_index] != pair[j][fixed_index]:
                 continue
             ok = True
             for k2 in range(k):
-                i2 = free[k2]
+                i2 = order[k2]
                 if pair[i][i2] != pair[j][image[i2]]:
                     ok = False
                     break
             if ok:
                 image[i] = j
-                used[j] = True
-                extend(k + 1)
-                used[j] = False
+                if all(map(maps_into_L, checks[k])):
+                    used[j] = True
+                    extend(k + 1)
+                    used[j] = False
         image[i] = i
 
     extend(0)

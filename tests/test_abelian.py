@@ -151,6 +151,38 @@ def test_automorphism_listing_has_closed_form_length(moduli, count):
     assert len(auts) == count and auts == sorted(set(auts))
 
 
+def _oracle_subset_perms(auts, gens):
+    """The S-index tuples of the automorphisms in `auts` mapping S into S."""
+    pos = {g: i + 1 for i, g in enumerate(gens)}
+    kept = [phi for phi in auts if all(phi[g] in pos for g in gens)]
+    return sorted({(0,) + tuple(pos[phi[g]] for g in gens) for phi in kept})
+
+
+def test_subset_preserving_search_matches_bruteforce_oracle():
+    """The pruned search against the brute-force Aut(G) filtered by S, on
+    every nonempty subset of the nonzero elements of five small groups and
+    on seeded samples of 6 to 9 elements in three groups of order 16; the
+    preserving listing is the full listing filtered by S, in order."""
+    rng = random.Random(24)
+    cases = []
+    for moduli in [(7,), (8,), (2, 2, 2), (2, 4), (3, 3)]:
+        G = abelian.AbelianGroup(moduli)
+        nonzero = range(1, G.order)
+        cases.append((G, [s for k in nonzero for s in itertools.combinations(nonzero, k)]))
+    for moduli in [(2, 2, 2, 2), (2, 2, 4), (4, 4)]:
+        G = abelian.AbelianGroup(moduli)
+        draws = [rng.sample(range(1, G.order), k) for k in range(6, 10) for _ in range(5)]
+        cases.append((G, draws))
+    for G, subsets in cases:
+        brute, full = automorphisms_bruteforce(G), G.automorphisms()
+        for gens in subsets:
+            want = _oracle_subset_perms(brute, gens)
+            assert abelian.extendable_subset_perms(G, gens) == want, (G, gens)
+            S = set(gens)
+            kept = [phi for phi in full if S.issuperset(map(phi.__getitem__, gens))]
+            assert G.automorphisms(gens) == kept, (G, gens)
+
+
 def test_size_limits():
     with pytest.raises(GroupTooLargeError):
         abelian.AbelianGroup((1009, 1009))

@@ -52,7 +52,7 @@ def test_benchmark_operations_all_pass(perfbench):
     benchmark passes (max_order=, generators_only=, workers=) is still
     accepted, and every operation returns its expected value."""
     workloads = perfbench("workloads")
-    plan = (((11,), (6,), 1), ((2, 2, 4), (6,), 1))
+    plan = (((11,), (6,), 1), ((2, 2, 4), (6,), 1), ((2, 2, 2, 2), (6,), 1))
     ops = (
         workloads.hermitian_verify_ops(2)
         + workloads.build_families_ops(3, 2)

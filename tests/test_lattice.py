@@ -566,6 +566,29 @@ def test_profile_search_matches_brute_force(hl2):
             assert got == _brute_perm_automorphisms(L, fixed), (L.rows, fixed)
 
 
+def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
+    """On the q = 2 Hermitian lattice and the Z_3 x Z_3 lattice of S = G,
+    where the value profiles prune nothing, checking each basis row once
+    its support is placed makes far fewer member_fast calls than the
+    8! = 40,320 leaves of an unpruned search."""
+    G = abelian.AbelianGroup((3, 3))
+    L9 = abelian.lattice_for_subset(G, list(range(1, 9)))
+    cases = [(hl2.L, 0, lattice.census_pm1(hl2.L, 2)), (L9, L9.n - 1, lattice.minimal_vectors(L9))]
+    calls = []
+    member_fast = lattice.Lattice.member_fast
+
+    def counted(self, v):
+        calls.append(v)
+        return member_fast(self, v)
+
+    monkeypatch.setattr(lattice.Lattice, "member_fast", counted)
+    for L, fixed, minvecs in cases:
+        calls.clear()
+        perms = lattice.permutation_automorphisms(L, fixed_index=fixed, minvecs=minvecs)
+        assert len(perms) == 48
+        assert len(calls) < 40320 // 20, len(calls)
+
+
 def test_zero_lattice():
     L = lattice.Lattice.from_generators([(0, 0, 0)], 3)
     assert L.rank == 0
