@@ -278,11 +278,11 @@ def subset_perm_to_coordinate_perm(perm):
     return tuple(out)
 
 
-def perms_correspond(L: lattice.Lattice, subset_perms, minvecs=None) -> bool:
+def perms_correspond(L: lattice.Lattice, subset_perms) -> bool:
     """Do the subset permutations, as coordinate permutations, equal those
-    of L fixing its balancing index (searched over minvecs when given)?"""
+    of L fixing its balancing index?"""
     from_group = {subset_perm_to_coordinate_perm(p) for p in subset_perms}
-    return from_group == set(lattice.permutation_automorphisms(L, L.n - 1, minvecs))
+    return from_group == set(lattice.permutation_automorphisms(L, L.n - 1))
 
 
 def check_permutation_correspondence(group: AbelianGroup, gens) -> bool:

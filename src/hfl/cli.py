@@ -32,7 +32,7 @@ from .errors import (
 from .gf import modulus
 
 MAX_SAFE_INT = 2**53 - 1
-BUDGET_HINT = "(raise --cap or HFL_BUDGET)"  # the flags that lift a BudgetExceededError
+BUDGET_HINT = "(raise --cap)"  # the flag that lifts a BudgetExceededError
 
 # census sizes confirmed independently (subset-pair brute force for q <= 3,
 # the kissing families at q = 4); only pinned values become equality checks
@@ -90,7 +90,7 @@ def _emit(payload, out_path):
 
 
 def _positive_int(text: str) -> int:
-    """A budget, from --cap or HFL_BUDGET: a positive integer."""
+    """A budget, from --cap: a positive integer."""
     try:
         val = int(text)
     except ValueError:
@@ -98,19 +98,6 @@ def _positive_int(text: str) -> int:
     if val <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return val
-
-
-def _budget(args, flag, default):
-    """The value of the budget flag if given, else HFL_BUDGET, else default."""
-    if getattr(args, flag, None) is not None:
-        return getattr(args, flag)
-    raw = os.environ.get("HFL_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return _positive_int(raw)
-    except argparse.ArgumentTypeError as e:
-        raise UsageError(f"HFL_BUDGET: {e}")
 
 
 # -- payload builders -------------------------------------------------------------
@@ -137,12 +124,15 @@ def parse_line_spec(spec: str):
         if not piece:
             continue
         key, eq, val = piece.partition("=")
+        key = key.strip()
         if not eq:
             raise UsageError(f"bad parameter {piece!r} in line spec")
+        if key in params:
+            raise UsageError(f"parameter {key!r} repeated in line spec")
         try:
-            params[key.strip()] = int(val)
+            params[key] = int(val)
         except ValueError:
-            raise UsageError(f"parameter {key.strip()!r} must be an integer")
+            raise UsageError(f"parameter {key!r} must be an integer")
     if head == "x-c":
         if set(params) != {"c"}:
             raise UsageError("vertical line spec takes exactly c=<enc>")
@@ -266,7 +256,7 @@ def group_subset_payload(moduli, subset, correspondence: bool = True):
         "subset_aut_count": len(perms),
     }
     if correspondence:
-        payload["correspondence"] = abelian.perms_correspond(L, perms, minvecs)
+        payload["correspondence"] = abelian.perms_correspond(L, perms)
     return payload
 
 
@@ -534,7 +524,7 @@ def _export_curve(args):
 
 def _export_census(args):
     curve = _export_curve(args)
-    cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)
+    cap = args.cap or lattice.DEFAULT_CENSUS_CAP
     return census_payload(hermlat.HermitianLattice(curve), cap=cap)
 
 
@@ -582,7 +572,7 @@ def cmd_verify(args):
         report["target"] = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
         _refuse(args, "verify --q", "table1", "golden")
-        cap = _budget(args, "cap", lattice.DEFAULT_CENSUS_CAP)  # refused before the build
+        cap = args.cap or lattice.DEFAULT_CENSUS_CAP
         t0 = time.perf_counter()
         hl = hermlat.build(args.q)
         build_seconds = round(time.perf_counter() - t0, 6)

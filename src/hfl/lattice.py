@@ -29,7 +29,7 @@ from .errors import (
 DEFAULT_CENSUS_CAP = 10**8
 ENUM_MAX_RANK = 12
 LLL_DELTA = (99, 100)  # the Lovasz constant 99/100 as (numerator, denominator)
-PERM_SEARCH_MAX = 28
+PERM_MAX_WORK = 10**6  # partial maps the permutation search may try
 
 
 @dataclass(frozen=True)
@@ -647,11 +647,6 @@ def minimal_vectors(L: Lattice):
 # -- invariants built on minimal vectors ---------------------------------------
 
 
-def well_rounded(L: Lattice, minvecs) -> bool:
-    """Do the minimal vectors span rank(L) independent directions?"""
-    return generated_by_minimals_index(L, minvecs) != 0
-
-
 def generated_by_minimals_index(L: Lattice, minvecs) -> int:
     """Index [L : span(minvecs)], with 0 standing for a rank-deficient span."""
     if not minvecs:
@@ -676,44 +671,20 @@ def generated_by_minimals_index(L: Lattice, minvecs) -> int:
 # -- coordinate-permutation automorphisms --------------------------------------
 
 
-def permutation_automorphisms(L: Lattice, fixed_index: int = 0, minvecs=None):
+def permutation_automorphisms(L: Lattice, fixed_index: int = 0):
     """All coordinate permutations fixing one index that map L onto itself.
 
-    One backtracking search over images (Plesken-Souvignier): a
-    permutation of L permutes its minimal vectors, so coordinate i may go
-    to j only if the multiset of minimal-vector values at i equals that at
-    j, and likewise for the value pairs at i and each coordinate already
-    placed; the profiles are sorted from the minimal vectors' columns.
-    The coordinates are placed so that the basis rows with the fewest
+    One backtracking search over images (Plesken-Souvignier).  The
+    coordinates are placed so that the basis rows with the fewest
     unplaced support coordinates are completed first, and each basis row
     is checked once, with Lattice.member_fast, as soon as its support is
     placed: a row mapped outside L drops the whole subtree.  A leaf has
     mapped every basis row into L, which is enough: a permutation has
-    finite order, so one mapping L into L maps it onto L.  The minimal
-    vectors are computed when not given, which caps the rank at
-    ENUM_MAX_RANK (SearchInfeasibleError above it); n - 1 is capped at
-    PERM_SEARCH_MAX.
+    finite order, so one mapping L into L maps it onto L.  Every image
+    tried for a coordinate is one partial map; past PERM_MAX_WORK of them
+    the search raises SearchInfeasibleError naming the count and the cap.
     """
     n = L.n
-    m = n - 1
-    if m > PERM_SEARCH_MAX:
-        raise SearchInfeasibleError(f"n - 1 = {m} > {PERM_SEARCH_MAX}")
-    if minvecs is None:
-        if L.rank > ENUM_MAX_RANK:
-            raise SearchInfeasibleError(
-                f"rank {L.rank} > {ENUM_MAX_RANK}: the permutation search needs "
-                "minimal vectors; pass minvecs"
-            )
-        minvecs = minimal_vectors(L)
-    cols = list(zip(*set(minvecs))) or [()] * n  # the zero lattice has none
-    ids = {}  # profiles interned as small ints, so the search compares ints
-
-    def profile(values):
-        return ids.setdefault(tuple(sorted(values)), len(ids))
-
-    vert = list(map(profile, cols))
-    pair = [[profile(zip(ci, cj)) for cj in cols] for ci in cols]
-
     supports = [[(i, x) for i, x in enumerate(row) if x] for row in L.rows]
     # next: the unplaced support of the row with the fewest unplaced
     # coordinates, or, once every row is placed, the coordinates no row touches
@@ -732,6 +703,7 @@ def permutation_automorphisms(L: Lattice, fixed_index: int = 0, minvecs=None):
     image = list(range(n))
     used = [False] * n
     used[fixed_index] = True
+    tried = 0
 
     def maps_into_L(sup):
         v = [0] * n
@@ -740,27 +712,23 @@ def permutation_automorphisms(L: Lattice, fixed_index: int = 0, minvecs=None):
         return L.member_fast(v)
 
     def extend(k):
+        nonlocal tried
         if k == len(order):
             out.append(tuple(image))
             return
         i = order[k]
-        for j in order:
-            if used[j] or vert[j] != vert[i]:
-                continue
-            if pair[i][fixed_index] != pair[j][fixed_index]:
-                continue
-            ok = True
-            for k2 in range(k):
-                i2 = order[k2]
-                if pair[i][i2] != pair[j][image[i2]]:
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                if all(map(maps_into_L, checks[k])):
-                    used[j] = True
-                    extend(k + 1)
-                    used[j] = False
+        free = [j for j in order if not used[j]]
+        tried += len(free)
+        if tried > PERM_MAX_WORK:
+            raise SearchInfeasibleError(
+                f"permutation search tried {tried} partial maps > cap {PERM_MAX_WORK}"
+            )
+        for j in free:
+            image[i] = j
+            if all(map(maps_into_L, checks[k])):
+                used[j] = True
+                extend(k + 1)
+                used[j] = False
         image[i] = i
 
     extend(0)

@@ -231,7 +231,7 @@ def test_z7_124_minimal_vectors():
         expected.add(tuple(-x for x in v))
     assert mv == expected
     assert all(sum(x * x for x in v) == 6 for v in mv)
-    assert lattice.well_rounded(L, sorted(mv))
+    assert lattice.generated_by_minimals_index(L, sorted(mv)) != 0
 
 
 def test_subset_lattice_membership_meaning():
@@ -278,6 +278,20 @@ def test_correspondence_z7_samples():
     G = abelian.AbelianGroup((7,))
     for gens in [[1], [1, 2, 4], [3, 5, 6], [1, 2, 3, 4, 5, 6]]:
         assert abelian.check_permutation_correspondence(G, gens)
+
+
+def test_correspondence_never_computes_minimal_vectors(monkeypatch):
+    """The permutation search is pruned by basis rows alone: with Min(L)
+    out of reach, every Z_7 subset still corresponds."""
+
+    def refuse(L):
+        raise AssertionError("minimal_vectors called")
+
+    monkeypatch.setattr(lattice, "minimal_vectors", refuse)
+    G = abelian.AbelianGroup((7,))
+    subsets = [g for k in range(1, 6) for g in itertools.combinations(range(1, 7), k)]
+    assert len(subsets) == 62
+    assert all(abelian.check_permutation_correspondence(G, gens) for gens in subsets)
 
 
 def test_correspondence_z3z3_full_group():

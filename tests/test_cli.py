@@ -41,49 +41,28 @@ def test_unsupported_q(capsys):
 def test_census_budget_refused(capsys):
     rc, _, err = run_cli(capsys, "export", "--kind", "census", "--q", "2", "--cap", "5")
     assert rc == 2
-    assert "--cap" in err or "HFL_BUDGET" in err
+    assert "--cap" in err
 
 
-def test_fixed_cap_refusal_names_no_budget(capsys, monkeypatch):
-    """A rank cap that neither --cap nor HFL_BUDGET lifts is refused with
-    exit 2 and one line that points at neither."""
-    monkeypatch.setenv("HFL_BUDGET", str(10**11))
+def test_fixed_cap_refusal_names_no_budget(capsys):
+    """A rank cap that --cap does not lift is refused with exit 2 and one
+    line that does not point at it."""
     subset = ",".join(map(str, range(1, 14)))
     rc, out, err = run_cli(capsys, "group", "ls", "--moduli", "2,2,2,2", "--subset", subset)
     assert rc == 2 and out == ""
     assert err == "hfl: rank 13 > 12 for exact enumeration\n"
-    assert "--cap" not in err and "HFL_BUDGET" not in err
-
-
-def test_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("HFL_BUDGET", "5")
-    rc, _, _ = run_cli(capsys, "export", "--kind", "census", "--q", "2")
-    assert rc == 2
-    # explicit flag overrides the environment
-    monkeypatch.setenv("HFL_BUDGET", "5")
-    rc, out, _ = run_cli(capsys, "export", "--kind", "census", "--q", "2", "--cap", "100000000")
-    assert rc == 0
-    monkeypatch.setenv("HFL_BUDGET", "zero")
-    rc, _, err = run_cli(capsys, "export", "--kind", "census", "--q", "2")
-    assert rc == 2
-    assert "HFL_BUDGET" in err
+    assert "--cap" not in err
 
 
 @pytest.mark.parametrize("cap", ["-3", "0", "zero"])
 def test_budget_must_be_positive(capsys, monkeypatch, cap):
-    """--cap and HFL_BUDGET pass one positive-integer check: a bad --cap
-    is a usage error, a bad HFL_BUDGET one hfl: line, both exit 2, and
-    verify refuses before it builds L."""
+    """A bad --cap is a usage error, exit 2, refused before verify builds L."""
+    monkeypatch.setattr(cli.hermlat, "build", lambda q: pytest.fail("built before the check"))
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--q", "2", "--cap", cap])
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert err.startswith("usage: hfl verify") and "argument --cap" in err
-    monkeypatch.setenv("HFL_BUDGET", cap)
-    monkeypatch.setattr(cli.hermlat, "build", lambda q: pytest.fail("built before the check"))
-    rc, out, err = run_cli(capsys, "verify", "--q", "2")
-    assert (rc, out) == (2, "")
-    assert err.startswith("hfl: HFL_BUDGET") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,7 +248,8 @@ def test_parse_line_spec():
     assert cli.parse_line_spec("x-c:c=3") == cli.Vertical(3)
     assert cli.parse_line_spec("y+bx+c:b=1,c=2") == cli.Slope(1, 2)
     assert cli.parse_line_spec("y+bx+c: b=1, c=2") == cli.Slope(1, 2)
-    for bad in ["x-c", "x-c:c=q", "x-c:b=1", "y+bx+c:b=1", "z:c=1", "x-c:c"]:
+    for bad in ["x-c", "x-c:c=q", "x-c:b=1", "y+bx+c:b=1", "z:c=1", "x-c:c",
+                "x-c:c=1,c=2", "y+bx+c:b=1,c=2,b=3"]:
         with pytest.raises(cli.UsageError):
             cli.parse_line_spec(bad)
 
@@ -465,7 +445,7 @@ PINNED_REPORTS = [
     ("verify --q 2", "1c353f64ac23ca5ae505da9d8372aa885a9aefdcc8fb43b8b543234d7275fcb0"),
     ("verify --q 3", "bba60c009cb7983420093e7caa0219207d74edc84969c850b8e54ab7de116da0"),
     ("verify --q 4", "23d6bf071f1b3f96c23b7f25b8e088f9b82bd2b417b34237c60ae5e7b5507df9"),
-    ("verify --q 5", "738495ac0b6646ceb4a204b0e6c8ca3e901a02163853397333e157df4b1a170f"),
+    ("verify --q 5", "67685f974b0ff82f11d273f3f170158ef016c2114f1f0068f97de5519f57309e"),
 ]
 
 

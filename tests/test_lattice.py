@@ -63,7 +63,6 @@ def test_scaled_a2_example():
     mv = lattice.minimal_vectors(L)
     assert len(mv) == 6
     assert all(sum(x * x for x in v) == 8 for v in mv)
-    assert lattice.well_rounded(L, mv)
     assert lattice.generated_by_minimals_index(L, mv) == 1
 
 
@@ -568,12 +567,11 @@ def test_profile_search_matches_brute_force(hl2):
 
 def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
     """On the q = 2 Hermitian lattice and the Z_3 x Z_3 lattice of S = G,
-    where the value profiles prune nothing, checking each basis row once
-    its support is placed makes far fewer member_fast calls than the
-    8! = 40,320 leaves of an unpruned search."""
+    checking each basis row once its support is placed makes far fewer
+    member_fast calls than the 8! = 40,320 leaves of an unpruned search."""
     G = abelian.AbelianGroup((3, 3))
     L9 = abelian.lattice_for_subset(G, list(range(1, 9)))
-    cases = [(hl2.L, 0, lattice.census_pm1(hl2.L, 2)), (L9, L9.n - 1, lattice.minimal_vectors(L9))]
+    cases = [(hl2.L, 0), (L9, L9.n - 1)]
     calls = []
     member_fast = lattice.Lattice.member_fast
 
@@ -582,9 +580,9 @@ def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
         return member_fast(self, v)
 
     monkeypatch.setattr(lattice.Lattice, "member_fast", counted)
-    for L, fixed, minvecs in cases:
+    for L, fixed in cases:
         calls.clear()
-        perms = lattice.permutation_automorphisms(L, fixed_index=fixed, minvecs=minvecs)
+        perms = lattice.permutation_automorphisms(L, fixed_index=fixed)
         assert len(perms) == 48
         assert len(calls) < 40320 // 20, len(calls)
 
@@ -596,37 +594,37 @@ def test_zero_lattice():
     assert lattice.permutation_automorphisms(L) == [(0, 1, 2), (0, 2, 1)]
 
 
+def test_permutation_search_on_q3_hermitian_lattice(hl3):
+    """Rank 27, past the enumeration cap: the basis-row search needs no
+    minimal vectors and finds the 432 permutations fixing place 0."""
+    assert hl3.L.rank == 27
+    assert len(lattice.permutation_automorphisms(hl3.L, fixed_index=0)) == 432
+
+
 def test_permutation_search_caps():
-    L = full_root_lattice(31)
-    with pytest.raises(SearchInfeasibleError):
-        lattice.permutation_automorphisms(L)
-    # n - 1 in search range but rank too big for minimal vectors
-    L2 = full_root_lattice(15)
-    with pytest.raises(SearchInfeasibleError):
-        lattice.permutation_automorphisms(L2)
-    # explicit minimal vectors unlock it; A_14 has all perms, so don't run
-    # the full search; instead check the q=2 curve lattice path in
-    # test_profile_search_matches_brute_force.
+    """A_14 and A_30 keep all (n - 1)! permutations fixing index 0: the
+    search is refused once it has tried PERM_MAX_WORK partial maps."""
+    refusal = rf"tried \d+ partial maps > cap {lattice.PERM_MAX_WORK}$"
+    for n in (15, 31):
+        with pytest.raises(SearchInfeasibleError, match=refusal):
+            lattice.permutation_automorphisms(full_root_lattice(n))
 
 
 def test_generated_by_minimals_index_cases():
     # full-rank minimal span generating the whole lattice: index 1
     L = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3)
     mv = lattice.minimal_vectors(L)
-    assert lattice.well_rounded(L, mv)
     assert lattice.generated_by_minimals_index(L, mv) == 1
     # (1,1,-2) collapses onto <(1,-1,0),(0,2,-2)>; minimals are just
     # +-(1,-1,0), spanning rank 1 of 2, so the index reports 0
     L1 = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2), (1, 1, -2)], 3)
     mv1 = lattice.minimal_vectors(L1)
     assert sorted(mv1) == sorted([(1, -1, 0), (-1, 1, 0)])
-    assert not lattice.well_rounded(L1, mv1)
     assert lattice.generated_by_minimals_index(L1, mv1) == 0
     # rank-deficient minimal span reports 0
     L2 = lattice.Lattice.from_generators([(5, -5, 0, 0), (0, 0, 1, -1)], 4)
     mv2 = lattice.minimal_vectors(L2)
     assert all(sum(x * x for x in v) == 2 for v in mv2)
-    assert not lattice.well_rounded(L2, mv2)
     assert lattice.generated_by_minimals_index(L2, mv2) == 0
 
 
@@ -636,13 +634,13 @@ def test_generated_by_minimals_index_cases():
     ([(5, -5, 0, 0), (0, 0, 1, -1)], 4, False),
 ], ids=["scaled_a2", "collapsed", "rank_deficient"])
 def test_well_rounded_is_a_nonzero_index(gens, n, expected):
-    """One Hermite span decides both: well_rounded is index != 0, and it
-    agrees with the echelon rank of the minimal vectors."""
+    """One Hermite span decides well-roundedness: index != 0 agrees with
+    the echelon rank of the minimal vectors."""
     L = lattice.Lattice.from_generators(gens, n)
     mv = lattice.minimal_vectors(L)
     index = lattice.generated_by_minimals_index(L, mv)
     echelon_rank = len(intmat.echelon([list(v) for v in mv], n)[0])
-    assert lattice.well_rounded(L, mv) == (index != 0) == (echelon_rank == L.rank) == expected
+    assert (index != 0) == (echelon_rank == L.rank) == expected
 
 
 def test_eq_and_hash_canonical():
