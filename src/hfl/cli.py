@@ -15,7 +15,6 @@ import os
 import resource
 import sys
 import time
-from array import array
 from collections import Counter
 from dataclasses import asdict
 from operator import sub
@@ -333,40 +332,17 @@ def _once(fn):
     return get
 
 
-def family_pass(curve: Curve):
-    """(sizes, norms, distinct) of the family vectors: counts per family
-    and in total, a Counter of squared norms, and how many are distinct.
-    One walk over hermlat.family_pairs holds no dense vector: each
-    Curve.quotient_support is kept as a packed key, index << 8 | value &
-    255 per nonzero entry, which is injective while every |value| < 128,
-    as norm^2 = 2q <= 16 ensures."""
-    quotient = curve.quotient_support
-    sizes = dict.fromkeys(hermlat.FAMILIES, 0)
-    norms = Counter()
-    keys = set()
-    for family, num, den in hermlat.family_pairs(curve):
-        sizes[family] += 1
-        vec = quotient(num, den)
-        norms[sum(x * x for x in vec.values())] += 1
-        keys.add(array("i", sorted([i << 8 | x & 255 for i, x in vec.items()])).tobytes())
-    sizes["total"] = sum(sizes.values())
-    return sizes, norms, len(keys)
-
-
 def herm_checks(hl: hermlat.HermitianLattice, cap: int):
     curve = hl.curve
     q, n = curve.q, curve.n
     index = (q + 1) ** (q * q - q)
-    families = _once(lambda: family_pass(curve))
+    families = _once(lambda: hermlat.unital_families(curve))
 
     def families_valid():
-        # L is a group: a family vector div(num) - div(den) lies in L when
-        # both line divisors pass member_fast
-        sizes, norms, distinct = families()
-        if set(norms) != {2 * q}:
-            return "wrong norm"
-        if distinct != sizes["total"]:
-            return "families overlap"
+        # a 2-design gives the family vectors norm^2 2q and makes them distinct;
+        # L is a group, so each lies in L once every line divisor does
+        if not families()[1]:
+            return "blocks not a 2-design"
         return "line divisor outside lattice" if hl.lines_outside else "ok"
 
     # d^2 = 2q forces every entry into {-1, 0, 1} and deg f = q, so Min(L)

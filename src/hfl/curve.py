@@ -74,11 +74,12 @@ class Curve:
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
         # line -> points on it, its dense divisor (lattice generators, output),
-        # the divisor's support (all that hermlat's checks read) and its
-        # decomposition steps (line pairs, no vectors); each computed once
+        # the divisor's support and block (all that hermlat's checks read) and
+        # its decomposition steps (line pairs, no vectors); each computed once
         self._points: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._divisors: dict[Line, tuple[int, ...]] = {}
         self._supports: dict[Line, tuple[tuple[int, int], ...]] = {}
+        self._blocks: dict[Line, frozenset[int] | None] = {}
         self._decompositions: dict[Line, tuple] = {}
 
     # -- lines ----------------------------------------------------------------
@@ -150,6 +151,25 @@ class Curve:
             zeros = sorted((self.place_index[pt], mult) for pt in pts)
             sup = self._supports[line] = ((0, -mult * len(pts)), *zeros)
         return sup
+
+    def block(self, line: Line) -> frozenset[int] | None:
+        """The line's block of the Hermitian unital: None for a tangent, else
+        the frozenset of its q + 1 places, P_inf (index 0) added to a
+        vertical.  A support other than (q+1)(e_P - e_0) for a tangent, or
+        1_B - (q+1) e_0 with pole q for a vertical and q + 1 for a slope
+        line, is an internal defect."""
+        if line in self._blocks:
+            return self._blocks[line]
+        sup, vert = self.line_support(line), isinstance(line, Vertical)
+        pole = self.q + 1 - vert
+        pts = [i for i, _ in sup if i]
+        blk = frozenset([0] * vert + pts)
+        if not vert and sup == ((0, -pole), (*pts, pole)):  # one point, q + 1 times
+            blk = None
+        elif sup != ((0, -pole), *((i, 1) for i in pts)) or not len(pts) == pole == len(blk) - vert:
+            raise InternalIdentityViolationError(f"{line!r} has divisor {sup}, need pole {pole}")
+        self._blocks[line] = blk
+        return blk
 
     def quotient_support(self, num: Line, den: Line) -> dict[int, int]:
         """The nonzero entries of div(num) - div(den), place index ->

@@ -4,27 +4,25 @@ The lattice is spanned by the divisors of all lines.  A tangent line
 meets the curve only at its point P, so its divisor is (q+1)(P - P_inf):
 with coordinate 0, the place at infinity, dropped, the generators hold
 (q+1) e_j for every affine place j, and intmat.hnf reads the modulus
-q + 1 off them (it is not assumed) and builds L modulo q + 1.
+q + 1 off them (it is not assumed) and builds L modulo q + 1.  Every
+other line's divisor is 1_B - (q+1) e_0 for its block B of the Hermitian
+unital, the 2-(q^3+1, q+1, 1) design (Curve.block).
 
-Everything here is verified construction: quotients of suitable line
-pairs give vectors of squared norm exactly 2q (minimal_pair_vector
-checks the pair conditions and rejects anything else), and
-decompose_line rewrites any line divisor as a signed sum of such
-vectors, raising if the bookkeeping identity fails.  Line quotients are
-held as sparse supports, steps as checked line pairs; only
-kissing_families, whose output they are, builds n-wide vectors.  A
-curve decomposes each line once and keeps the steps, while the identity
-is re-checked by net line coefficients on every call.
-generated_by_minimals turns the decompositions into the proof that
-minimal vectors generate L.  The three closed families of line-quotient
-vectors, listed pair by pair by family_pairs, carry the kissing-number
-lower bound q^2(q^2-1)(q^3+1).  min_distance certifies d^2 = 2q by
+Everything here is verified construction: two lines whose blocks share
+one place give a vector of squared norm exactly 2q (minimal_pair_vector),
+and decompose_line rewrites any line divisor as a signed sum of such
+vectors, kept as checked line pairs, with the sum re-checked on every
+call; generated_by_minimals turns that into the proof that minimal
+vectors generate L.  unital_families reads the sizes of the three
+families of such quotients, the kissing-number lower bound
+q^2(q^2-1)(q^3+1), off the blocks; family_pairs lists the pairs and
+kissing_families builds the vectors.  min_distance certifies d^2 = 2q by
 the degree bound, with no scan.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 
 from . import lattice
 from .curve import Curve, Line, Slope, Vertical, curve_make
@@ -42,6 +40,7 @@ __all__ = [
     "kissing_families",
     "min_distance",
     "minimal_pair_vector",
+    "unital_families",
 ]
 
 
@@ -93,30 +92,17 @@ def build(q: int) -> HermitianLattice:
 
 def minimal_pair_vector(curve: Curve, num: Line, den: Line) -> dict[int, int]:
     """divisor(num) - divisor(den) as {place index: value}, its nonzero
-    entries, when the pair provably gives a vector of squared norm 2q;
-    otherwise NotMinimalPairError with the reason.
-
-    Accepted pairs: two verticals; a vertical and a non-tangent slope
-    line meeting the curve in exactly one common point; two non-tangent
-    slope lines with a common curve point.
+    entries, when the pair provably gives a vector of squared norm 2q:
+    both lines have blocks (Curve.block), and these share exactly one
+    place.  Otherwise NotMinimalPairError with the reason.
     """
     if num == den:
         raise NotMinimalPairError("identical lines")
-    num_v = isinstance(num, Vertical)
-    den_v = isinstance(den, Vertical)
-    if not (num_v and den_v):
-        for line in (num, den):
-            if isinstance(line, Slope) and curve.is_tangent(line):
-                raise NotMinimalPairError(f"tangent line in the pair: {line}")
-        if num_v or den_v:
-            kind = "vertical/slope"
-        else:
-            kind = "slope/slope"
-        common = set(curve.points_on_line(num)) & set(curve.points_on_line(den))
-        if len(common) != 1:
-            raise NotMinimalPairError(
-                f"{kind} pair shares {len(common)} curve points, need exactly 1"
-            )
+    blocks = curve.block(num), curve.block(den)
+    if None in blocks:
+        raise NotMinimalPairError(f"tangent line in the pair: {den if blocks[0] else num}")
+    if len(common := blocks[0] & blocks[1]) != 1:
+        raise NotMinimalPairError(f"pair shares {len(common)} places, need exactly 1")
     vec = curve.quotient_support(num, den)
     norm2 = sum(x * x for x in vec.values())
     if norm2 != 2 * curve.q:
@@ -268,14 +254,10 @@ FAMILIES = ("pair_vertical", "vertical_slope", "slope_slope")
 
 @dataclass(frozen=True)
 class KissingFamilies:
-    """Three closed families of norm^2 = 2q line-quotient vectors.
-
-    pair_vertical: both lines vertical, q^2(q^2-1) vectors.
-    vertical_slope: a vertical and a slope line through one common
-    point, both orientations, 2q^3(q^2-1) vectors.
-    slope_slope: two slope lines through a common point,
-    q^3(q^2-1)(q^2-2) vectors.
-    """
+    """The three families of norm^2 = 2q line-quotient vectors, held dense:
+    the ordered pairs of verticals, of a vertical and a slope line (both
+    ways round) and of two slope lines through one place, q^2(q^2-1),
+    2q^3(q^2-1) and q^3(q^2-1)(q^2-2) vectors (unital_families)."""
 
     pair_vertical: tuple
     vertical_slope: tuple
@@ -320,6 +302,31 @@ def kissing_families(curve: Curve) -> KissingFamilies:
     return KissingFamilies(*map(tuple, fams.values()))
 
 
+def unital_families(curve: Curve) -> tuple[dict[str, int], bool]:
+    """The family sizes, and whether each pair of places lies in exactly
+    one block, in one pass over the blocks (Curve.block).  A family vector
+    is 1_B' - 1_B for the blocks of two lines through one place, so each
+    family counts the ordered pairs of distinct blocks through each place
+    by kind.  In a 2-design B and B' share only that place, so the norm^2
+    is 2(q + 1) - 2 = 2q; and the q >= 2 places of the positive support lie
+    in B' alone, as those of the negative lie in B: the vectors are distinct."""
+    n, pairs = curve.n, []
+    vert, slope = [0] * n, [0] * n
+    for line in curve.all_lines():
+        if (blk := curve.block(line)) is not None:
+            through = slope if isinstance(line, Slope) else vert
+            for i in blk:
+                through[i] += 1
+            pairs += [i * n + j for i, j in combinations(sorted(blk), 2)]
+    sizes = {
+        "pair_vertical": sum(v * (v - 1) for v in vert),
+        "vertical_slope": sum(2 * v * s for v, s in zip(vert, slope)),
+        "slope_slope": sum(s * (s - 1) for s in slope),
+    }
+    sizes["total"] = sum(sizes.values())
+    return sizes, len(set(pairs)) == len(pairs) == n * (n - 1) // 2
+
+
 def min_distance(hl: HermitianLattice) -> int:
     """d^2 = 2q, certified by the degree bound for function-field lattices
     (Rosenbloom and Tsfasman, 1990; Fukshansky and Maharaj, 2014), with
@@ -334,8 +341,8 @@ def min_distance(hl: HermitianLattice) -> int:
     census.
 
     Recomputed here: n, the ceiling, the witness's norm, and each line's
-    pole at infinity, q for a vertical and q + 1 for a slope line, all of
-    it balanced by zeros at rational places, so no line has other zeros.
+    pole at infinity, q for a vertical and q + 1 for a slope line, balanced
+    by zeros at rational places (Curve.block), so no line has other zeros.
     Quoted: the fibre inequality and the pole orders v_inf(x) = -q and
     v_inf(y) = -(q + 1).  A line with another pole is an internal defect;
     a bound that misses the witness is NotMinimalPairError.
@@ -343,10 +350,7 @@ def min_distance(hl: HermitianLattice) -> int:
     curve = hl.curve
     q = curve.q
     for line in curve.all_lines():
-        sup = curve.line_support(line)
-        pole = q if isinstance(line, Vertical) else q + 1
-        if sup[0] != (0, -pole) or sum(x for _, x in sup):
-            raise InternalIdentityViolationError(f"{line} has divisor {sup}, need pole {pole}")
+        curve.block(line)  # checks the line's pole and rational zeros
     n = len(curve.places)
     bound = 2 * -(-n // (q * q + 1))
     witness = minimal_pair_vector(curve, Vertical(0), Vertical(1))

@@ -1,8 +1,11 @@
 """Slow, independent routes that the tests compare the library against."""
 
 import itertools
+from array import array
 from bisect import bisect_left
+from collections import Counter
 
+from hfl import hermlat
 from hfl.curve import Vertical
 from hfl.intmat import _first_nonzero, _nearest_div
 
@@ -40,6 +43,25 @@ def dense_vector(n, support):
     for i, x in support.items():
         vec[i] = x
     return tuple(vec)
+
+
+def family_pass(curve):
+    """(sizes, norms, distinct) of the family vectors, by walking them:
+    counts per family and in total, a Counter of squared norms, and how
+    many are distinct.  One walk over hermlat.family_pairs holds no dense
+    vector: each Curve.quotient_support is kept as a packed key, index << 8
+    | value & 255 per nonzero entry, which is injective while every |value|
+    < 128, as norm^2 = 2q <= 16 ensures."""
+    sizes = dict.fromkeys(hermlat.FAMILIES, 0)
+    norms = Counter()
+    keys = set()
+    for family, num, den in hermlat.family_pairs(curve):
+        sizes[family] += 1
+        vec = curve.quotient_support(num, den)
+        norms[sum(x * x for x in vec.values())] += 1
+        keys.add(array("i", sorted([i << 8 | x & 255 for i, x in vec.items()])).tobytes())
+    sizes["total"] = sum(sizes.values())
+    return sizes, norms, len(keys)
 
 
 def _dense_tail_reduce(rows, pivots, v, pos, ops):

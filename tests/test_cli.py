@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -523,6 +524,17 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 9
+
+
+def test_console_script_names_cli_main():
+    """The `hfl` console script that pyproject.toml declares resolves to
+    cli.main, installed or not."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(cli.__file__).resolve().parents[2] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"hfl": "hfl.cli:main"}
+    module, _, attr = scripts["hfl"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_module_entry_point_refuses_unsupported_q():

@@ -1,5 +1,5 @@
-"""Verify runs share one lattice, one line pass, one family pass, one
-census, one group chain and one class-group action."""
+"""Verify runs share one lattice, one line pass, one pass over the
+unital's blocks, one census, one group chain and one class-group action."""
 
 import dataclasses
 import json
@@ -16,6 +16,8 @@ import hfl
 from hfl import abelian, autgrp, cli, hermlat, lattice
 from hfl.curve import Slope, curve_make
 from hfl.errors import InternalIdentityViolationError
+
+import oracles
 
 
 @pytest.fixture
@@ -48,12 +50,13 @@ def test_verify_builds_each_object_once(counted, capsys):
     assert cli.main(["verify", "--q", "2"]) == 0
     capsys.readouterr()
     # the two census checks share one +-1 census, and min_distance walks
-    # no shape.  The families are walked twice, never held: once for their sizes, norms and keys,
-    # once against the census.  Each of the 20 lines is decomposed once,
-    # and lattice stability is read off the class-group action.
+    # no shape.  The family checks read the unital's blocks, so the families
+    # are walked once, against the census, and never held.  Each of the 20
+    # lines is decomposed once, and lattice stability is read off the
+    # class-group action.
     assert counted == {
         "HermitianLattice": 1,
-        "family_pairs": 2,
+        "family_pairs": 1,
         "decompose_line": 20,
         "full_group": 1,
         "induced_classgroup_action": 1,
@@ -199,22 +202,28 @@ def _records(checks, wanted):
 FAMILY_IDS = ("family_sizes", "family_membership")
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_family_pass_matches_dense_oracle(q):
-    """The streamed sizes, norms, distinctness and membership equal those
-    of the dense families and the HNF membership test."""
+    """The sizes read off the unital's blocks equal those of the walk
+    oracle, whose vectors all have norm^2 2q and are distinct, and at
+    q <= 4 those of the dense families; membership from the line divisors
+    agrees with each dense vector's HNF test."""
     hl = hermlat.build(q)
-    sizes, norms, distinct = cli.family_pass(hl.curve)
+    sizes, design = hermlat.unital_families(hl.curve)
+    walked, norms, distinct = oracles.family_pass(hl.curve)
+    assert design and sizes == walked
+    assert norms == {2 * q: sizes["total"]} and distinct == sizes["total"]
+    assert hl.lines_outside == ()
+    if q == 5:  # 75,600 dense vectors of length 126 would take about 80 MB
+        return
     dense = hermlat.kissing_families(hl.curve)
     vectors = [v for name in hermlat.FAMILIES for v in getattr(dense, name)]
     assert sizes == {
         **{name: len(getattr(dense, name)) for name in hermlat.FAMILIES},
         "total": dense.total,
     }
-    assert norms == Counter(sum(x * x for x in v) for v in vectors) == {2 * q: dense.total}
-    assert distinct == len(dense.union()) == dense.total
-    # membership from the line divisors, against each vector's HNF test
-    assert hl.lines_outside == ()
+    assert Counter(sum(x * x for x in v) for v in vectors) == norms
+    assert len(dense.union()) == distinct
     assert all(hl.L.contains(v) for v in vectors)
 
 
@@ -233,6 +242,7 @@ def test_non_member_line_divisors_fail_family_membership():
 
 
 def test_repeated_pair_reports_overlap(monkeypatch):
+    """The walk oracle counts a repeated pair twice but keeps one key."""
     real = hermlat.family_pairs
 
     def repeated(curve):
@@ -240,14 +250,72 @@ def test_repeated_pair_reports_overlap(monkeypatch):
         return pairs + pairs[:1]
 
     monkeypatch.setattr(hermlat, "family_pairs", repeated)
-    recs = _records(cli.herm_checks(hermlat.build(2), cap=None), FAMILY_IDS)
-    assert recs["family_sizes"]["actual"]["total"] == 109
-    assert recs["family_membership"]["actual"] == "families overlap"
+    sizes, norms, distinct = oracles.family_pass(curve_make(2))
+    assert sizes["total"] == 109 and distinct == 108 < sizes["total"]
+
+
+def _secant_support(curve):
+    """A non-tangent slope line of the curve and its divisor's support."""
+    line = next(l for l in curve.all_lines() if isinstance(l, Slope) and not curve.is_tangent(l))
+    return line, curve.line_support(line)
+
+
+def _verify_with(hl, monkeypatch, tmp_path):
+    """`verify --q` on the given lattice: the exit code and the report."""
+    monkeypatch.setattr(hermlat, "build", lambda q: hl)
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--q", str(hl.curve.q), "--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_dropped_block_fails_the_family_checks(monkeypatch, capsys, tmp_path):
+    """With one secant gone from the lines, its q + 1 places lose a block:
+    the pencil counts fall short and the pairs of its places lie in no
+    block, so both family checks FAIL, as does the line count of the
+    decompositions, and verify exits 1."""
+    hl = hermlat.build(2)
+    lines = hl.curve.all_lines()
+    dropped, _ = _secant_support(hl.curve)
+    monkeypatch.setattr(hl.curve, "all_lines", lambda: [l for l in lines if l != dropped])
+    code, report = _verify_with(hl, monkeypatch, tmp_path)
+    capsys.readouterr()
+    failed = {r["check_id"]: r.get("actual") for r in report["checks"] if r.get("pass") is False}
+    assert code == 1
+    assert set(failed) == {"family_sizes", "family_membership", "decompose_all_lines"}
+    assert failed["family_sizes"]["total"] < 108
+    assert failed["family_membership"] == "blocks not a 2-design"
+
+
+def test_moved_place_breaks_the_design():
+    """A secant's support with one affine place moved to a place off the
+    line is still of the form 1_B - (q+1) e_0, but the design is broken:
+    both family checks FAIL, and two more slope pairs are counted."""
+    hl = hermlat.build(2)
+    line, (pole, *zeros) = _secant_support(hl.curve)
+    off = next(i for i in range(1, hl.curve.n) if (i, 1) not in zeros)
+    hl.curve._supports[line] = (pole, *sorted(zeros[1:] + [(off, 1)]))
+    assert len(hl.curve.block(line)) == 3
+    recs = _records(cli.herm_checks(hl, cap=None), FAMILY_IDS)
+    assert recs["family_sizes"]["pass"] is False and recs["family_sizes"]["actual"]["total"] == 110
+    assert recs["family_membership"]["actual"] == "blocks not a 2-design"
+
+
+def test_slope_zero_at_infinity_is_a_defect(monkeypatch, capsys, tmp_path):
+    """A secant's support with a zero at P_inf, so a pole of q, is a block
+    shape only a vertical may have: verify ends with an internal defect."""
+    hl = hermlat.build(2)
+    line, (_, *zeros) = _secant_support(hl.curve)
+    hl.curve._supports[line] = ((0, -hl.curve.q), *zeros[1:])
+    code, report = _verify_with(hl, monkeypatch, tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4 and report is None
+    assert err[-1].startswith(f"hfl: internal defect: {line!r} has divisor")
 
 
 def test_family_checks_hold_no_dense_vectors():
     """At q = 5 the 75,600 family vectors of length 126 take about 80 MB
-    as tuples; the streamed checks keep only their packed keys."""
+    as tuples; the family checks read the 525 blocks and their 7,875
+    pairs of places instead."""
     hl = hermlat.build(5)
     checks = cli.herm_checks(hl, cap=None)
     tracemalloc.start()
@@ -257,7 +325,7 @@ def test_family_checks_hold_no_dense_vectors():
     finally:
         tracemalloc.stop()
     assert recs["family_sizes"]["pass"] and recs["family_membership"]["pass"]
-    assert peak < 16 * 2**20, peak
+    assert peak < 4 * 2**20, peak
 
 
 def _verify_from_parent(parent_source, q):
@@ -284,6 +352,15 @@ def test_verify_q4_peak_rss_bound():
     report = _verify_from_parent("", 4)
     assert report["pass"] and report["counts"]["failed"] == report["counts"]["skipped"] == 0
     assert report["peak_rss_mb"] < 56, report["peak_rss_mb"]
+
+
+def test_verify_q7_peak_rss_bound():
+    """`python -m hfl verify --q 7` passes 16 checks and skips only
+    census_contains_families, refused by the cap, and its report's own
+    peak RSS stays below 64 MB: no family vector is walked or held."""
+    report = _verify_from_parent("", 7)
+    assert report["counts"] == {"passed": 16, "failed": 0, "skipped": 1}
+    assert report["peak_rss_mb"] < 64, report["peak_rss_mb"]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")

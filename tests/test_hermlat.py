@@ -81,22 +81,23 @@ def test_minimal_pair_vector_accepts(curve2):
     assert norm2(v3.values()) == 2 * q
 
 
-def test_minimal_pair_vector_is_the_sparse_dense_difference(curve2):
-    """Every ordered pair of distinct lines at q = 2 is refused, or gives
-    exactly the nonzero entries of the dense difference, of norm^2 2q."""
-    lines = curve2.all_lines()
-    accepted = 0
-    for num, den in itertools.permutations(lines, 2):
-        try:
-            v = hermlat.minimal_pair_vector(curve2, num, den)
-        except NotMinimalPairError:
-            continue
-        dense = dense_difference(curve2, num, den)
-        assert v == {i: x for i, x in enumerate(dense) if x}
-        assert norm2(v.values()) == norm2(dense) == 2 * curve2.q
-        accepted += 1
-    # the 108 family vectors come from distinct pairs, all of them accepted
-    assert accepted == 108
+def test_minimal_pair_vector_is_the_sparse_dense_difference(curve2, curve3):
+    """Every ordered pair of distinct lines at q = 2 and 3 is refused, or
+    gives exactly the nonzero entries of the dense difference, of norm^2
+    2q: the 108 and 2,016 family vectors come from distinct pairs, all of
+    them accepted, among the 380 and 8,010 pairs of the 20 and 90 lines."""
+    for curve, families in ((curve2, 108), (curve3, 2016)):
+        accepted = 0
+        for num, den in itertools.permutations(curve.all_lines(), 2):
+            try:
+                v = hermlat.minimal_pair_vector(curve, num, den)
+            except NotMinimalPairError:
+                continue
+            dense = dense_difference(curve, num, den)
+            assert v == {i: x for i, x in enumerate(dense) if x}
+            assert norm2(v.values()) == norm2(dense) == 2 * curve.q
+            accepted += 1
+        assert accepted == families
 
 
 def test_minimal_pair_vector_rejects(curve2):
