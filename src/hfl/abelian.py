@@ -1,10 +1,11 @@
 """Lattices cut out by linear relations over a finite Abelian group.
 
 Given G = Z_{m_1} x ... x Z_{m_k} and a subset S = {0, g_1, ..., g_{n-1}},
-the lattice consists of the sum-zero integer vectors (x_1, ..., x_{n-1}, b)
+the lattice consists of the sum-zero integer vectors (b, x_1, ..., x_{n-1})
 whose weighted sum x_1 g_1 + ... + x_{n-1} g_{n-1} vanishes in G.  The
-balancing coordinate b = -(x_1 + ... + x_{n-1}) sits last; a coordinate
-permutation of interest therefore fixes the final index.
+balancing coordinate b = -(x_1 + ... + x_{n-1}) belongs to 0 in S and sits
+first, as P_inf does in the Hermitian lattice: coordinate i is the S-index
+i, and a coordinate permutation of interest fixes index 0.
 
 The catalogue() report walks every proper subset of Z_7 containing 0 and
 records minimal distance, well-roundedness, the index of the span of the
@@ -223,12 +224,12 @@ def _check_subset(group: AbelianGroup, gens):
 
 
 def lattice_for_subset(group: AbelianGroup, gens) -> lattice.Lattice:
-    """The kernel lattice of S = {0} + gens, balancing coordinate last.
+    """The kernel lattice of S = {0} + gens, balancing coordinate first.
 
     gens are encodings of the nonzero elements g_1, ..., g_{n-1}; the
-    lattice lives in Z^n and coordinate i < n-1 weights g_{i+1}.  Basis
-    rows come from the integer left kernel of the digit matrix stacked
-    on diag(moduli).
+    lattice lives in Z^n and coordinate i > 0 weights g_i.  Basis rows
+    come from the integer left kernel of the digit matrix stacked on
+    diag(moduli).
     """
     gens = _check_subset(group, gens)
     k = len(group.moduli)
@@ -242,7 +243,7 @@ def lattice_for_subset(group: AbelianGroup, gens) -> lattice.Lattice:
     vecs = []
     for w in kernel:
         y = w[:m]
-        vecs.append(tuple(y) + (-sum(y),))
+        vecs.append((-sum(y), *y))
     return lattice.Lattice.from_generators(vecs, m + 1)
 
 
@@ -264,25 +265,10 @@ def extendable_subset_perms(group: AbelianGroup, gens):
     return sorted({(0, *map(pos.__getitem__, map(phi.__getitem__, gens))) for phi in perms})
 
 
-def subset_perm_to_coordinate_perm(perm):
-    """S-index permutation -> lattice coordinate permutation.
-
-    S-index i (1-based) is coordinate i-1; the balancing coordinate
-    n-1 stays put.
-    """
-    n = len(perm)
-    out = [0] * n
-    for i in range(1, n):
-        out[i - 1] = perm[i] - 1
-    out[n - 1] = n - 1
-    return tuple(out)
-
-
 def perms_correspond(L: lattice.Lattice, subset_perms) -> bool:
-    """Do the subset permutations, as coordinate permutations, equal those
-    of L fixing its balancing index?"""
-    from_group = {subset_perm_to_coordinate_perm(p) for p in subset_perms}
-    return from_group == set(lattice.permutation_automorphisms(L, L.n - 1))
+    """Do the subset permutations, read as coordinate permutations, equal
+    those of L fixing its balancing index 0?"""
+    return set(subset_perms) == set(lattice.permutation_automorphisms(L))
 
 
 def check_permutation_correspondence(group: AbelianGroup, gens) -> bool:

@@ -138,9 +138,10 @@ class PermGroup:
 def _chain(gens, n: int, prefix=()):
     """Deterministic Schreier-Sims on image tuples.
 
-    Returns (base, transversals, strong) with the base starting with
-    prefix.  Generators are added one at a time, each as its residue
-    after sifting, and only when that residue is not the identity.  Coset
+    Returns (kept, base, transversals, strong) with the base starting
+    with prefix.  Generators are added one at a time, each as its residue
+    after sifting, and only when that residue is not the identity; kept
+    lists those, each outside the group of the ones before it.  Coset
     representatives are only ever added, never replaced, so a Schreier
     generator that has been sifted once never needs sifting again;
     done[l] records those (point, generator) pairs.
@@ -204,21 +205,24 @@ def _chain(gens, n: int, prefix=()):
                 l -= 1
 
     # generators that already sift through the chain so far are redundant
+    kept = []
     for g in gens:
         h, j = sift(g, 0)
         if j < len(base) or h != ident:
+            kept.append(g)
             add(h, 0, j)
             complete(j)
-    return tuple(base), tuple(trans), tuple(tuple(s) for s in strong)
+    return tuple(kept), tuple(base), tuple(trans), tuple(tuple(s) for s in strong)
 
 
 def schreier_sims(generators, base=()) -> PermGroup:
-    """The group generated by image tuples, as a BSGS whose base starts with `base`."""
+    """The group generated by image tuples, as a BSGS whose base starts
+    with `base`, keeping as its generators those that extend the chain."""
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
     n = len(generators[0])
-    return PermGroup(n, generators, *_chain(generators, n, base))
+    return PermGroup(n, *_chain(generators, n, base))
 
 
 @dataclass(frozen=True)
@@ -287,8 +291,7 @@ def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
     """The stabilizer of one place: level 1 of a chain whose base starts
     at index (the chain is rebuilt when it starts elsewhere)."""
     if group.base[:1] != (index,):
-        chain = _chain(group.generators, group.degree, (index,))
-        group = PermGroup(group.degree, group.generators, *chain)
+        group = PermGroup(group.degree, *_chain(group.generators, group.degree, (index,)))
     return PermGroup(
         group.degree,
         group.strong[1] if len(group.strong) > 1 else (),

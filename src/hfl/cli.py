@@ -409,7 +409,7 @@ def aut_checks(hl: hermlat.HermitianLattice):
 
     if q in CLASSGROUP_KERNEL:
         checks.append(Check("classgroup_kernel", "pinned", CLASSGROUP_KERNEL[q], kernel))
-    elif q > 2:
+    else:
         checks.append(Check("classgroup_kernel", "formula", 1, kernel))
     return checks
 

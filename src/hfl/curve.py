@@ -73,10 +73,9 @@ class Curve:
             raise InternalIdentityViolationError(f"{len(places)} places, expected {self.n}")
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
-        # line -> points on it, its dense divisor (lattice generators, output),
-        # the divisor's support and block (all that hermlat's checks read) and
+        # line -> its dense divisor (lattice generators, output), the
+        # divisor's support and block (all that hermlat's checks read) and
         # its decomposition steps (line pairs, no vectors); each computed once
-        self._points: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._divisors: dict[Line, tuple[int, ...]] = {}
         self._supports: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._blocks: dict[Line, frozenset[int] | None] = {}
@@ -115,13 +114,9 @@ class Curve:
         return Slope(F.neg(F.frobenius(a)), F.frobenius(b))
 
     def points_on_line(self, line: Line) -> tuple[tuple[int, int], ...]:
-        """Affine curve points on the line, in closed form, sorted by place order."""
-        pts = self._points.get(line)
-        if pts is None:
-            pts = self._points[line] = self._points_on_line(self.check_line(line))
-        return pts
-
-    def _points_on_line(self, line: Line) -> tuple[tuple[int, int], ...]:
+        """Affine curve points on the line, in closed form, sorted by place
+        order; line_support caches what it reads of them."""
+        self.check_line(line)
         F = self.field
         if isinstance(line, Vertical):
             return tuple((line.c, d) for d in F.trace_fiber(F.norm(line.c)))

@@ -14,13 +14,6 @@ def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _first_nonzero(v, start=0):
-    for j in range(start, len(v)):
-        if v[j]:
-            return j
-    return -1
-
-
 def _nearest_div(b: int, a: int) -> int:
     """Quotient q minimizing |b - q*a| (a != 0)."""
     q, r = divmod(b, a)
@@ -29,12 +22,14 @@ def _nearest_div(b: int, a: int) -> int:
     return q
 
 
-def _support(v, start: int) -> list[int]:
-    """Columns of v's nonzero entries from start on."""
-    return [j for j in range(start, len(v)) if v[j]]
+def _subtract(v, m, r, c) -> None:
+    """v -= m * r in place, for a row r that vanishes before column c."""
+    for j in range(c, len(v)):
+        if r[j]:
+            v[j] -= m * r[j]
 
 
-def _tail_reduce(rows, pivots, sups, v, pos) -> None:
+def _tail_reduce(rows, pivots, v, pos) -> None:
     """Shrink v in place against the echelon rows from pos on; preserves
     the joint span, keeps freshly built rows from carrying big entries."""
     for k in range(pos, len(rows)):
@@ -43,43 +38,18 @@ def _tail_reduce(rows, pivots, sups, v, pos) -> None:
             r = rows[k]
             m = _nearest_div(v[c], r[c])
             if m:
-                for j in sups[k]:
-                    v[j] -= m * r[j]
+                _subtract(v, m, r, c)
 
 
-def _reduce_above(rows, pivots, sups, pos) -> None:
-    """Reduce the rows above pos at pivot column pivots[pos] by nearest
-    division against rows[pos], walking only rows[pos]'s support and
-    rebuilding the support of each row it changes."""
-    r, c, sup = rows[pos], pivots[pos], sups[pos]
-    for i in range(pos):
-        u = rows[i]
-        if u[c]:
-            m = _nearest_div(u[c], r[c])
-            if m:
-                for j in sup:
-                    u[j] -= m * r[j]
-                sups[i] = _support(u, pivots[i])
-
-
-def echelon_insert(rows: list[list[int]], pivots: list[int], sups: list[list[int]], vec) -> None:
+def echelon_insert(rows: list[list[int]], pivots: list[int], vec) -> None:
     """Reduce vec against an echelon basis in place, extending it if needed.
 
     rows are kept sorted by pivot column; the span of rows is unchanged
-    except possibly growing by vec.  sups[k] lists the nonzero columns of
-    rows[k], so a row operation touches only those; a support is rebuilt
-    whenever its row changes.  Leading entries are combined by Euclidean
-    division-with-swap: unlike a one-shot Bezout combination this never
-    scales a row by a large factor, so entries stay near the size of the
-    inputs across thousands of insertions.
-
-    Rows are kept reduced above each pivot (Gauss-Jordan upkeep): a row
-    inserted or swapped in is first reduced against the rows below it,
-    then every row above it is reduced at its pivot column by nearest
-    division.  So an entry above a unit pivot is 0, and stays 0, and an
-    entry x above a pivot p has 2|x| <= |p| when p is set.  Later upkeep
-    may push an entry above a non-unit pivot out of that range again;
-    echelon's closing pass brings it back.
+    except possibly growing by vec.  Leading entries are combined by
+    Euclidean division-with-swap: unlike a one-shot Bezout combination
+    this never scales a row by a large factor, so entries stay near the
+    size of the inputs across thousands of insertions.  A row inserted or
+    swapped in is reduced against the rows below it.
     """
     v = list(vec)
     for c in range(len(v)):
@@ -89,29 +59,22 @@ def echelon_insert(rows: list[list[int]], pivots: list[int], sups: list[list[int
         if pos == len(pivots) or pivots[pos] != c:
             if v[c] < 0:
                 v = [-x for x in v]
-            _tail_reduce(rows, pivots, sups, v, pos)
+            _tail_reduce(rows, pivots, v, pos)
             rows.insert(pos, v)
             pivots.insert(pos, c)
-            sups.insert(pos, _support(v, c))
-            _reduce_above(rows, pivots, sups, pos)
             return
         r = rows[pos]
-        sup = sups[pos]
         swapped = False
         while v[c]:
             m = _nearest_div(v[c], r[c])
             if m:
-                for j in sup:
-                    v[j] -= m * r[j]
+                _subtract(v, m, r, c)
             if v[c]:
                 rows[pos], v = v, r
                 r = rows[pos]
-                sup = sups[pos] = _support(r, c)
                 swapped = True
         if swapped:
-            _tail_reduce(rows, pivots, sups, r, pos + 1)
-            sups[pos] = _support(r, c)
-            _reduce_above(rows, pivots, sups, pos)
+            _tail_reduce(rows, pivots, r, pos + 1)
 
 
 def echelon(vectors, width: int) -> tuple[list[list[int]], list[int]]:
@@ -119,15 +82,13 @@ def echelon(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     below it: 2*|rows[i][pivots[k]]| <= |rows[k][pivots[k]]| for i < k."""
     rows: list[list[int]] = []
     pivots: list[int] = []
-    sups: list[list[int]] = []
     for vec in vectors:
         if len(vec) != width:
             raise ValueError(f"row width {len(vec)} != {width}")
-        echelon_insert(rows, pivots, sups, vec)
+        echelon_insert(rows, pivots, vec)
     # bottom up, so every row subtracted is already reduced
     for i in range(len(rows) - 2, -1, -1):
-        _tail_reduce(rows, pivots, sups, rows[i], i + 1)
-        sups[i] = _support(rows[i], pivots[i])
+        _tail_reduce(rows, pivots, rows[i], i + 1)
     return rows, pivots
 
 
@@ -142,7 +103,7 @@ def _distinct_by_leading_column(vectors) -> list[tuple[int, ...]]:
     keyed = []
     for vec in vectors:
         v = tuple(vec)
-        c = _first_nonzero(v)
+        c = next(compress(range(len(v)), v), -1)
         if c >= 0 and v[c] < 0:
             v = tuple(-x for x in v)
         if v not in seen:
@@ -284,19 +245,14 @@ def _echelon_hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     for i, c in enumerate(pivots):
         if rows[i][c] < 0:
             rows[i] = [-x for x in rows[i]]
-    # bottom up, so every row subtracted is already reduced: its nonzero
-    # columns are few and its entries small
-    support = [()] * len(rows)
+    # bottom up, so every row subtracted is already reduced
     for i in range(len(rows) - 1, -1, -1):
         r = rows[i]
         for below in range(i + 1, len(rows)):
-            c = pivots[below]
-            f = r[c] // rows[below][c]
+            b, c = rows[below], pivots[below]
+            f = r[c] // b[c]
             if f:
-                b = rows[below]
-                for j in support[below]:
-                    r[j] -= f * b[j]
-        support[i] = [j for j in range(pivots[i], width) if r[j]]
+                _subtract(r, f, b, c)
     return rows, pivots
 
 
@@ -310,9 +266,7 @@ def solve_in_span(rows, pivots, vec):
                 return None
             m = v[c] // r[c]
             coeffs[i] = m
-            for j in range(c, len(v)):
-                if r[j]:
-                    v[j] -= m * r[j]
+            _subtract(v, m, r, c)
     if any(v):
         return None
     return coeffs

@@ -671,8 +671,8 @@ def generated_by_minimals_index(L: Lattice, minvecs) -> int:
 # -- coordinate-permutation automorphisms --------------------------------------
 
 
-def permutation_automorphisms(L: Lattice, fixed_index: int = 0):
-    """All coordinate permutations fixing one index that map L onto itself.
+def permutation_automorphisms(L: Lattice):
+    """All coordinate permutations fixing index 0 that map L onto itself.
 
     One backtracking search over images (Plesken-Souvignier).  The
     coordinates are placed so that the basis rows with the fewest
@@ -688,7 +688,7 @@ def permutation_automorphisms(L: Lattice, fixed_index: int = 0):
     supports = [[(i, x) for i, x in enumerate(row) if x] for row in L.rows]
     # next: the unplaced support of the row with the fewest unplaced
     # coordinates, or, once every row is placed, the coordinates no row touches
-    order, placed = [], {fixed_index}
+    order, placed = [], {0}
     while len(placed) < n:
         rest = [u for u in ({i for i, _ in sup} - placed for sup in supports) if u]
         nxt = sorted(min(rest, key=len) if rest else set(range(n)) - placed)
@@ -702,7 +702,7 @@ def permutation_automorphisms(L: Lattice, fixed_index: int = 0):
     out = []
     image = list(range(n))
     used = [False] * n
-    used[fixed_index] = True
+    used[0] = True
     tried = 0
 
     def maps_into_L(sup):

@@ -2,12 +2,10 @@
 
 import itertools
 from array import array
-from bisect import bisect_left
 from collections import Counter
 
 from hfl import hermlat
 from hfl.curve import Vertical
-from hfl.intmat import _first_nonzero, _nearest_div
 
 
 def points_on_line_bruteforce(curve, line):
@@ -62,80 +60,6 @@ def family_pass(curve):
         keys.add(array("i", sorted([i << 8 | x & 255 for i, x in vec.items()])).tobytes())
     sizes["total"] = sum(sizes.values())
     return sizes, norms, len(keys)
-
-
-def _dense_tail_reduce(rows, pivots, v, pos, ops):
-    for k in range(pos, len(rows)):
-        c = pivots[k]
-        if v[c]:
-            r = rows[k]
-            m = _nearest_div(v[c], r[c])
-            if m:
-                if ops is not None:
-                    ops["tail"] += 1
-                for j in range(c, len(v)):
-                    if r[j]:
-                        v[j] -= m * r[j]
-
-
-def dense_echelon_insert(rows, pivots, vec, ops=None):
-    """The echelon insertion with every row operation scanning all columns
-    from the pivot on; `ops` counts the swaps, the tail reductions and the
-    reductions of the rows above a pivot that is inserted or swapped in."""
-
-    def reduce_above(pos):
-        r, c = rows[pos], pivots[pos]
-        for u in rows[:pos]:
-            if u[c]:
-                m = _nearest_div(u[c], r[c])
-                if m:
-                    if ops is not None:
-                        ops["above"] += 1
-                    for j in range(c, len(u)):
-                        u[j] -= m * r[j]
-
-    v = list(vec)
-    c = _first_nonzero(v)
-    while c >= 0:
-        pos = bisect_left(pivots, c)
-        if pos == len(pivots) or pivots[pos] != c:
-            if v[c] < 0:
-                v = [-x for x in v]
-            _dense_tail_reduce(rows, pivots, v, pos, ops)
-            rows.insert(pos, v)
-            pivots.insert(pos, c)
-            reduce_above(pos)
-            return
-        r = rows[pos]
-        swapped = False
-        while v[c]:
-            m = _nearest_div(v[c], r[c])
-            if m:
-                for j in range(c, len(v)):
-                    if r[j]:
-                        v[j] -= m * r[j]
-            if v[c]:
-                rows[pos], v = v, rows[pos]
-                r = rows[pos]
-                swapped = True
-                if ops is not None:
-                    ops["swap"] += 1
-        if swapped:
-            _dense_tail_reduce(rows, pivots, rows[pos], pos + 1, ops)
-            reduce_above(pos)
-        c = _first_nonzero(v, c + 1)
-
-
-def dense_echelon(vectors, width, ops=None):
-    """Insert every vector, then reduce each row against the rows below
-    it, bottom up."""
-    rows, pivots = [], []
-    for vec in vectors:
-        assert len(vec) == width
-        dense_echelon_insert(rows, pivots, vec, ops)
-    for i in range(len(rows) - 2, -1, -1):
-        _dense_tail_reduce(rows, pivots, rows[i], i + 1, ops)
-    return rows, pivots
 
 
 def element_order(G, a) -> int:

@@ -226,7 +226,7 @@ def test_z7_124_minimal_vectors():
     assert L.index_in_ambient() == 7
     mv = set(lattice.minimal_vectors(L))
     expected = set()
-    for v in [(-2, 1, 0, 1), (0, -2, 1, 1), (1, 0, -2, 1)]:
+    for v in [(1, -2, 1, 0), (1, 0, -2, 1), (1, 1, 0, -2)]:
         expected.add(v)
         expected.add(tuple(-x for x in v))
     assert mv == expected
@@ -235,7 +235,7 @@ def test_z7_124_minimal_vectors():
 
 
 def test_subset_lattice_membership_meaning():
-    # v in L iff sum(v[i] * s_i) = 0 in G, where s_n-1 = 0 and the rest
+    # v in L iff sum(v[i] * s_i) = 0 in G, where s_0 = 0 and s_1, s_2, s_3
     # are the chosen generators; exhaustive for a small case
     G = abelian.AbelianGroup((2, 4))
     gens = [G.encode((1, 0)), G.encode((0, 1)), G.encode((1, 2))]
@@ -246,7 +246,7 @@ def test_subset_lattice_membership_meaning():
             assert not L.contains(v)
             continue
         acc = G.zero
-        for x, s in zip(v, tup):
+        for x, s in zip(v[1:], tup):
             acc = G.add(acc, G.scale(x, s))
         assert L.contains(v) == (acc == G.zero)
 
@@ -267,11 +267,6 @@ def test_extendable_subset_perms_z7_124():
     perms = abelian.extendable_subset_perms(G, [1, 2, 4])
     # multiplication by 1, 2, 4 preserves {1,2,4}; by 3, 5, 6 does not
     assert perms == [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]
-
-
-def test_subset_perm_to_coordinate_perm():
-    assert abelian.subset_perm_to_coordinate_perm((0, 2, 3, 1)) == (1, 2, 0, 3)
-    assert abelian.subset_perm_to_coordinate_perm((0, 1, 2, 3)) == (0, 1, 2, 3)
 
 
 def test_correspondence_z7_samples():

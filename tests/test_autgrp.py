@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hfl import autgrp, hermlat, lattice
+from hfl.curve import curve_make
 from hfl.autgrp import _inv, _mul
 from hfl.errors import (
     LatticeNotStableError,
@@ -98,6 +99,25 @@ def test_perm_algebra(curve2):
 def test_full_group_orders(G2, G3):
     assert G2.order == full_order(2) == 216
     assert G3.order == full_order(3) == 6048
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_full_group_keeps_only_chain_extending_generators(q):
+    """Each kept generator lies outside the group of the ones before it,
+    and at q = 2 and 3 the kept ones generate, by BFS closure, the group
+    of all q^2 + q + 1 translations, scaling and inversion."""
+    curve = curve_make(q)
+    F = curve.field
+    given = autgrp.translation_generators(curve)
+    given += [autgrp.scaling(curve, F.root_of_unity(F.order - 1)), autgrp.inversion(curve)]
+    assert len(given) == q * q + q + 1
+    kept = autgrp.full_group(curve).generators
+    assert set(kept) < set(given)
+    assert kept[0] != tuple(range(curve.n))
+    for i in range(1, len(kept)):
+        assert kept[i] not in autgrp.schreier_sims(kept[:i]), i
+    if q <= 3:
+        assert autgrp.closure(kept).elements == autgrp.closure(given).elements
 
 
 def test_group_closure_properties(G2):

@@ -7,7 +7,6 @@ import pytest
 
 from hfl import hermlat, intmat
 from hfl.curve import curve_make
-from oracles import dense_echelon, dense_echelon_insert
 
 
 def _random_vectors(rng, n, k, lo=-6, hi=6):
@@ -185,55 +184,10 @@ def _sparse_random_matrix(rng):
     ]
 
 
-def _hnf_over(monkeypatch, echelon, vectors, width):
-    """The integer route's hnf, whatever the input, with `echelon` in
-    place of intmat.echelon."""
-    with monkeypatch.context() as m:
-        m.setattr(intmat, "echelon", echelon)
-        return intmat._echelon_hnf(vectors, width)
-
-
-def _replay_inserts(vectors, ops):
-    """Insert one vector at a time into both engines; after each insertion
-    the rows and pivots must agree and every support must list exactly
-    its row's nonzero columns."""
-    rows, pivots, sups = [], [], []
-    dense_rows, dense_pivots = [], []
-    for vec in vectors:
-        intmat.echelon_insert(rows, pivots, sups, vec)
-        dense_echelon_insert(dense_rows, dense_pivots, vec, ops)
-        assert (rows, pivots) == (dense_rows, dense_pivots)
-        assert sups == [[j for j in range(c, len(r)) if r[j]] for r, c in zip(rows, pivots)]
-
-
-def test_support_echelon_matches_dense_on_random_matrices(monkeypatch):
-    """Support-list row operations give the dense engine's echelon and HNF
-    exactly, insertion by insertion, on matrices that force swaps, tail
-    reductions and reductions of the rows above a new pivot."""
-    rng = random.Random(7)
-    ops = {"swap": 0, "tail": 0, "above": 0}
-    for _ in range(300):
-        n, vecs = _sparse_random_matrix(rng)
-        _replay_inserts(vecs, ops)
-        assert intmat.echelon(vecs, n) == dense_echelon(vecs, n)
-        assert intmat.hnf(vecs, n) == _hnf_over(monkeypatch, dense_echelon, vecs, n)
-    assert ops["swap"] > 500 and ops["tail"] > 500 and ops["above"] > 500, ops
-
-
 def _line_divisor_rows(q):
     curve = curve_make(q)
     divs = [list(curve.divisor_of_line(line)[1:]) for line in curve.all_lines()]
     return divs, curve.n - 1
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_support_echelon_matches_dense_on_line_divisors(q, monkeypatch):
-    divs, width = _line_divisor_rows(q)
-    ops = {"swap": 0, "tail": 0, "above": 0}
-    _replay_inserts(divs, ops)
-    assert intmat.echelon(divs, width) == dense_echelon(divs, width)
-    assert intmat._echelon_hnf(divs, width) == _hnf_over(monkeypatch, dense_echelon, divs, width)
-    assert ops["above"] > 0, ops
 
 
 def _assert_reduced_above_pivots(rows, pivots):
@@ -245,6 +199,8 @@ def _assert_reduced_above_pivots(rows, pivots):
 
 
 def test_echelon_rows_reduced_above_each_pivot():
+    """echelon's closing bottom-up pass reduces every row at the pivots
+    below it, on random matrices and on the line divisors up to q = 5."""
     rng = random.Random(7)
     for _ in range(300):
         n, vecs = _sparse_random_matrix(rng)
@@ -257,12 +213,13 @@ def test_echelon_rows_reduced_above_each_pivot():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_modular_hnf_matches_dense_on_line_divisors(q, monkeypatch):
+def test_modular_hnf_matches_dense_on_line_divisors(q):
     """A tangent line's divisor is (q+1)(P - P_inf), so the line divisors
-    certify m = q + 1, and the form built mod q + 1 is the dense one."""
+    certify m = q + 1, and the form built mod q + 1 is the integer
+    echelon's."""
     divs, width = _line_divisor_rows(q)
     assert intmat._certified_modulus(divs, width) == q + 1
-    assert intmat.hnf(divs, width) == _hnf_over(monkeypatch, dense_echelon, divs, width)
+    assert intmat.hnf(divs, width) == intmat._echelon_hnf(divs, width)
 
 
 def _with_unit_multiples(rng, m, vecs, n):
@@ -277,9 +234,9 @@ def _with_unit_multiples(rng, m, vecs, n):
     return rows
 
 
-def test_modular_hnf_matches_dense_on_certified_inputs(monkeypatch):
+def test_modular_hnf_matches_dense_on_certified_inputs():
     """Random rows with injected unit multiples, prime and composite m:
-    the modular route gives the dense integer route's form."""
+    the modular route gives the integer echelon's form."""
     rng = random.Random(17)
     moduli = Counter()
     for _ in range(400):
@@ -294,7 +251,7 @@ def test_modular_hnf_matches_dense_on_certified_inputs(monkeypatch):
         certified = intmat._certified_modulus(vecs, n)
         assert certified and m % certified == 0
         moduli[certified] += 1
-        assert intmat.hnf(vecs, n) == _hnf_over(monkeypatch, dense_echelon, vecs, n)
+        assert intmat.hnf(vecs, n) == intmat._echelon_hnf(vecs, n)
     assert all(moduli[m] >= 10 for m in (4, 6, 8, 9, 12)), moduli
 
 
@@ -325,7 +282,7 @@ def test_uncertified_inputs_take_the_integer_echelon(vecs, monkeypatch):
         calls.append(args)
         return real(*args)
 
-    want = _hnf_over(monkeypatch, dense_echelon, vecs, len(vecs[0]))
+    want = intmat._echelon_hnf(vecs, len(vecs[0]))
     monkeypatch.setattr(intmat, "echelon", counted)
     assert intmat.hnf(vecs, len(vecs[0])) == want
     assert len(calls) == 1

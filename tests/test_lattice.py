@@ -483,31 +483,36 @@ def test_permutation_automorphisms_full_root():
     # A_{n-1} is fixed by every coordinate permutation
     for n in (3, 4, 5):
         L = full_root_lattice(n)
-        perms = lattice.permutation_automorphisms(L, fixed_index=0)
+        perms = lattice.permutation_automorphisms(L)
         import math
 
         assert len(perms) == math.factorial(n - 1)
         assert all(p[0] == 0 for p in perms)
 
 
-def test_permutation_automorphisms_fixed_index():
-    # scaling one coordinate pair breaks most symmetries
+def _reversed(L):
+    """L with its coordinates in reverse order."""
+    return lattice.Lattice.from_generators([row[::-1] for row in L.rows] or [(0,) * L.n], L.n)
+
+
+def test_permutation_automorphisms_fix_index_0():
+    # scaling one coordinate pair breaks most symmetries; reversed, the
+    # scaled pair ends the coordinates instead of starting them
     L = lattice.Lattice.from_generators([(3, -3, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)], 4)
-    perms0 = lattice.permutation_automorphisms(L, fixed_index=0)
-    # identity plus anything permuting coordinates with equal roles
-    assert all(p[0] == 0 for p in perms0)
-    assert tuple(range(4)) in perms0
-    perms3 = lattice.permutation_automorphisms(L, fixed_index=3)
-    assert all(p[3] == 3 for p in perms3)
-    for p in perms3:
-        assert L.fixed_by(p)
+    for M in (L, _reversed(L)):
+        perms = lattice.permutation_automorphisms(M)
+        # identity plus anything permuting coordinates with equal roles
+        assert all(p[0] == 0 for p in perms)
+        assert tuple(range(4)) in perms
+        for p in perms:
+            assert M.fixed_by(p)
 
 
 def test_permutation_group_closure():
     rng = random.Random(43)
     for _ in range(10):
         L = random_full_rank(rng, rng.randint(3, 5))
-        perms = lattice.permutation_automorphisms(L, fixed_index=0)
+        perms = lattice.permutation_automorphisms(L)
         pset = set(perms)
         assert tuple(range(L.n)) in pset
         for p in perms:
@@ -521,17 +526,14 @@ def test_permutation_group_closure():
                 assert comp in pset
 
 
-def _brute_perm_automorphisms(L, fixed):
-    """Every permutation of the free coordinates, kept when it maps each
-    basis row into L by plain contains()."""
-    free = [i for i in range(L.n) if i != fixed]
+def _brute_perm_automorphisms(L):
+    """Every permutation of the coordinates after 0, kept when it maps
+    each basis row into L by plain contains()."""
     out = []
-    for images in itertools.permutations(free):
-        perm = list(range(L.n))
-        for src, dst in zip(free, images):
-            perm[src] = dst
+    for images in itertools.permutations(range(1, L.n)):
+        perm = (0, *images)
         if all(L.contains(lattice.permute(row, perm)) for row in L.rows):
-            out.append(tuple(perm))
+            out.append(perm)
     return sorted(out)
 
 
@@ -560,9 +562,8 @@ def test_profile_search_matches_brute_force(hl2):
     for gens in ([1, 3, 4], [1, 2, 3, 6], [1, 2, 4, 5, 7], list(range(1, 9))):
         cases.append(abelian.lattice_for_subset(G, gens))
     for L in cases:
-        for fixed in (0, L.n - 1):
-            got = lattice.permutation_automorphisms(L, fixed_index=fixed)
-            assert got == _brute_perm_automorphisms(L, fixed), (L.rows, fixed)
+        for M in (L, _reversed(L)):
+            assert lattice.permutation_automorphisms(M) == _brute_perm_automorphisms(M), M.rows
 
 
 def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
@@ -571,7 +572,7 @@ def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
     member_fast calls than the 8! = 40,320 leaves of an unpruned search."""
     G = abelian.AbelianGroup((3, 3))
     L9 = abelian.lattice_for_subset(G, list(range(1, 9)))
-    cases = [(hl2.L, 0), (L9, L9.n - 1)]
+    cases = [hl2.L, L9]
     calls = []
     member_fast = lattice.Lattice.member_fast
 
@@ -580,9 +581,9 @@ def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
         return member_fast(self, v)
 
     monkeypatch.setattr(lattice.Lattice, "member_fast", counted)
-    for L, fixed in cases:
+    for L in cases:
         calls.clear()
-        perms = lattice.permutation_automorphisms(L, fixed_index=fixed)
+        perms = lattice.permutation_automorphisms(L)
         assert len(perms) == 48
         assert len(calls) < 40320 // 20, len(calls)
 
@@ -598,7 +599,7 @@ def test_permutation_search_on_q3_hermitian_lattice(hl3):
     """Rank 27, past the enumeration cap: the basis-row search needs no
     minimal vectors and finds the 432 permutations fixing place 0."""
     assert hl3.L.rank == 27
-    assert len(lattice.permutation_automorphisms(hl3.L, fixed_index=0)) == 432
+    assert len(lattice.permutation_automorphisms(hl3.L)) == 432
 
 
 def test_permutation_search_caps():
