@@ -291,19 +291,10 @@ class CatalogueRow:
     aut_star: str
 
 
-def _z7_aut_star_digits(gens) -> str:
-    """Digits j for which s -> j*s mod 7 preserves {0} | gens."""
-    s = set(gens)
-    out = []
-    for j in range(1, 7):
-        if {(j * g) % 7 for g in s} == s:
-            out.append(str(j))
-    return "".join(out)
-
-
 def catalogue():
     """One row per proper subset {0} < S < Z_7 with 0 in S, in report order:
-    by subset size, then minimal distance descending, then label."""
+    by subset size, then minimal distance descending, then label.  aut_star
+    lists phi(1) for the automorphisms phi of Z_7 with phi(S) = S."""
     group = AbelianGroup((7,))
     rows = []
     for k in range(1, 6):
@@ -319,7 +310,7 @@ def catalogue():
                     d_squared=d2,
                     well_rounded=index != 0,
                     gen_by_min_index=index,
-                    aut_star=_z7_aut_star_digits(gens),
+                    aut_star="".join(str(phi[1]) for phi in group.automorphisms(gens)),
                 )
             )
     rows.sort(key=lambda r: (r.n_minus_1, -r.d_squared, r.label))

@@ -323,10 +323,6 @@ def orbit_of_pair(group: PermGroup, i: int, j: int):
     return _orbit(group.generators, (i, j), lambda p, g: (g[p[0]], g[p[1]]))
 
 
-def orbit_of_vector(group: PermGroup, v):
-    return _orbit(group.generators, tuple(v), permute)
-
-
 def lattice_stable_under(group: PermGroup, L, generators_only=True) -> bool:
     """True iff every group element maps the lattice onto itself.
 

@@ -178,7 +178,7 @@ def lattice_payload(hl: hermlat.HermitianLattice):
     }
 
 
-def census_payload(hl: hermlat.HermitianLattice, cap: int):
+def census_payload(hl: hermlat.HermitianLattice, cap: int | None):
     vectors = lattice.census_pm1(hl.L, hl.curve.q, cap=cap)
     return {
         "q": hl.curve.q,
@@ -332,7 +332,7 @@ def _once(fn):
     return get
 
 
-def herm_checks(hl: hermlat.HermitianLattice, cap: int):
+def herm_checks(hl: hermlat.HermitianLattice, cap: int | None):
     curve = hl.curve
     q, n = curve.q, curve.n
     index = (q + 1) ** (q * q - q)
@@ -499,9 +499,7 @@ def _export_curve(args):
 
 
 def _export_census(args):
-    curve = _export_curve(args)
-    cap = args.cap or lattice.DEFAULT_CENSUS_CAP
-    return census_payload(hermlat.HermitianLattice(curve), cap=cap)
+    return census_payload(hermlat.HermitianLattice(_export_curve(args)), cap=args.cap)
 
 
 # every export kind and its payload builder
@@ -548,11 +546,10 @@ def cmd_verify(args):
         report["target"] = "group " + "x".join(str(m) for m in args.group)
     elif args.q is not None:
         _refuse(args, "verify --q", "table1", "golden")
-        cap = args.cap or lattice.DEFAULT_CENSUS_CAP
         t0 = time.perf_counter()
         hl = hermlat.build(args.q)
         build_seconds = round(time.perf_counter() - t0, 6)
-        report = run_checks(herm_checks(hl, cap=cap) + aut_checks(hl))
+        report = run_checks(herm_checks(hl, cap=args.cap) + aut_checks(hl))
         report["target"] = f"herm q={args.q}"
         report["build_seconds"] = build_seconds
         report["peak_rss_mb"] = _peak_rss_mb()

@@ -14,7 +14,7 @@ affine place is written: no dict or set holds both lines and places.
 
 from typing import NamedTuple
 
-from .errors import InternalIdentityViolationError, NotOnCurveError, UnsupportedQError
+from .errors import InternalIdentityViolationError, UnsupportedQError
 from .gf import Field, field_make
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8)
@@ -105,13 +105,6 @@ class Curve:
             return False
         F = self.field
         return F.trace(line.c) == F.norm(line.b)
-
-    def tangent_line_at(self, a: int, b: int) -> Slope:
-        """The unique line meeting the curve only at (a, b): y - a^q*x + b^q."""
-        F = self.field
-        if F.trace(b) != F.norm(a):
-            raise NotOnCurveError(f"({a}, {b}) does not satisfy the curve equation")
-        return Slope(F.neg(F.frobenius(a)), F.frobenius(b))
 
     def points_on_line(self, line: Line) -> tuple[tuple[int, int], ...]:
         """Affine curve points on the line, in closed form, sorted by place

@@ -38,7 +38,8 @@ class DimensionMismatchError(Error):
 
 
 class NotFullRankError(Error):
-    """Operation requires a full-rank sublattice of A_{n-1}."""
+    """Generators of rank below n - 1, or n < 2: a lattice is a full-rank
+    sublattice of A_{n-1}."""
 
 
 class BudgetExceededError(Error):

@@ -265,16 +265,6 @@ class Field:
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.order - 1)]
 
-    def mult_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 is not a unit")
-        n = self.order - 1
-        o = n
-        for f in _prime_factors(n):
-            while o % f == 0 and self.pow(a, o // f) == 1:
-                o //= f
-        return o
-
     # -- square-order structure ---------------------------------------------
 
     @property

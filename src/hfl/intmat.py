@@ -1,7 +1,7 @@
-"""Exact integer matrix kernels: row echelon and Hermite forms, span
-membership, Smith normal form with tracked column transforms, and left
-kernels.  Everything runs on arbitrary-precision Python ints; no floating
-point.  A Hermite form whose input certifies m * Z^r in its span, for a
+"""Exact integer matrix kernels: row echelon and Hermite forms, Smith
+normal form with tracked column transforms, and left kernels.
+Everything runs on arbitrary-precision Python ints; no floating point.
+A Hermite form whose input certifies m * Z^r in its span, for a
 small m, is built modulo m on rows packed one byte per column.
 """
 
@@ -254,22 +254,6 @@ def _echelon_hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
             if f:
                 _subtract(r, f, b, c)
     return rows, pivots
-
-
-def solve_in_span(rows, pivots, vec):
-    """Coefficients expressing vec over the echelon rows, or None."""
-    v = list(vec)
-    coeffs = [0] * len(rows)
-    for i, (r, c) in enumerate(zip(rows, pivots)):
-        if v[c]:
-            if v[c] % r[c]:
-                return None
-            m = v[c] // r[c]
-            coeffs[i] = m
-            _subtract(v, m, r, c)
-    if any(v):
-        return None
-    return coeffs
 
 
 def left_kernel(rows, width: int) -> list[list[int]]:

@@ -1,9 +1,10 @@
-"""Sublattices of the root lattice A_{n-1} = {x in Z^n : sum(x) = 0}.
+"""Full-rank sublattices of the root lattice A_{n-1} = {x in Z^n : sum(x) = 0}.
 
 A lattice is stored through the Hermite form of its projection that drops
 coordinate 0 (the projection is injective on sum-zero vectors), which
-makes bases canonical and membership a back-substitution.  On top of that
-sit the quotient group A_{n-1}/L via Smith form, exact determinants,
+makes bases canonical; a generating set of lower rank is refused.  On top
+of that sit the quotient group A_{n-1}/L via Smith form, membership
+through its class map, exact determinants,
 short vectors shape by shape, integral LLL with an integer sphere
 enumerator for small ranks, and a search for coordinate-permutation
 automorphisms.
@@ -34,7 +35,7 @@ PERM_MAX_WORK = 10**6  # partial maps the permutation search may try
 
 @dataclass(frozen=True)
 class QuotientStructure:
-    """Elementary divisor chain of A_{n-1}/L for a full-rank L."""
+    """Elementary divisor chain of A_{n-1}/L."""
 
     divisors: tuple[int, ...]
 
@@ -56,12 +57,12 @@ def permute(vec, perm):
 
 
 class Lattice:
-    """Sublattice of A_{n-1} with a canonical (Hermite) basis."""
+    """Full-rank sublattice of A_{n-1} with a canonical (Hermite) basis:
+    row i of the form has its pivot in column i."""
 
-    def __init__(self, n: int, hnf_rows, pivots):
+    def __init__(self, n: int, hnf_rows):
         self.n = n
         self._hnf = [list(r) for r in hnf_rows]
-        self._pivots = list(pivots)
         self.rank = len(self._hnf)
         self.rows = tuple(tuple([-sum(r)] + list(r)) for r in self._hnf)
         self._classmap = None
@@ -69,6 +70,10 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, vectors, n: int) -> "Lattice":
+        """The lattice the sum-zero vectors generate; refused unless n >= 2
+        and they span a sublattice of rank n - 1."""
+        if n < 2:
+            raise NotFullRankError(f"n = {n} < 2: A_{n - 1} is zero")
         vectors = list(vectors)
         if not vectors:
             raise EmptyGeneratorSetError("need at least one generator")
@@ -77,24 +82,14 @@ class Lattice:
                 raise DimensionMismatchError(f"generator length {len(v)} != n = {n}")
             if sum(v) != 0:
                 raise ValueError(f"generator does not sum to zero: {v}")
-        rows, pivots = intmat.hnf([v[1:] for v in vectors], n - 1)
-        return cls(n, rows, pivots)
-
-    def contains(self, v) -> bool:
-        if len(v) != self.n:
-            raise DimensionMismatchError(f"vector length {len(v)} != n = {self.n}")
-        if sum(v) != 0:
-            return False
-        return intmat.solve_in_span(self._hnf, self._pivots, list(v[1:])) is not None
-
-    def is_full_rank(self) -> bool:
-        return self.rank == self.n - 1
+        rows, _ = intmat.hnf([v[1:] for v in vectors], n - 1)
+        if len(rows) < n - 1:
+            raise NotFullRankError(f"generators span rank {len(rows)} < n - 1 = {n - 1}")
+        return cls(n, rows)
 
     def index_in_ambient(self) -> int:
-        """[A_{n-1} : L]; requires full rank."""
-        if not self.is_full_rank():
-            raise NotFullRankError(f"rank {self.rank} < {self.n - 1}")
-        return prod(r[c] for r, c in zip(self._hnf, self._pivots))
+        """[A_{n-1} : L], the product of the Hermite pivots."""
+        return prod(r[i] for i, r in enumerate(self._hnf))
 
     def quotient(self) -> QuotientStructure:
         """Elementary divisors of A_{n-1}/L (ascending chain, 1s included)."""
@@ -105,15 +100,13 @@ class Lattice:
         return self.index_in_ambient(), self.n
 
     def _snf(self):
-        """Smith form of the full-rank HNF H through its non-unit block.
+        """Smith form of the HNF H through its non-unit block.
 
         In canonical HNF a unit-pivot column is zero off its pivot, so
         A_{n-1}/L is Z^N / rowspan(B) for N the non-unit pivots and B the
         N x N block of H: a unit-pivot row c maps e_c to -sum_j H[c][j] e_j
         over j in N.  Only B goes through the dense Smith form.
         """
-        if not self.is_full_rank():
-            raise NotFullRankError(f"rank {self.rank} < {self.n - 1}")
         if self._classmap is None:
             H = self._hnf
             r = self.n - 1
@@ -151,8 +144,8 @@ class Lattice:
         """(mods, cls): v in L iff sum(v[i]*cls[i]) == 0 mod mods, componentwise.
 
         cls[i] is the image of e_i - e_0 in the nontrivial part of the
-        quotient group; only valid for full-rank lattices.  Class sums
-        run on the packed words built from it (class_words).
+        quotient group.  Class sums run on the packed words built from it
+        (class_words).
         """
         _, mods, cls, _ = self._snf()
         return mods, cls
@@ -166,15 +159,13 @@ class Lattice:
     def class_of(self, v) -> tuple:
         """Image of the sum-zero vector v in the nontrivial part of the
         quotient group, componentwise mod the elementary divisors: its
-        packed class sum, decoded.  Needs full rank."""
+        packed class sum, decoded."""
         words = self.class_words()
         return words.decode(words.key(v))
 
     def member_fast(self, v) -> bool:
-        """Membership through the quotient map; agrees with contains(),
-        which it falls back on when L is not of full rank."""
-        if not self.is_full_rank():
-            return self.contains(v)
+        """Membership through the quotient map: v sums to zero and its
+        class is trivial."""
         words = self.class_words()
         return words.key(v) == words.zero and sum(v) == 0
 
@@ -410,7 +401,6 @@ def shape_vectors(L: Lattice, pos, neg, cap=None):
     pairs are tested within each shared key alone.  `cap`, or a scan's
     shared budget, bounds the placements (of one side when pos == neg)
     plus the pairs tested in those buckets, summed over the passes.
-    Needs full rank.
     """
     if not pos:
         return []  # the zero vector is left out
@@ -586,8 +576,9 @@ def enumerate_short_vectors(L: Lattice, bound: int, basis=None):
     budget is bound * D, so every comparison is between integers.  Each
     level scans up from the centre's ceiling and down from one below it,
     so the cost is monotone in each direction, and every vector found is
-    re-checked against the bound.  Rank is capped at ENUM_MAX_RANK: this
-    is the independent oracle for the shape walk, not the workhorse.
+    re-checked against the bound.  Rank is capped at ENUM_MAX_RANK.  It is
+    the engine of every Abelian minimal-vector count (the Z_7 catalogue,
+    `group ls`), and the tests' oracle for the shape walk.
     """
     r = L.rank
     if r > ENUM_MAX_RANK:
@@ -628,14 +619,12 @@ def enumerate_short_vectors(L: Lattice, bound: int, basis=None):
 
 
 def minimal_vectors(L: Lattice):
-    """All minimal vectors of L, sorted; none for the zero lattice.
+    """All minimal vectors of L, sorted.
 
     The basis is LLL-reduced once; its shortest row bounds the minimum
     from above, and enumerate_short_vectors walks that same basis up to
     it.  The rank is capped as for enumerate_short_vectors.
     """
-    if L.rank == 0:
-        return []
     if L.rank > ENUM_MAX_RANK:
         raise SearchInfeasibleError(f"rank {L.rank} > {ENUM_MAX_RANK} for exact enumeration")
     basis = lll_reduce(L.rows)
@@ -648,24 +637,17 @@ def minimal_vectors(L: Lattice):
 
 
 def generated_by_minimals_index(L: Lattice, minvecs) -> int:
-    """Index [L : span(minvecs)], with 0 standing for a rank-deficient span."""
-    if not minvecs:
-        return 0
-    span = Lattice.from_generators(minvecs, L.n)
-    if span.rank < L.rank:
-        return 0
-    if L.is_full_rank():
-        return span.index_in_ambient() // L.index_in_ambient()
-    coeff_rows = []
-    for row in span.rows:
-        c = intmat.solve_in_span(L._hnf, L._pivots, list(row[1:]))
-        if c is None:
-            raise InternalIdentityViolationError("span of minimal vectors escaped the lattice")
-        coeff_rows.append(c)
-    rows, pivots = intmat.hnf(coeff_rows, L.rank)
+    """Index [L : span(minvecs)], or 0 when the span has lower rank.
+
+    The Hermite form of the span gives its rank and its index in A_{n-1},
+    which L's index divides while the span lies in L."""
+    rows, _ = intmat.hnf([v[1:] for v in minvecs], L.n - 1)
     if len(rows) < L.rank:
         return 0
-    return prod(r[c] for r, c in zip(rows, pivots))
+    index, rest = divmod(prod(r[i] for i, r in enumerate(rows)), L.index_in_ambient())
+    if rest:
+        raise InternalIdentityViolationError("span of minimal vectors escaped the lattice")
+    return index
 
 
 # -- coordinate-permutation automorphisms --------------------------------------
@@ -687,11 +669,12 @@ def permutation_automorphisms(L: Lattice):
     n = L.n
     supports = [[(i, x) for i, x in enumerate(row) if x] for row in L.rows]
     # next: the unplaced support of the row with the fewest unplaced
-    # coordinates, or, once every row is placed, the coordinates no row touches
+    # coordinates (row i has its pivot at coordinate i + 1, so every
+    # coordinate is in some row's support)
     order, placed = [], {0}
     while len(placed) < n:
         rest = [u for u in ({i for i, _ in sup} - placed for sup in supports) if u]
-        nxt = sorted(min(rest, key=len) if rest else set(range(n)) - placed)
+        nxt = sorted(min(rest, key=len))
         order += nxt
         placed.update(nxt)
     level = {i: k for k, i in enumerate(order)}

