@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from . import intmat, lattice
 from .errors import EmptyGeneratorSetError, GroupTooLargeError
+from .gf import _prime_powers
 
 AUT_MAX_WORK = 10**6  # |Aut(G)| * |G|: the entries of the full listing, bounding any search
 ENUMERATION_MAX_ORDER = 10**6
@@ -194,21 +195,6 @@ class AbelianGroup:
 
     def __repr__(self):
         return f"AbelianGroup{self.moduli}"
-
-
-def _prime_powers(m: int):
-    """(p, e) for each prime power p^e exactly dividing m."""
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            yield p, e
-        p += 1
-    if m > 1:
-        yield m, 1
 
 
 def _check_subset(group: AbelianGroup, gens):

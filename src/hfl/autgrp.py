@@ -26,7 +26,6 @@ from .errors import (
     OrderBudgetExceededError,
     ZeroScalarError,
 )
-from .lattice import permute
 
 DEFAULT_ORDER_CAP = 10**6
 
@@ -337,16 +336,22 @@ def lattice_stable_under(group: PermGroup, L, generators_only=True) -> bool:
 class ClassgroupAction:
     """The induced action on the quotient group A_{n-1}/L.
 
-    matrices[i] is the action of group.generators[i] on the nontrivial
-    quotient generators, rows mod the elementary divisors.  kernel_size
-    is counted exactly on the stabilizer chain, and image_order is
-    |G| / kernel_size."""
+    mods are the orders of the class map's components, and matrices[i]
+    holds, for group.generators[i], the class of its image of e_b - e_0
+    for each block coordinate b: those whose Hermite pivot is not 1, whose
+    classes generate the quotient.  kernel_size is counted exactly on the
+    stabilizer chain, and image_order is |G| / kernel_size."""
 
     mods: tuple
     matrices: tuple
     kernel_size: int
     injective: bool
     image_order: int
+
+
+def _shift(c, d, mods, sign=1):
+    """The class c + sign * d, componentwise mod mods."""
+    return tuple((x + sign * y) % m for x, y, m in zip(c, d, mods))
 
 
 def _kernel_size(group: PermGroup, cls, mods) -> int:
@@ -362,18 +367,15 @@ def _kernel_size(group: PermGroup, cls, mods) -> int:
     if not base:
         return 1
 
-    def shift(c, d, sign=1):
-        return tuple((x + sign * y) % m for x, y, m in zip(c, d, mods))
-
     ids = {}
     cid = [ids.setdefault(c, len(ids)) for c in cls]
-    want = [shift(c, cls[base[0]], -1) for c in cls]  # c[i] - c[b0]
+    want = [_shift(c, cls[base[0]], mods, -1) for c in cls]  # c[i] - c[b0]
     count = 0
 
     def descend(level, g, anchor, targets):
         nonlocal count
         if level == len(base):
-            count += all(cls[g[i]] == shift(anchor, want[i]) for i in range(n))
+            count += all(cls[g[i]] == _shift(anchor, want[i], mods) for i in range(n))
             return
         t = targets[level]
         for p, u in trans[level].items():
@@ -382,7 +384,7 @@ def _kernel_size(group: PermGroup, cls, mods) -> int:
 
     for p0, u0 in trans[0].items():
         anchor = cls[p0]
-        targets = [ids.get(shift(anchor, want[b]), -1) for b in base]
+        targets = [ids.get(_shift(anchor, want[b], mods), -1) for b in base]
         descend(1, u0, anchor, targets)
     return count
 
@@ -391,10 +393,11 @@ def induced_classgroup_action(group: PermGroup, L) -> ClassgroupAction:
     """The action on A_{n-1}/L, after re-checking that the generators fix L."""
     if not lattice_stable_under(group, L):
         raise LatticeNotStableError("a generator moves the lattice; no induced action")
-    mods, gens = L.quotient_generators()
-    _, cls = L.class_map()
+    mods, cls = L.class_map()
+    # row i of the Hermite basis has its pivot at coordinate i + 1
+    block = [i + 1 for i, row in enumerate(L.rows) if row[i + 1] != 1]
     matrices = tuple(
-        tuple(L.class_of(permute(gen, g)) for gen in gens) for g in group.generators
+        tuple(_shift(cls[g[b]], cls[g[0]], mods, -1) for b in block) for g in group.generators
     )
     kernel = _kernel_size(group, cls, mods)
     return ClassgroupAction(

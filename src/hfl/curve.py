@@ -15,7 +15,7 @@ affine place is written: no dict or set holds both lines and places.
 from typing import NamedTuple
 
 from .errors import InternalIdentityViolationError, UnsupportedQError
-from .gf import Field, field_make
+from .gf import Field, _prime_powers, field_make
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8)
 
@@ -39,15 +39,10 @@ Place = tuple[int, int] | None  # None is the place at infinity
 
 
 def _q_to_prime_power(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7):
-        e = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m == 1:
-            return p, e
-    raise UnsupportedQError(f"q = {q} is not a supported prime power")
+    powers = list(_prime_powers(q))
+    if len(powers) != 1:
+        raise UnsupportedQError(f"q = {q} is not a supported prime power")
+    return powers[0]
 
 
 class Curve:

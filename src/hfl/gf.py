@@ -30,29 +30,20 @@ MAX_ORDER = 2**20        # largest p^k whose modulus is searched
 TABLE_MAX_ORDER = 256    # largest p^k with arithmetic tables
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
+def _prime_powers(m: int):
+    """(p, e) for each prime power p^e exactly dividing m, p increasing;
+    nothing for m < 2."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e
+        p += 1
     if m > 1:
-        out.append(m)
-    return out
+        yield m, 1
 
 
 # -- polynomial helpers over GF(p); coefficients are little-endian tuples --
@@ -123,7 +114,7 @@ def _is_irreducible(coeffs, p):
     xq = _poly_powmod(x, p**k, coeffs, p)
     if _poly_trim(xq) != x:
         return False
-    for r in _prime_factors(k):
+    for r, _ in _prime_powers(k):
         d = k // r
         xd = _poly_powmod(x, p**d, coeffs, p)
         diff = list(xd) + [0] * (2 - len(xd))
@@ -139,7 +130,7 @@ def modulus(p: int, k: int):
     """The monic irreducible of degree k over GF(p) with the smallest
     low-coefficient encoding, little-endian; p prime, 1 <= k <= 8 and
     p^k <= MAX_ORDER."""
-    if not _is_prime(p):
+    if [*_prime_powers(p)] != [(p, 1)]:
         raise NonPrimeError(f"p = {p} is not prime")
     if not 1 <= k <= 8:
         raise DegreeOutOfRangeError(f"k = {k} outside 1..8")
@@ -324,7 +315,7 @@ class Field:
         if m < 1 or (self.order - 1) % m:
             raise ValueError(f"no element of order {m} in GF({self.order})*")
         for z in range(1, self.order):
-            if self.pow(z, m) == 1 and all(self.pow(z, m // f) != 1 for f in _prime_factors(m)):
+            if self.pow(z, m) == 1 and all(self.pow(z, m // f) != 1 for f, _ in _prime_powers(m)):
                 return z
         raise AssertionError("unreachable: cyclic group has elements of every dividing order")
 

@@ -1,17 +1,15 @@
-"""Exact integer matrix kernels: row echelon and Hermite forms, Smith
-normal form with tracked column transforms, and left kernels.
+"""Exact integer matrix kernels: row echelon and Hermite forms, left
+kernels, and the elementary divisors of a matrix whose span holds
+m * Z^n, taken modulo m with no transform tracked.
 Everything runs on arbitrary-precision Python ints; no floating point.
 A Hermite form whose input certifies m * Z^r in its span, for a
 small m, is built modulo m on rows packed one byte per column.
 """
 
 from bisect import bisect_left
+from functools import cache
 from itertools import compress
 from math import gcd, lcm
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _nearest_div(b: int, a: int) -> int:
@@ -131,6 +129,7 @@ def _certified_modulus(vectors, width: int) -> int:
     return m if 0 not in g and m <= MODULAR_MAX else 0
 
 
+@cache
 def digit_mod_table(m: int) -> bytes:
     """The bytes.translate table taking each byte d to d mod m."""
     return bytes(d % m for d in range(256))
@@ -264,102 +263,64 @@ def left_kernel(rows, width: int) -> list[list[int]]:
     return [r[width:] for r, c in zip(erows, epivots) if c >= width]
 
 
-def smith_normal_form(mat, width: int):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _clear_column(W, t: int, m: int) -> bool:
+    """Zero column t of W below row t by row operations modulo m.  An
+    entry a that the pivot p divides is eliminated; any other is merged
+    with row t by the Bezout rows s*p + u*a = h = gcd(p, a) and
+    p/h * a - a/h * p = 0, which leaves the proper divisor h of p as
+    pivot.  True when some merge did."""
+    merged = False
+    for i in range(t + 1, len(W)):
+        a, p = W[i][t], W[t][t]
+        if not a % p:
+            if a:
+                f = a // p
+                W[i] = [(y - f * x) % m for x, y in zip(W[t], W[i])]
+            continue
+        h = gcd(p, a)
+        u = pow(a // h, -1, p // h)
+        s = (1 - u * (a // h)) // (p // h)
+        x, y = W[t], W[i]
+        W[t] = [(s * b + u * c) % m for b, c in zip(x, y)]
+        W[i] = [(p // h * c - a // h * b) % m for b, c in zip(x, y)]
+        merged = True
+    return merged
 
-    Returns (divisors, V, Vinv) where divisors is the full diagonal
-    (nonnegative, each dividing the next among the nonzero ones) and V,
-    Vinv are the accumulated column transform and its inverse: for the
-    input A there is a unimodular U with U*A*V = diag(divisors), hence a
-    row vector x lies in the row span of A iff (x*V)[t] is divisible by
-    divisors[t] for every t (zero divisors demand zero entries).
+
+def smith_normal_form(mat, m: int):
+    """Elementary divisors of a square integer matrix A whose row span
+    holds m * Z^n, computed modulo m with no transform tracked.
+
+    Every divisor of A divides m, so they are A's Smith form over Z_m
+    (Storjohann 2000, ch. 1), and every entry is kept in [0, m).  Step t
+    moves the least nonzero entry left to (t, t) and clears its column
+    and then its row (_clear_column on the transpose, whose Smith form is
+    the same) until a pass needs no merge.  An entry left that the pivot
+    does not divide is added to row t and cleared in turn, so the pivots
+    form a divisor chain.  A pivot p gives the divisor gcd(p, m), and
+    once every entry left is zero mod m, the divisors left are m.
+    Returns (divisors,): the ascending diagonal as the first item.
     """
-    W = [list(row) for row in mat]
-    R, C = len(W), width
-    for row in W:
-        if len(row) != C:
-            raise ValueError("ragged matrix")
-    V = identity(C)
-    Vinv = identity(C)
-
-    def col_swap(a, b):
-        for row in W:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-        Vinv[a], Vinv[b] = Vinv[b], Vinv[a]
-
-    def col_add(src, dst, k):
-        for row in W:
-            if row[src]:
-                row[dst] += k * row[src]
-        for row in V:
-            if row[src]:
-                row[dst] += k * row[src]
-        Vinv[src] = [x - k * y for x, y in zip(Vinv[src], Vinv[dst])]
-
-    def col_neg(a):
-        for row in W:
-            row[a] = -row[a]
-        for row in V:
-            row[a] = -row[a]
-        Vinv[a] = [-x for x in Vinv[a]]
-
-    t = 0
-    bound = min(R, C)
-    while t < bound:
-        best = None
-        for i in range(t, R):
-            wr = W[i]
-            for j in range(t, C):
-                w = wr[j]
-                if w and (best is None or abs(w) < best[0]):
-                    best = (abs(w), i, j)
-        if best is None:
+    W = [[x % m for x in row] for row in mat]
+    n, divisors = len(W), []
+    for t in range(n):
+        nonzero = [(x, i, j) for i in range(t, n) for j in range(t, n) if (x := W[i][j])]
+        if not nonzero:
+            divisors += [m] * (n - t)
             break
-        _, bi, bj = best
-        if bi != t:
-            W[t], W[bi] = W[bi], W[t]
-        if bj != t:
-            col_swap(t, bj)
+        _, i, j = min(nonzero)
+        W[t], W[i] = W[i], W[t]
+        for row in W:
+            row[t], row[j] = row[j], row[t]
         while True:
-            restart = False
-            for i in range(t + 1, R):
-                if W[i][t]:
-                    q, rm = divmod(W[i][t], W[t][t])
-                    if q:
-                        W[i] = [x - q * y for x, y in zip(W[i], W[t])]
-                    if rm:
-                        W[t], W[i] = W[i], W[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, C):
-                if W[t][j]:
-                    q, rm = divmod(W[t][j], W[t][t])
-                    if q:
-                        col_add(t, j, -q)
-                    if rm:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            stray = None
-            for i in range(t + 1, R):
-                wr = W[i]
-                for j in range(t + 1, C):
-                    if wr[j] % W[t][t]:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            passes = 0
+            while _clear_column(W, t, m) or not passes:
+                W = [list(col) for col in zip(*W)]
+                passes += 1
+            p = W[t][t]
+            stray = next((r for r in W[t + 1 :] if any(x % p for x in r)), None)
             if stray is None:
                 break
-            W[t] = [x + y for x, y in zip(W[t], W[stray])]
-        if W[t][t] < 0:
-            col_neg(t)
-        t += 1
-    divisors = [W[i][i] if i < R else 0 for i in range(bound)]
-    return divisors, V, Vinv
+            W[t] = [(x + y) % m for x, y in zip(W[t], stray)]
+        divisors.append(gcd(W[t][t], m))
+    return (divisors,)

@@ -3,8 +3,10 @@
 A lattice is stored through the Hermite form of its projection that drops
 coordinate 0 (the projection is injective on sum-zero vectors), which
 makes bases canonical; a generating set of lower rank is refused.  On top
-of that sit the quotient group A_{n-1}/L via Smith form, membership
-through its class map, exact determinants,
+of that sit the class map of A_{n-1}/L, read off the inverse of the
+Hermite form's non-unit block, with membership through it, the
+elementary divisors by a Smith form modulo the quotient's exponent,
+exact determinants,
 short vectors shape by shape, integral LLL with an integer sphere
 enumerator for small ranks, and a search for coordinate-permutation
 automorphisms.
@@ -14,7 +16,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, lcm, perm, prod
+from math import factorial, gcd, lcm, perm, prod
 from operator import floordiv, mul
 
 from . import intmat
@@ -100,54 +102,66 @@ class Lattice:
         return self.index_in_ambient(), self.n
 
     def _snf(self):
-        """Smith form of the HNF H through its non-unit block.
+        """The quotient and its class map, through the non-unit block B of
+        the HNF H.
 
         In canonical HNF a unit-pivot column is zero off its pivot, so
-        A_{n-1}/L is Z^N / rowspan(B) for N the non-unit pivots and B the
-        N x N block of H: a unit-pivot row c maps e_c to -sum_j H[c][j] e_j
-        over j in N.  Only B goes through the dense Smith form.
+        A_{n-1}/L is Z^N / rowspan(B) for N the non-unit pivots, and a
+        unit-pivot row c maps e_c to -sum_j H[c][j] e_j over j in N.  B is
+        upper triangular with determinant d = [A_{n-1} : L], so one
+        back-substitution gives the integral X = d * B^-1, and x lies in
+        rowspan(B) iff x * X = 0 mod d.  With g = gcd(d, X), M = d / g is
+        the quotient's exponent and C = X / g mod M its class map: block
+        coordinate j's class is row j of C, each column taken mod its own
+        additive order, a column of order 1 dropped, and the rest sorted
+        by decreasing order into mods.  The elementary divisors are B's
+        Smith form modulo M.
         """
         if self._classmap is None:
-            H = self._hnf
-            r = self.n - 1
+            H, r = self._hnf, self.n - 1
             block = [i for i in range(r) if H[i][i] != 1]
             B = [[H[i][j] for j in block] for i in block]
-            bdiv, V, Vinv = intmat.smith_normal_form(B, len(block))
-            divisors = [1] * (r - len(block)) + bdiv
-            cols = [t for t, d in enumerate(bdiv) if d != 1]
-            mods = tuple(bdiv[t] for t in cols)
+            d, N = self.index_in_ambient(), len(block)
+            X = [None] * N
+            for i in reversed(range(N)):
+                acc = [0] * N
+                acc[i] = d
+                for k in range(i + 1, N):
+                    if B[i][k]:
+                        acc = [a - B[i][k] * x for a, x in zip(acc, X[k])]
+                X[i] = [a // B[i][i] for a in acc]
+            g = gcd(d, *itertools.chain.from_iterable(X))
+            M = d // g
+            cols = []
+            for col in zip(*X):
+                col = [x // g % M for x in col]
+                s = gcd(M, *col)
+                if s != M:
+                    cols.append((M // s, [x // s for x in col]))
+            # largest order first: the shape walk holds one of mods[0] passes of keys at a time
+            cols.sort(key=lambda oc: -oc[0])
+            mods = [o for o, _ in cols]
+            C = list(zip(*(c for _, c in cols)))
             pos = {j: k for k, j in enumerate(block)}
-            cls = [(0,) * len(cols)]
-            for i in range(r):
-                if i in pos:
-                    vrow = V[pos[i]]
-                    acc = [vrow[t] for t in cols]
-                else:
-                    acc = [0] * len(cols)
-                    for k, j in enumerate(block):
-                        h = H[i][j]
-                        if h:
-                            vrow = V[k]
-                            for s, t in enumerate(cols):
-                                acc[s] -= h * vrow[t]
-                cls.append(tuple(a % m for a, m in zip(acc, mods)))
-            gens = []
-            for t in cols:
-                x = [0] * r
-                for k, j in enumerate(block):
-                    x[j] = Vinv[t][k]
-                gens.append(tuple([-sum(x)] + x))
-            self._classmap = (divisors, mods, tuple(cls), tuple(gens))
+            words = ClassWords(mods, C)
+            cls = [(0,) * len(mods)] + [
+                C[pos[i]] if i in pos else words.decode(words.key([-H[i][j] for j in block]))
+                for i in range(r)
+            ]
+            divisors = [1] * (r - N) + intmat.smith_normal_form(B, M)[0]
+            self._classmap = (divisors, tuple(mods), tuple(cls))
         return self._classmap
 
     def class_map(self):
         """(mods, cls): v in L iff sum(v[i]*cls[i]) == 0 mod mods, componentwise.
 
-        cls[i] is the image of e_i - e_0 in the nontrivial part of the
-        quotient group.  Class sums run on the packed words built from it
+        cls[i] is the image of e_i - e_0 in the quotient group, embedded in
+        the product of the Z_mods[t] (mods[t] is the order of component t,
+        so there can be more components than nontrivial elementary
+        divisors).  Class sums run on the packed words built from it
         (class_words).
         """
-        _, mods, cls, _ = self._snf()
+        _, mods, cls = self._snf()
         return mods, cls
 
     def class_words(self) -> "ClassWords":
@@ -157,9 +171,9 @@ class Lattice:
         return self._words
 
     def class_of(self, v) -> tuple:
-        """Image of the sum-zero vector v in the nontrivial part of the
-        quotient group, componentwise mod the elementary divisors: its
-        packed class sum, decoded."""
+        """Image of the sum-zero vector v in the quotient group,
+        componentwise mod the class map's mods: its packed class sum,
+        decoded."""
         words = self.class_words()
         return words.decode(words.key(v))
 
@@ -176,11 +190,6 @@ class Lattice:
         has finite order k, so perm(L) <= L gives L = perm^k(L) <= perm(L).
         """
         return all(self.member_fast(permute(row, perm)) for row in self.rows)
-
-    def quotient_generators(self):
-        """Divisor vectors mapping to the unit classes of the quotient."""
-        _, mods, _, gens = self._snf()
-        return mods, list(gens)
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.n == other.n and self.rows == other.rows

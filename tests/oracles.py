@@ -189,3 +189,106 @@ def orbit_of_vector(group, v):
                 seen.add(u)
                 todo.append(u)
     return seen
+
+
+def smith_normal_form(mat, width: int):
+    """The integer Smith form with both column transforms: the dense
+    diagonalization by unimodular row and column operations that the
+    library's Smith form modulo the exponent is checked against.
+
+    Returns (divisors, V, Vinv) where divisors is the full diagonal
+    (nonnegative, each dividing the next among the nonzero ones) and V,
+    Vinv are the accumulated column transform and its inverse: for the
+    input A there is a unimodular U with U*A*V = diag(divisors), hence a
+    row vector x lies in the row span of A iff (x*V)[t] is divisible by
+    divisors[t] for every t (zero divisors demand zero entries).
+    """
+    W = [list(row) for row in mat]
+    R, C = len(W), width
+    for row in W:
+        if len(row) != C:
+            raise ValueError("ragged matrix")
+    V = [[int(i == j) for j in range(C)] for i in range(C)]
+    Vinv = [row[:] for row in V]
+
+    def col_swap(a, b):
+        for row in W:
+            row[a], row[b] = row[b], row[a]
+        for row in V:
+            row[a], row[b] = row[b], row[a]
+        Vinv[a], Vinv[b] = Vinv[b], Vinv[a]
+
+    def col_add(src, dst, k):
+        for row in W:
+            if row[src]:
+                row[dst] += k * row[src]
+        for row in V:
+            if row[src]:
+                row[dst] += k * row[src]
+        Vinv[src] = [x - k * y for x, y in zip(Vinv[src], Vinv[dst])]
+
+    def col_neg(a):
+        for row in W:
+            row[a] = -row[a]
+        for row in V:
+            row[a] = -row[a]
+        Vinv[a] = [-x for x in Vinv[a]]
+
+    t = 0
+    bound = min(R, C)
+    while t < bound:
+        best = None
+        for i in range(t, R):
+            wr = W[i]
+            for j in range(t, C):
+                w = wr[j]
+                if w and (best is None or abs(w) < best[0]):
+                    best = (abs(w), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            W[t], W[bi] = W[bi], W[t]
+        if bj != t:
+            col_swap(t, bj)
+        while True:
+            restart = False
+            for i in range(t + 1, R):
+                if W[i][t]:
+                    q, rm = divmod(W[i][t], W[t][t])
+                    if q:
+                        W[i] = [x - q * y for x, y in zip(W[i], W[t])]
+                    if rm:
+                        W[t], W[i] = W[i], W[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, C):
+                if W[t][j]:
+                    q, rm = divmod(W[t][j], W[t][t])
+                    if q:
+                        col_add(t, j, -q)
+                    if rm:
+                        col_swap(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            stray = None
+            for i in range(t + 1, R):
+                wr = W[i]
+                for j in range(t + 1, C):
+                    if wr[j] % W[t][t]:
+                        stray = i
+                        break
+                if stray is not None:
+                    break
+            if stray is None:
+                break
+            W[t] = [x + y for x, y in zip(W[t], W[stray])]
+        if W[t][t] < 0:
+            col_neg(t)
+        t += 1
+    divisors = [W[i][i] if i < R else 0 for i in range(bound)]
+    return divisors, V, Vinv

@@ -169,9 +169,18 @@ def test_classgroup_action_q2(G2, hl2):
 
 def test_classgroup_action_q3(G3, hl3):
     act = autgrp.induced_classgroup_action(G3, hl3.L)
-    assert act.mods == (4,) * 6
+    # one component per column of the class map, each of its own order
+    assert act.mods == (4,) * 6 + (2, 2)
     assert act.kernel_size == 1
     assert act.injective
+    # generator i sends each block coordinate b, e_b - e_0, to a class
+    block = [i + 1 for i, row in enumerate(hl3.L.rows) if row[i + 1] != 1]
+    assert len(block) == 8
+    for g, matrix in zip(G3.generators, act.matrices):
+        assert matrix == tuple(
+            hl3.L.class_of(tuple(int(j == g[b]) - int(j == g[0]) for j in range(hl3.L.n)))
+            for b in block
+        )
 
 
 def test_tangent_divisors_permuted(G2, curve2, hl2):
@@ -270,19 +279,22 @@ def test_membership_of_products_and_random_perms(oracles, q):
     assert tuple(range(G.degree + 1)) not in G  # wrong degree
 
 
-def _kernel_by_matrices(listed, L):
-    """Elements acting as the identity on the quotient generators' classes,
-    one matrix per listed element."""
-    mods, gens = L.quotient_generators()
-    _, cls = L.class_map()
+def _kernel_by_place_classes(listed, L):
+    """Listed elements acting trivially on the quotient, one at a time:
+    g(e_i - e_0) - (e_i - e_0) lies in L for every place i, by
+    back-substitution."""
+    n = L.n
 
-    def class_of(v):
-        acc = [sum(x * cls[i][s] for i, x in enumerate(v)) for s in range(len(mods))]
-        return tuple(a % m for a, m in zip(acc, mods))
+    def unit(i):
+        return tuple(int(j == i) - int(j == 0) for j in range(n))
 
-    ident = tuple(class_of(gen) for gen in gens)
     return sum(
-        1 for g in listed if tuple(class_of(permute(gen, g)) for gen in gens) == ident
+        1
+        for g in listed
+        if all(
+            contains(L, tuple(x - y for x, y in zip(permute(unit(i), g), unit(i))))
+            for i in range(1, n)
+        )
     )
 
 
@@ -291,7 +303,7 @@ def test_kernel_matches_per_element_matrices(oracles, hl2, hl3, q):
     G, listed = oracles[q]
     L = {2: hl2, 3: hl3}[q].L
     act = autgrp.induced_classgroup_action(G, L)
-    assert act.kernel_size == _kernel_by_matrices(listed, L) == {2: 9, 3: 1}[q]
+    assert act.kernel_size == _kernel_by_place_classes(listed, L) == {2: 9, 3: 1}[q]
     assert act.image_order * act.kernel_size == G.order
 
 

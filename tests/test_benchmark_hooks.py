@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from hfl import abelian
+from hfl import abelian, autgrp
+from hfl.curve import curve_make
+from hfl.lattice import Lattice
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -79,3 +81,28 @@ def test_traced_pass_decomposes_each_line_once(perfbench):
     # every q = 3 line once: 756 steps from 216 pair vectors
     assert layers["hermlat.decompose_line.steps"] == 756
     assert layers["hermlat.minimal_pair_vector.calls"] < layers["hermlat.decompose_line.steps"]
+
+
+def test_traced_pass_reads_divisors_and_action(perfbench):
+    """The tracer counts the unit entries of smith_normal_form's first
+    result item, the divisor list, and len(result.matrices) of the
+    class-group action: a traced q = 2 pass still produces both counters.
+    At q = 2 the non-unit Hermite block [[3, 0], [0, 3]] has no unit
+    divisor, and the action holds one matrix per kept generator of Aut(H).
+    The block [[2, 1], [0, 2]] then adds its unit divisor."""
+    tracer, workloads = perfbench("tracer"), perfbench("workloads")
+    tr = tracer.Tracer("tier-1")
+    tr.install()
+    try:
+        records = workloads.run_ops(workloads.hermitian_verify_ops(2))
+        layers = tr.metrics(0.0)
+        assert layers["intmat.smith_normal_form.calls"] == 1
+        assert layers["intmat.smith_normal_form.unit_divisors"] == 0
+        generators = autgrp.full_group(curve_make(2)).generators
+        assert layers["autgrp.induced_classgroup_action.elements"] == len(generators) == 4
+        L = Lattice.from_generators([(-3, 2, 1), (-2, 0, 2)], 3)
+        assert L.quotient().nontrivial == (4,)
+    finally:
+        tr.uninstall()
+    assert [r for r in records if not r["ok"]] == []
+    assert tr.metrics(0.0)["intmat.smith_normal_form.unit_divisors"] == 1

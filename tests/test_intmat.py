@@ -1,10 +1,10 @@
 import random
 from collections import Counter
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from oracles import solve_in_span
+from oracles import smith_normal_form, solve_in_span
 
 from hfl import hermlat, intmat
 from hfl.curve import curve_make
@@ -120,52 +120,38 @@ def test_left_kernel_saturated():
                 assert solve_in_span(krows, kpivots, y) is not None
 
 
-def test_smith_normal_form():
+def test_smith_normal_form(monkeypatch):
+    """The Smith form modulo m gives the integer Smith form's divisors on
+    square matrices of full rank, for m their exponent or a multiple of
+    it, in an ascending divisor chain whose product is the Hermite index,
+    and no entry of its working matrix reaches m."""
+    clear = intmat._clear_column
+    seen = []
+
+    def checked(W, t, m):
+        seen.append(max(max(row) for row in W) < m and min(min(row) for row in W) >= 0)
+        return clear(W, t, m)
+
+    monkeypatch.setattr(intmat, "_clear_column", checked)
     rng = random.Random(41)
     for _ in range(80):
-        n = rng.randint(2, 6)
-        k = rng.randint(2, 7)
-        mat = _random_vectors(rng, n, k)
-        divisors, V, Vinv = intmat.smith_normal_form([list(r) for r in mat], n)
-        # divisibility chain over the nonzero part
-        nz = [d for d in divisors if d]
-        assert all(d > 0 for d in nz)
-        for a, b in zip(nz, nz[1:]):
+        n = rng.randint(1, 6)
+        mat = _random_vectors(rng, n, n)
+        dense, _, _ = smith_normal_form(mat, n)
+        if not all(dense):
+            continue
+        for m in (dense[-1], 6 * dense[-1]):
+            divisors = intmat.smith_normal_form(mat, m)[0]
+            assert divisors == dense
+        for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
-        # V * Vinv == identity
-        prod = [
-            [sum(V[i][t] * Vinv[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert prod == intmat.identity(n)
-        # membership criterion: x in rowspan iff (x*V) divisible by divisors
-        rows, pivots = intmat.hnf([list(r) for r in mat], n)
-
-        def in_span_snf(x):
-            xv = [sum(x[i] * V[i][t] for i in range(n)) for t in range(n)]
-            for t in range(n):
-                d = divisors[t] if t < len(divisors) else 0
-                if d == 0:
-                    if xv[t] != 0:
-                        return False
-                elif xv[t] % d:
-                    return False
-            return True
-
-        for _ in range(20):
-            probe = [rng.randint(-6, 6) for _ in range(n)]
-            direct = solve_in_span(rows, pivots, probe) is not None
-            assert in_span_snf(probe) == direct
-
-        # index agreement on full-rank inputs
-        if len(rows) == n:
-            piv_prod = 1
-            for r, c in zip(rows, pivots):
-                piv_prod *= r[c]
-            div_prod = 1
-            for d in divisors:
-                div_prod *= d
-            assert piv_prod == div_prod
+        rows, pivots = intmat.hnf(mat, n)
+        assert prod(r[c] for r, c in zip(rows, pivots)) == prod(divisors)
+    # a remainder that is zero mod m gives divisors m
+    assert intmat.smith_normal_form([[6, 0], [0, 6]], 6)[0] == [6, 6]
+    assert intmat.smith_normal_form([[2, 0], [0, 6]], 6)[0] == [2, 6]
+    assert intmat.smith_normal_form([[4, 2], [0, 6]], 12)[0] == [2, 12]
+    assert seen and all(seen)
 
 
 def test_echelon_rejects_ragged():

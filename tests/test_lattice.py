@@ -4,11 +4,12 @@ import signal
 import time
 import tracemalloc
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from oracles import contains
+from oracles import contains, smith_normal_form
 
-from hfl import abelian, hermlat, intmat, lattice
+from hfl import abelian, curve, hermlat, intmat, lattice
 from hfl.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -114,13 +115,23 @@ def test_quotient_and_index_consistency():
         nontrivial = q.nontrivial
         for a, b in zip(nontrivial, nontrivial[1:]):
             assert b % a == 0
-        mods, gens = L.quotient_generators()
-        assert mods == nontrivial
-        # each quotient generator vector is sum-zero and NOT in L unless trivial
-        for m, g in zip(mods, gens):
-            assert sum(g) == 0
-            assert not contains(L, g)
-            assert contains(L, tuple(m * x for x in g))
+        # each class-map component has its own order, reached by the
+        # coordinate classes, and together they have the quotient's exponent;
+        # the classes generate a group of order [A_{n-1} : L]
+        mods, cls = L.class_map()
+        assert lcm(*mods) == (nontrivial[-1] if nontrivial else 1)
+        for t, m in enumerate(mods):
+            assert m > 1 and gcd(m, *(c[t] for c in cls)) == 1
+        if q.index <= 5000:
+            group, todo = {cls[0]}, [cls[0]]
+            while todo:
+                a = todo.pop()
+                for c in cls:
+                    b = tuple((x + y) % m for x, y, m in zip(a, c, mods))
+                    if b not in group:
+                        group.add(b)
+                        todo.append(b)
+            assert len(group) == q.index
 
 
 def _class_of(L, v):
@@ -150,21 +161,23 @@ def _block_route_cases():
 
 def test_block_smith_form_matches_dense_oracle():
     """The quotient read off the non-unit block of the HNF agrees with the
-    dense Smith form of the whole HNF, with contains, and maps each
-    quotient generator to its unit class.  The packed class sums agree
+    dense Smith form of the whole HNF, with contains, and gives each of
+    the dense form's quotient generators a class of its divisor's order.  The packed class sums agree
     with the componentwise oracle, also on dense vectors with entries
     beyond the exponent M (at q = 4, more nonzeros than one reduction
     interval)."""
     non_unit = 0
     for rng, L in _block_route_cases():
         n = L.n
-        dense, _, _ = intmat.smith_normal_form(L._hnf, n - 1)
+        dense, _, Vinv = smith_normal_form(L._hnf, n - 1)
         assert list(L.quotient().divisors) == dense
-        mods, gens = L.quotient_generators()
+        mods, _ = L.class_map()
         non_unit += bool(mods)
-        for k, g in enumerate(gens):
-            assert sum(g) == 0
-            assert _class_of(L, g) == tuple(int(t == k) for t in range(len(mods)))
+        # the oracle's quotient generator t, row t of V^-1, has a class of
+        # order dense[t]
+        for d, row in zip(dense, Vinv):
+            c = _class_of(L, [-sum(row)] + row)
+            assert lcm(*(m // gcd(m, x) for m, x in zip(mods, c))) == d
         for _ in range(30):
             # a lattice vector plus, half the time, a random sum-zero offset
             v = [0] * n
@@ -185,6 +198,19 @@ def test_block_smith_form_matches_dense_oracle():
             assert L.class_of(dense) == _class_of(L, dense)
             assert L.member_fast(dense) == contains(L, dense)
     assert non_unit > 30
+
+
+def test_q9_quotient_has_no_cliff(monkeypatch):
+    """With q = 9 admitted, the lattice of line divisors has the quotient
+    Z_10^72, and the class map and divisors come from the inverse of the
+    92 x 92 Hermite block in well under 10 s (the integer Smith form with
+    column transforms took 26-41 s on its entries of 560,000 bits)."""
+    monkeypatch.setattr(curve, "SUPPORTED_Q", curve.SUPPORTED_Q + (9,))
+    c = curve.curve_make(9)
+    L = lattice.Lattice.from_generators([c.divisor_of_line(line) for line in c.all_lines()], c.n)
+    start = time.perf_counter()
+    assert L.quotient().nontrivial == (10,) * 72
+    assert time.perf_counter() - start < 10
 
 
 def test_not_full_rank_errors():
