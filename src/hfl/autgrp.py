@@ -338,9 +338,9 @@ class ClassgroupAction:
 
     mods are the orders of the class map's components, and matrices[i]
     holds, for group.generators[i], the class of its image of e_b - e_0
-    for each block coordinate b: those whose Hermite pivot is not 1, whose
-    classes generate the quotient.  kernel_size is counted exactly on the
-    stabilizer chain, and image_order is |G| / kernel_size."""
+    for each block coordinate b in L.block: those whose Hermite pivot is
+    not 1, whose classes generate the quotient.  kernel_size is counted
+    exactly on the stabilizer chain, and image_order is |G| / kernel_size."""
 
     mods: tuple
     matrices: tuple
@@ -394,10 +394,8 @@ def induced_classgroup_action(group: PermGroup, L) -> ClassgroupAction:
     if not lattice_stable_under(group, L):
         raise LatticeNotStableError("a generator moves the lattice; no induced action")
     mods, cls = L.class_map()
-    # row i of the Hermite basis has its pivot at coordinate i + 1
-    block = [i + 1 for i, row in enumerate(L.rows) if row[i + 1] != 1]
     matrices = tuple(
-        tuple(_shift(cls[g[b]], cls[g[0]], mods, -1) for b in block) for g in group.generators
+        tuple(_shift(cls[g[b]], cls[g[0]], mods, -1) for b in L.block) for g in group.generators
     )
     kernel = _kernel_size(group, cls, mods)
     return ClassgroupAction(

@@ -1,15 +1,18 @@
 """Exact integer matrix kernels: row echelon and Hermite forms, left
 kernels, and the elementary divisors of a matrix whose span holds
-m * Z^n, taken modulo m with no transform tracked.
-Everything runs on arbitrary-precision Python ints; no floating point.
-A Hermite form whose input certifies m * Z^r in its span, for a
-small m, is built modulo m on rows packed one byte per column.
+m * Z^n, counted off Hermite forms modulo the prime powers of m.
+The Hermite form is the one normal form; everything runs on
+arbitrary-precision Python ints, no floating point.  A Hermite form
+whose input certifies m * Z^r in its span, for a small m, is built
+modulo m on rows packed one byte per column.
 """
 
 from bisect import bisect_left
 from functools import cache
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
+
+from . import gf
 
 
 def _nearest_div(b: int, a: int) -> int:
@@ -263,64 +266,34 @@ def left_kernel(rows, width: int) -> list[list[int]]:
     return [r[width:] for r, c in zip(erows, epivots) if c >= width]
 
 
-def _clear_column(W, t: int, m: int) -> bool:
-    """Zero column t of W below row t by row operations modulo m.  An
-    entry a that the pivot p divides is eliminated; any other is merged
-    with row t by the Bezout rows s*p + u*a = h = gcd(p, a) and
-    p/h * a - a/h * p = 0, which leaves the proper divisor h of p as
-    pivot.  True when some merge did."""
-    merged = False
-    for i in range(t + 1, len(W)):
-        a, p = W[i][t], W[t][t]
-        if not a % p:
-            if a:
-                f = a // p
-                W[i] = [(y - f * x) % m for x, y in zip(W[t], W[i])]
-            continue
-        h = gcd(p, a)
-        u = pow(a // h, -1, p // h)
-        s = (1 - u * (a // h)) // (p // h)
-        x, y = W[t], W[i]
-        W[t] = [(s * b + u * c) % m for b, c in zip(x, y)]
-        W[i] = [(p // h * c - a // h * b) % m for b, c in zip(x, y)]
-        merged = True
-    return merged
-
-
 def smith_normal_form(mat, m: int):
-    """Elementary divisors of a square integer matrix A whose row span
-    holds m * Z^n, computed modulo m with no transform tracked.
+    """Elementary divisors of a square integer matrix whose row span S
+    holds m * Z^n, counted off Hermite forms with no elimination of its
+    own.
 
-    Every divisor of A divides m, so they are A's Smith form over Z_m
-    (Storjohann 2000, ch. 1), and every entry is kept in [0, m).  Step t
-    moves the least nonzero entry left to (t, t) and clears its column
-    and then its row (_clear_column on the transpose, whose Smith form is
-    the same) until a pass needs no merge.  An entry left that the pivot
-    does not divide is added to row t and cleared in turn, so the pivots
-    form a divisor chain.  A pivot p gives the divisor gcd(p, m), and
-    once every entry left is zero mod m, the divisors left are m.
-    Returns (divisors,): the ascending diagonal as the first item.
+    Every divisor divides m.  For a prime power p^k dividing m, the index
+    of S + p^k * Z^n is the product over the divisors d of gcd(d, p^k),
+    so going from p^(k-1) to p^k it grows by p once per divisor that p^k
+    divides, and those, the largest of the chain, take one more factor p.
+    That index is the product of the pivots of hnf over the rows reduced
+    mod p^k and the rows p^k * e_j, which certify p^k (the Howell route
+    for p^k <= MODULAR_MAX).  Returns (divisors,): the ascending chain as
+    the first item.
     """
-    W = [[x % m for x in row] for row in mat]
-    n, divisors = len(W), []
-    for t in range(n):
-        nonzero = [(x, i, j) for i in range(t, n) for j in range(t, n) if (x := W[i][j])]
-        if not nonzero:
-            divisors += [m] * (n - t)
-            break
-        _, i, j = min(nonzero)
-        W[t], W[i] = W[i], W[t]
-        for row in W:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            passes = 0
-            while _clear_column(W, t, m) or not passes:
-                W = [list(col) for col in zip(*W)]
-                passes += 1
-            p = W[t][t]
-            stray = next((r for r in W[t + 1 :] if any(x % p for x in r)), None)
-            if stray is None:
+    n = len(mat)
+    divisors = [1] * n
+    for p, e in gf._prime_powers(m):
+        last = 1  # the index of S + p^(k-1) * Z^n
+        for k in range(1, e + 1):
+            pk = p**k
+            rows = [[x % pk for x in row] for row in mat]
+            rows += ([pk * (i == j) for j in range(n)] for i in range(n))
+            index = prod(r[c] for r, c in zip(*hnf(rows, n)))
+            count = 0
+            while last < index:
+                last *= p
+                count += 1
+            if not count:  # no divisor that p^k divides, so none for higher k
                 break
-            W[t] = [(x + y) % m for x, y in zip(W[t], stray)]
-        divisors.append(gcd(W[t][t], m))
+            divisors[n - count :] = [d * p for d in divisors[n - count :]]
     return (divisors,)

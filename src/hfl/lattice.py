@@ -5,8 +5,8 @@ coordinate 0 (the projection is injective on sum-zero vectors), which
 makes bases canonical; a generating set of lower rank is refused.  On top
 of that sit the class map of A_{n-1}/L, read off the inverse of the
 Hermite form's non-unit block, with membership through it, the
-elementary divisors by a Smith form modulo the quotient's exponent,
-exact determinants,
+elementary divisors of that block, counted off Hermite forms modulo the
+prime powers of the quotient's exponent, exact determinants,
 short vectors shape by shape, integral LLL with an integer sphere
 enumerator for small ranks, and a search for coordinate-permutation
 automorphisms.
@@ -67,7 +67,11 @@ class Lattice:
         self._hnf = [list(r) for r in hnf_rows]
         self.rank = len(self._hnf)
         self.rows = tuple(tuple([-sum(r)] + list(r)) for r in self._hnf)
+        # the coordinates whose Hermite pivot is not 1 (row i pivots at i + 1):
+        # their classes generate A_{n-1}/L
+        self.block = tuple(i + 1 for i, r in enumerate(self._hnf) if r[i] != 1)
         self._classmap = None
+        self._quotient = None
         self._words = None
 
     @classmethod
@@ -94,34 +98,46 @@ class Lattice:
         return prod(r[i] for i, r in enumerate(self._hnf))
 
     def quotient(self) -> QuotientStructure:
-        """Elementary divisors of A_{n-1}/L (ascending chain, 1s included)."""
-        return QuotientStructure(tuple(self._snf()[0]))
+        """Elementary divisors of A_{n-1}/L (ascending chain, 1s included):
+        the non-unit block B's, counted modulo the exponent lcm(mods) on
+        first use."""
+        if self._quotient is None:
+            mods, _ = self.class_map()
+            units = [1] * (self.rank - len(self.block))
+            divisors = intmat.smith_normal_form(self._block_matrix(), lcm(*mods))[0]
+            self._quotient = QuotientStructure(tuple(units + divisors))
+        return self._quotient
 
     def determinant(self) -> tuple[int, int]:
         """det L as (index, radicand): the exact value is index * sqrt(radicand)."""
         return self.index_in_ambient(), self.n
 
-    def _snf(self):
-        """The quotient and its class map, through the non-unit block B of
-        the HNF H.
+    def _block_matrix(self):
+        """B: the Hermite form restricted to the block coordinates."""
+        return [[self.rows[i - 1][j] for j in self.block] for i in self.block]
+
+    def class_map(self):
+        """(mods, cls): v in L iff sum(v[i]*cls[i]) == 0 mod mods, componentwise.
+
+        cls[i] is the image of e_i - e_0 in the quotient group, embedded in
+        the product of the Z_mods[t] (mods[t] is the order of component t,
+        so there can be more components than nontrivial elementary
+        divisors).  Class sums run on the packed words built from it
+        (class_words).
 
         In canonical HNF a unit-pivot column is zero off its pivot, so
-        A_{n-1}/L is Z^N / rowspan(B) for N the non-unit pivots, and a
-        unit-pivot row c maps e_c to -sum_j H[c][j] e_j over j in N.  B is
-        upper triangular with determinant d = [A_{n-1} : L], so one
-        back-substitution gives the integral X = d * B^-1, and x lies in
-        rowspan(B) iff x * X = 0 mod d.  With g = gcd(d, X), M = d / g is
-        the quotient's exponent and C = X / g mod M its class map: block
-        coordinate j's class is row j of C, each column taken mod its own
-        additive order, a column of order 1 dropped, and the rest sorted
-        by decreasing order into mods.  The elementary divisors are B's
-        Smith form modulo M.
+        A_{n-1}/L is Z^N / rowspan(B) for B the non-unit block, and a
+        unit-pivot row c maps e_c to -sum_j H[c][j] e_j over the block
+        coordinates j.  B is upper triangular with determinant
+        d = [A_{n-1} : L], so one back-substitution gives the integral
+        X = d * B^-1, and x lies in rowspan(B) iff x * X = 0 mod d.  With
+        g = gcd(d, X), M = d / g is the quotient's exponent and
+        C = X / g mod M its class map: block coordinate j's class is row j
+        of C, each column taken mod its own additive order, a column of
+        order 1 dropped, and the rest sorted by decreasing order into mods.
         """
         if self._classmap is None:
-            H, r = self._hnf, self.n - 1
-            block = [i for i in range(r) if H[i][i] != 1]
-            B = [[H[i][j] for j in block] for i in block]
-            d, N = self.index_in_ambient(), len(block)
+            B, d, N = self._block_matrix(), self.index_in_ambient(), len(self.block)
             X = [None] * N
             for i in reversed(range(N)):
                 acc = [0] * N
@@ -141,28 +157,14 @@ class Lattice:
             # largest order first: the shape walk holds one of mods[0] passes of keys at a time
             cols.sort(key=lambda oc: -oc[0])
             mods = [o for o, _ in cols]
-            C = list(zip(*(c for _, c in cols)))
-            pos = {j: k for k, j in enumerate(block)}
-            words = ClassWords(mods, C)
+            C = dict(zip(self.block, zip(*(c for _, c in cols))))
+            words = ClassWords(mods, list(C.values()))
             cls = [(0,) * len(mods)] + [
-                C[pos[i]] if i in pos else words.decode(words.key([-H[i][j] for j in block]))
-                for i in range(r)
+                C[c] if c in C else words.decode(words.key([-row[j] for j in self.block]))
+                for c, row in enumerate(self.rows, 1)
             ]
-            divisors = [1] * (r - N) + intmat.smith_normal_form(B, M)[0]
-            self._classmap = (divisors, tuple(mods), tuple(cls))
+            self._classmap = (tuple(mods), tuple(cls))
         return self._classmap
-
-    def class_map(self):
-        """(mods, cls): v in L iff sum(v[i]*cls[i]) == 0 mod mods, componentwise.
-
-        cls[i] is the image of e_i - e_0 in the quotient group, embedded in
-        the product of the Z_mods[t] (mods[t] is the order of component t,
-        so there can be more components than nontrivial elementary
-        divisors).  Class sums run on the packed words built from it
-        (class_words).
-        """
-        _, mods, cls = self._snf()
-        return mods, cls
 
     def class_words(self) -> "ClassWords":
         """The class map as packed words, built on first use."""

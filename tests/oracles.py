@@ -194,7 +194,7 @@ def orbit_of_vector(group, v):
 def smith_normal_form(mat, width: int):
     """The integer Smith form with both column transforms: the dense
     diagonalization by unimodular row and column operations that the
-    library's Smith form modulo the exponent is checked against.
+    library's divisor count modulo the exponent is checked against.
 
     Returns (divisors, V, Vinv) where divisors is the full diagonal
     (nonnegative, each dividing the next among the nonzero ones) and V,

@@ -275,7 +275,7 @@ def test_c10_property_suites():
         h2, p2 = intmat.hnf(mixed, n)
         c.expect(h1 == h2 and p1 == p2, "HNF not invariant")
         d1, _, _ = smith_normal_form(h1, n)
-        if len(h2) == n:  # full rank: the Smith form modulo the exponent
+        if len(h2) == n:  # full rank: the divisors counted modulo the exponent
             d2 = intmat.smith_normal_form(h2, d1[-1])[0]
         else:
             d2, _, _ = smith_normal_form(h2, n)

@@ -6,7 +6,7 @@ from math import gcd, prod
 import pytest
 from oracles import smith_normal_form, solve_in_span
 
-from hfl import hermlat, intmat
+from hfl import abelian, hermlat, intmat
 from hfl.curve import curve_make
 
 
@@ -120,19 +120,13 @@ def test_left_kernel_saturated():
                 assert solve_in_span(krows, kpivots, y) is not None
 
 
-def test_smith_normal_form(monkeypatch):
-    """The Smith form modulo m gives the integer Smith form's divisors on
-    square matrices of full rank, for m their exponent or a multiple of
-    it, in an ascending divisor chain whose product is the Hermite index,
-    and no entry of its working matrix reaches m."""
-    clear = intmat._clear_column
-    seen = []
-
-    def checked(W, t, m):
-        seen.append(max(max(row) for row in W) < m and min(min(row) for row in W) >= 0)
-        return clear(W, t, m)
-
-    monkeypatch.setattr(intmat, "_clear_column", checked)
+def test_smith_normal_form():
+    """The divisors counted off Hermite forms equal the integer Smith
+    form's on square matrices of full rank, for m their exponent or a
+    multiple of it, in an ascending divisor chain whose product is the
+    Hermite index; they hold for three primes, for prime powers above
+    MODULAR_MAX, where the count runs through the integer echelon, and
+    for the empty block."""
     rng = random.Random(41)
     for _ in range(80):
         n = rng.randint(1, 6)
@@ -147,11 +141,18 @@ def test_smith_normal_form(monkeypatch):
             assert b % a == 0
         rows, pivots = intmat.hnf(mat, n)
         assert prod(r[c] for r, c in zip(rows, pivots)) == prod(divisors)
-    # a remainder that is zero mod m gives divisors m
     assert intmat.smith_normal_form([[6, 0], [0, 6]], 6)[0] == [6, 6]
     assert intmat.smith_normal_form([[2, 0], [0, 6]], 6)[0] == [2, 6]
     assert intmat.smith_normal_form([[4, 2], [0, 6]], 12)[0] == [2, 12]
-    assert seen and all(seen)
+    assert intmat.smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 30)[0] == [1, 1, 30]
+    assert 32 > intmat.MODULAR_MAX
+    assert intmat.smith_normal_form([[32, 0], [0, 64]], 64)[0] == [32, 64]
+    # the block of the Z_2 x Z_128 subset {(1, 0), (0, 2), (1, 2)}
+    L = abelian.lattice_for_subset(abelian.AbelianGroup((2, 128)), (1, 4, 5))
+    block = [[L.rows[i - 1][j] for j in L.block] for i in L.block]
+    assert block == [[2, 62], [0, 64]]
+    assert intmat.smith_normal_form(block, 64)[0] == [2, 64]
+    assert intmat.smith_normal_form([], 1) == ([],)
 
 
 def test_echelon_rejects_ragged():

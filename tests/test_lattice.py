@@ -213,6 +213,27 @@ def test_q9_quotient_has_no_cliff(monkeypatch):
     assert time.perf_counter() - start < 10
 
 
+def test_divisors_counted_only_for_the_quotient(monkeypatch):
+    """Membership and the class map count no elementary divisors; the
+    first quotient() counts them once, and a second reads the cache."""
+    count = intmat.smith_normal_form
+    calls = []
+
+    def counted(mat, m):
+        calls.append(m)
+        return count(mat, m)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counted)
+    L = abelian.lattice_for_subset(abelian.AbelianGroup((2, 2, 4)), (1, 2, 5, 6, 11))
+    assert L.block
+    assert L.member_fast(L.rows[0]) and not L.member_fast((1, -1) + (0,) * (L.n - 2))
+    mods, _ = L.class_map()
+    assert calls == []
+    q = L.quotient()
+    assert calls == [lcm(*mods)]
+    assert L.quotient() is q and len(calls) == 1
+
+
 def test_not_full_rank_errors():
     """Generators of rank below n - 1 are refused at construction, naming
     the rank and n - 1, and so is n < 2, where A_{n-1} = {0}."""
