@@ -17,7 +17,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict
-from operator import sub
 
 from . import abelian, autgrp, hermlat, lattice
 from .curve import Curve, Slope, Vertical, curve_make
@@ -189,7 +188,6 @@ def census_payload(hl: hermlat.HermitianLattice, cap: int | None):
 
 def decompose_payload(curve: Curve, line, beta=None):
     steps = hermlat.decompose_line(curve, line, beta=beta)
-    div = curve.divisor_of_line
     return {
         "q": curve.q,
         "line": _line_str(line),
@@ -200,7 +198,7 @@ def decompose_payload(curve: Curve, line, beta=None):
                 "tag": s.tag,
                 "numerator": _line_str(s.numerator),
                 "denominator": _line_str(s.denominator),
-                "vector": list(map(sub, div(s.numerator), div(s.denominator))),
+                "vector": list(curve.pair_vector(s.numerator, s.denominator)),
             }
             for s in steps
         ],
@@ -351,8 +349,7 @@ def herm_checks(hl: hermlat.HermitianLattice, cap: int | None):
 
     def census_superset():
         found = set(census())  # a refused census streams no family vector
-        div, pairs = curve.divisor_of_line, hermlat.family_pairs(curve)
-        return all(tuple(map(sub, div(u), div(v))) in found for _, u, v in pairs)
+        return all(curve.pair_vector(u, v) in found for _, u, v in hermlat.family_pairs(curve))
 
     family_sizes = {
         "pair_vertical": q * q * (q * q - 1),

@@ -68,10 +68,8 @@ class Curve:
             raise InternalIdentityViolationError(f"{len(places)} places, expected {self.n}")
         self.place_index: dict[Place, int] = {pl: i for i, pl in enumerate(self.places)}
         self.zeta = F.root_of_unity(q + 1)
-        # line -> its dense divisor (lattice generators, output), the
-        # divisor's support and block (all that hermlat's checks read) and
-        # its decomposition steps (line pairs, no vectors); each computed once
-        self._divisors: dict[Line, tuple[int, ...]] = {}
+        # line -> its divisor's support (the only per-line vector kept), its
+        # block and its decomposition steps (line pairs); each computed once
         self._supports: dict[Line, tuple[tuple[int, int], ...]] = {}
         self._blocks: dict[Line, frozenset[int] | None] = {}
         self._decompositions: dict[Line, tuple] = {}
@@ -166,14 +164,20 @@ class Curve:
         return vec
 
     def divisor_of_line(self, line: Line) -> tuple[int, ...]:
-        """Valuation vector of the line over all places; always sums to zero."""
-        div = self._divisors.get(line)
-        if div is None:
-            vec = [0] * self.n
-            for i, x in self.line_support(line):
-                vec[i] = x
-            div = self._divisors[line] = tuple(vec)
-        return div
+        """Valuation vector of the line, expanded from its support; sums to 0."""
+        return self._dense(self.line_support(line))
+
+    def pair_vector(self, num: Line, den: Line) -> tuple[int, ...]:
+        """div(num) - div(den) over all places, from the two line supports."""
+        return self._dense(self.line_support(num), self.line_support(den))
+
+    def _dense(self, plus, minus=()) -> tuple[int, ...]:
+        vec = [0] * self.n
+        for i, x in plus:
+            vec[i] = x
+        for i, x in minus:
+            vec[i] -= x
+        return tuple(vec)
 
     def __repr__(self):
         return f"Curve(q={self.q}, n={self.n})"

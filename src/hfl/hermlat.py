@@ -49,7 +49,7 @@ class DecompositionStep:
     """One signed minimal vector in a line decomposition, kept as the
     checked line pair: the step contributes sign * (divisor(numerator) -
     divisor(denominator)) to the decomposed divisor, and that vector is
-    rebuilt on demand from the cached line divisors."""
+    rebuilt on demand from the line supports (Curve.pair_vector)."""
 
     sign: int
     numerator: Line
@@ -63,7 +63,7 @@ class HermitianLattice:
 
     def __init__(self, curve: Curve):
         self.curve = curve
-        divs = [curve.divisor_of_line(line) for line in curve.all_lines()]
+        divs = (curve.divisor_of_line(line) for line in curve.all_lines())
         self.L = lattice.Lattice.from_generators(divs, curve.n)
         self.quotient = self.L.quotient()
 
@@ -291,14 +291,10 @@ def family_pairs(curve: Curve):
 
 
 def kissing_families(curve: Curve) -> KissingFamilies:
-    """The vectors div(num) - div(den) of family_pairs, held family by family."""
-    div, support = curve.divisor_of_line, curve.line_support
+    """The vectors div(num) - div(den) of family_pairs (Curve.pair_vector), by family."""
     fams = {name: [] for name in FAMILIES}
     for family, num, den in family_pairs(curve):
-        vec = list(div(num))
-        for i, x in support(den):
-            vec[i] -= x
-        fams[family].append(tuple(vec))
+        fams[family].append(curve.pair_vector(num, den))
     return KissingFamilies(*map(tuple, fams.values()))
 
 

@@ -77,18 +77,20 @@ class Lattice:
     @classmethod
     def from_generators(cls, vectors, n: int) -> "Lattice":
         """The lattice the sum-zero vectors generate; refused unless n >= 2
-        and they span a sublattice of rank n - 1."""
+        and they span a sublattice of rank n - 1; read in one pass keeping
+        only each one's projection, so a one-shot iterator will do."""
         if n < 2:
             raise NotFullRankError(f"n = {n} < 2: A_{n - 1} is zero")
-        vectors = list(vectors)
-        if not vectors:
-            raise EmptyGeneratorSetError("need at least one generator")
+        tails = []
         for v in vectors:
             if len(v) != n:
                 raise DimensionMismatchError(f"generator length {len(v)} != n = {n}")
             if sum(v) != 0:
                 raise ValueError(f"generator does not sum to zero: {v}")
-        rows, _ = intmat.hnf([v[1:] for v in vectors], n - 1)
+            tails.append(v[1:])
+        if not tails:
+            raise EmptyGeneratorSetError("need at least one generator")
+        rows, _ = intmat.hnf(tails, n - 1)
         if len(rows) < n - 1:
             raise NotFullRankError(f"generators span rank {len(rows)} < n - 1 = {n - 1}")
         return cls(n, rows)

@@ -363,6 +363,16 @@ def test_verify_q7_peak_rss_bound():
     assert report["peak_rss_mb"] < 64, report["peak_rss_mb"]
 
 
+def test_verify_q8_peak_rss_bound():
+    """`python -m hfl verify --q 8` passes 16 checks and skips only
+    census_contains_families, and its report's own peak RSS stays below
+    66 MB: the curve keeps each line only as its support, and the build
+    holds one projected copy of the line divisors."""
+    report = _verify_from_parent("", 8)
+    assert report["counts"] == {"passed": 16, "failed": 0, "skipped": 1}
+    assert report["peak_rss_mb"] < 66, report["peak_rss_mb"]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
 def test_peak_rss_is_the_process_own_after_exec():
     """A parent holding about 120 MB runs `verify --q 2`, which needs about

@@ -81,18 +81,32 @@ def test_divisors(q):
 def test_line_caches_match_fresh_computation(q):
     curve, other = curve_make(q), curve_make(q)
     lines = curve.all_lines()
-    first = {line: (curve.points_on_line(line), curve.divisor_of_line(line)) for line in lines}
+    first = {line: (curve.points_on_line(line), curve.line_support(line)) for line in lines}
     for line in lines:
-        pts, div = curve.points_on_line(line), curve.divisor_of_line(line)
-        assert div is first[line][1]
+        pts, sup = curve.points_on_line(line), curve.line_support(line)
+        assert sup is first[line][1]
         want = points_on_line_bruteforce(curve, line)
         assert sorted(pts) == sorted(want), line
-        assert div == divisor_from_points(curve, line, want), line
+        assert curve.divisor_of_line(line) == divisor_from_points(curve, line, want), line
     # a second curve answers from its own cache, so each answer is computed afresh
     for line in reversed(lines):
-        pts, div = other.points_on_line(line), other.divisor_of_line(line)
+        pts, sup = other.points_on_line(line), other.line_support(line)
         assert pts == first[line][0]
-        assert div == first[line][1] and div is not first[line][1]
+        assert sup == first[line][1] and sup is not first[line][1]
+        want = points_on_line_bruteforce(other, line)
+        assert other.divisor_of_line(line) == divisor_from_points(other, line, want), line
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_vector_is_the_divisor_difference(q):
+    curve = curve_make(q)
+    lines = curve.all_lines()
+    for num in lines:
+        for den in lines[::5]:
+            want = tuple(a - b for a, b in zip(curve.divisor_of_line(num), curve.divisor_of_line(den)))
+            vec = curve.pair_vector(num, den)
+            assert vec == want, (num, den)
+            assert {i: x for i, x in enumerate(vec) if x} == curve.quotient_support(num, den)
 
 
 @pytest.mark.parametrize("q", [2, 3])

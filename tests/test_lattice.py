@@ -51,6 +51,15 @@ def test_construction_errors():
         lattice.Lattice.from_generators([(1, 1, 1)], 3)
 
 
+def test_from_generators_reads_a_one_shot_iterator():
+    gens = [(2, -2, 0, 0), (0, 3, -3, 0), (1, 0, 0, -1), (0, 2, -1, -1)]
+    L = lattice.Lattice.from_generators(iter(gens), 4)
+    assert L == lattice.Lattice.from_generators(gens, 4)
+    assert L.rank == 3
+    with pytest.raises(EmptyGeneratorSetError):
+        lattice.Lattice.from_generators(iter(()), 3)
+
+
 def test_rows_reconstruct_dropped_coordinate():
     L = lattice.Lattice.from_generators([(2, -2, 0), (0, 2, -2)], 3)
     for row in L.rows:
