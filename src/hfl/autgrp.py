@@ -300,26 +300,16 @@ def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
     )
 
 
-def _orbit(generators, start, act):
-    """BFS orbit of start under the generators."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        x = todo.pop()
-        for g in generators:
-            y = act(x, g)
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
-
-
 def orbit_of_index(group: PermGroup, index: int):
-    return _orbit(group.generators, index, lambda i, g: g[i])
-
-
-def orbit_of_pair(group: PermGroup, i: int, j: int):
-    return _orbit(group.generators, (i, j), lambda p, g: (g[p[0]], g[p[1]]))
+    """The orbit of a place index, by BFS over the group's generators."""
+    seen, todo = {index}, [index]
+    while todo:
+        i = todo.pop()
+        for g in group.generators:
+            if g[i] not in seen:
+                seen.add(g[i])
+                todo.append(g[i])
+    return seen
 
 
 def lattice_stable_under(group: PermGroup, L, generators_only=True) -> bool:

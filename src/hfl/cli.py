@@ -268,13 +268,14 @@ class Check:
         self.fn = fn
 
 
-def run_checks(checks, verbose=True):
+def run_checks(checks):
     """Run each check once; its status follows one rule.  PASS or FAIL
     compares its value with the expected one; a budget refusal
     (BudgetExceededError, SearchInfeasibleError) is SKIP; any other
     hfl.errors.Error is FAIL with the error as `reason`.  A blown budget's
     reason ends with BUDGET_HINT; no flag lifts a SearchInfeasibleError.
-    An internal defect and MemoryError end the run."""
+    An internal defect and MemoryError end the run.  Each status goes to
+    stderr as its check ends."""
     records = []
     counts = Counter()
     t_all = time.perf_counter()
@@ -297,11 +298,8 @@ def run_checks(checks, verbose=True):
         counts[status] += 1
         rec["seconds"] = round(time.perf_counter() - t0, 6)
         records.append(rec)
-        if verbose:
-            detail = rec["reason"] if "reason" in rec else (
-                f"expected {c.expected}, got {rec['actual']}"
-            )
-            print(f"[{status}] {c.check_id}: {detail} ({rec['seconds']:.2f}s)", file=sys.stderr)
+        detail = rec["reason"] if "reason" in rec else f"expected {c.expected}, got {rec['actual']}"
+        print(f"[{status}] {c.check_id}: {detail} ({rec['seconds']:.2f}s)", file=sys.stderr)
     return {
         "checks": records,
         "pass": counts["FAIL"] == 0,

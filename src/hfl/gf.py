@@ -55,21 +55,24 @@ def _poly_trim(a):
     return a[:i]
 
 
+def _poly_rem(a, b, p):
+    """a mod b over GF(p), trimmed; b trimmed and nonzero."""
+    r, k, inv = list(a), len(b) - 1, pow(b[-1], p - 2, p)
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            for j, bj in enumerate(b):
+                r[i - k + j] = (r[i - k + j] - c * bj) % p
+    return _poly_trim(tuple(r[:k]))
+
+
 def _poly_mulmod(a, b, mod, p):
-    k = len(mod) - 1
     res = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for i in range(len(res) - 1, k - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(k):
-                res[i - k + j] = (res[i - k + j] - c * mod[j]) % p
-    return _poly_trim(tuple(res[:k] if len(res) > k else res))
+    return _poly_rem(res, mod, p)
 
 
 def _poly_powmod(a, e, mod, p):
@@ -86,18 +89,7 @@ def _poly_powmod(a, e, mod, p):
 def _poly_gcd(a, b, p):
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and _poly_trim(tuple(r)):
-            r = list(_poly_trim(tuple(r)))
-            if len(r) < len(b):
-                break
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for j, bj in enumerate(b):
-                r[shift + j] = (r[shift + j] - c * bj) % p
-            r = list(_poly_trim(tuple(r)))
-        a, b = b, _poly_trim(tuple(r))
+        a, b = b, _poly_rem(a, b, p)
     return a
 
 
@@ -112,14 +104,14 @@ def _is_irreducible(coeffs, p):
         return True
     x = (0, 1)
     xq = _poly_powmod(x, p**k, coeffs, p)
-    if _poly_trim(xq) != x:
+    if xq != x:
         return False
     for r, _ in _prime_powers(k):
         d = k // r
         xd = _poly_powmod(x, p**d, coeffs, p)
         diff = list(xd) + [0] * (2 - len(xd))
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(coeffs, _poly_trim(tuple(diff)), p)
+        g = _poly_gcd(coeffs, tuple(diff), p)
         if len(g) > 1:
             return False
     return True

@@ -1,10 +1,12 @@
 """Full-rank sublattices of the root lattice A_{n-1} = {x in Z^n : sum(x) = 0}.
 
-A lattice is stored through the Hermite form of its projection that drops
-coordinate 0 (the projection is injective on sum-zero vectors), which
-makes bases canonical; a generating set of lower rank is refused.  On top
-of that sit the class map of A_{n-1}/L, read off the inverse of the
-Hermite form's non-unit block, with membership through it, the
+A lattice is stored once, as the Hermite form of its projection that
+drops coordinate 0 with each row lifted back to a sum-zero vector (the
+projection is injective on sum-zero vectors), which makes bases
+canonical; a generating set of lower rank is refused.  On top of that
+sit the class map of A_{n-1}/L, read off the inverse of the Hermite
+form's non-unit block and held in one object (ClassWords) that also
+runs the class sums, with membership through it, the
 elementary divisors of that block, counted off Hermite forms modulo the
 prime powers of the quotient's exponent, exact determinants,
 short vectors shape by shape, integral LLL with an integer sphere
@@ -45,10 +47,6 @@ class QuotientStructure:
     def nontrivial(self) -> tuple[int, ...]:
         return tuple(d for d in self.divisors if d != 1)
 
-    @property
-    def index(self) -> int:
-        return prod(self.divisors)
-
 
 def permute(vec, perm):
     """Move the value at coordinate i to coordinate perm[i]."""
@@ -59,18 +57,17 @@ def permute(vec, perm):
 
 
 class Lattice:
-    """Full-rank sublattice of A_{n-1} with a canonical (Hermite) basis:
-    row i of the form has its pivot in column i."""
+    """Full-rank sublattice of A_{n-1} with a canonical (Hermite) basis,
+    `rows`: rows[i] is the Hermite form's row i with coordinate 0 put
+    back, so its pivot is rows[i][i + 1]."""
 
     def __init__(self, n: int, hnf_rows):
         self.n = n
-        self._hnf = [list(r) for r in hnf_rows]
-        self.rank = len(self._hnf)
-        self.rows = tuple(tuple([-sum(r)] + list(r)) for r in self._hnf)
-        # the coordinates whose Hermite pivot is not 1 (row i pivots at i + 1):
-        # their classes generate A_{n-1}/L
-        self.block = tuple(i + 1 for i, r in enumerate(self._hnf) if r[i] != 1)
-        self._classmap = None
+        self.rows = tuple((-sum(r), *r) for r in hnf_rows)
+        self.rank = len(self.rows)
+        # the coordinates whose Hermite pivot is not 1: their classes
+        # generate A_{n-1}/L
+        self.block = tuple(i + 1 for i, r in enumerate(self.rows) if r[i + 1] != 1)
         self._quotient = None
         self._words = None
 
@@ -97,16 +94,15 @@ class Lattice:
 
     def index_in_ambient(self) -> int:
         """[A_{n-1} : L], the product of the Hermite pivots."""
-        return prod(r[i] for i, r in enumerate(self._hnf))
+        return prod(r[i + 1] for i, r in enumerate(self.rows))
 
     def quotient(self) -> QuotientStructure:
         """Elementary divisors of A_{n-1}/L (ascending chain, 1s included):
-        the non-unit block B's, counted modulo the exponent lcm(mods) on
-        first use."""
+        the non-unit block B's, counted modulo the class map's exponent M
+        on first use."""
         if self._quotient is None:
-            mods, _ = self.class_map()
             units = [1] * (self.rank - len(self.block))
-            divisors = intmat.smith_normal_form(self._block_matrix(), lcm(*mods))[0]
+            divisors = intmat.smith_normal_form(self._block_matrix(), self.class_words().M)[0]
             self._quotient = QuotientStructure(tuple(units + divisors))
         return self._quotient
 
@@ -124,8 +120,8 @@ class Lattice:
         cls[i] is the image of e_i - e_0 in the quotient group, embedded in
         the product of the Z_mods[t] (mods[t] is the order of component t,
         so there can be more components than nontrivial elementary
-        divisors).  Class sums run on the packed words built from it
-        (class_words).
+        divisors).  One ClassWords, built on first use, holds the class map
+        and runs the class sums on packed words (class_words).
 
         In canonical HNF a unit-pivot column is zero off its pivot, so
         A_{n-1}/L is Z^N / rowspan(B) for B the non-unit block, and a
@@ -138,7 +134,7 @@ class Lattice:
         of C, each column taken mod its own additive order, a column of
         order 1 dropped, and the rest sorted by decreasing order into mods.
         """
-        if self._classmap is None:
+        if self._words is None:
             B, d, N = self._block_matrix(), self.index_in_ambient(), len(self.block)
             X = [None] * N
             for i in reversed(range(N)):
@@ -165,21 +161,14 @@ class Lattice:
                 C[c] if c in C else words.decode(words.key([-row[j] for j in self.block]))
                 for c, row in enumerate(self.rows, 1)
             ]
-            self._classmap = (tuple(mods), tuple(cls))
-        return self._classmap
+            self._words = ClassWords(mods, cls)
+        return self._words.mods, self._words.cls
 
     def class_words(self) -> "ClassWords":
-        """The class map as packed words, built on first use."""
+        """The class map as packed words (class_map builds it)."""
         if self._words is None:
-            self._words = ClassWords(*self.class_map())
+            self.class_map()
         return self._words
-
-    def class_of(self, v) -> tuple:
-        """Image of the sum-zero vector v in the quotient group,
-        componentwise mod the class map's mods: its packed class sum,
-        decoded."""
-        words = self.class_words()
-        return words.decode(words.key(v))
 
     def member_fast(self, v) -> bool:
         """Membership through the quotient map: v sums to zero and its
@@ -206,7 +195,8 @@ class Lattice:
 
 
 class ClassWords:
-    """Class sums in A_{n-1}/L as one integer add per nonzero entry.
+    """The class map (mods, cls) of A_{n-1}/L, with its class sums as one
+    integer add per nonzero entry.
 
     Component t of a class is scaled into Z_M, M = lcm(mods), by
     M // mods[t] and held as one little-endian digit of `width` bytes, so
@@ -218,6 +208,7 @@ class ClassWords:
     """
 
     def __init__(self, mods, cls):
+        self.mods, self.cls = tuple(mods), tuple(cls)
         self.M = M = lcm(*mods)
         self.scale = [M // m for m in mods]
         # wide enough that a word fits on a reduced sum: every >= 1

@@ -135,6 +135,30 @@ def field_tables_schoolbook(p, k, modulus):
     return add, mul
 
 
+def smallest_irreducible(p, k):
+    """The monic irreducible of degree k over GF(p) whose non-leading
+    coefficients have the smallest integer encoding, little-endian: the
+    first monic polynomial in encoding order that no monic polynomial of
+    degree 1 to k // 2 divides, by trial division."""
+
+    def monic(d):  # every monic polynomial of degree d, in encoding order
+        for high_first in itertools.product(range(p), repeat=d):
+            yield high_first[::-1] + (1,)
+
+    def divides(g, f):
+        r = list(f)
+        for top in range(len(f) - 1, len(g) - 2, -1):
+            c = r[top] % p
+            for j, x in enumerate(g):
+                r[top - len(g) + 1 + j] -= c * x
+        return not any(x % p for x in r)
+
+    for f in monic(k):
+        if not any(divides(g, f) for d in range(1, k // 2 + 1) for g in monic(d)):
+            return f
+    raise AssertionError(f"no irreducible of degree {k} over GF({p})")
+
+
 def solve_in_span(rows, pivots, vec):
     """Coefficients expressing vec over echelon rows, or None: plain
     back-substitution.  Row i must vanish at the pivots of the rows
@@ -157,6 +181,13 @@ def contains(L, v) -> bool:
     if len(v) != L.n:
         raise DimensionMismatchError(f"vector length {len(v)} != n = {L.n}")
     return solve_in_span(L.rows, range(1, L.n), v) is not None
+
+
+def class_of(L, v) -> tuple:
+    """The class of the sum-zero vector v in A_{n-1}/L, componentwise mod
+    the class map's mods: its packed class sum, decoded."""
+    words = L.class_words()
+    return words.decode(words.key(v))
 
 
 def mult_order(F, a) -> int:
@@ -188,6 +219,18 @@ def orbit_of_vector(group, v):
             if u not in seen:
                 seen.add(u)
                 todo.append(u)
+    return seen
+
+
+def orbit_of_pair(group, i, j):
+    """The orbit of the ordered pair (i, j) under the group's generators."""
+    seen, todo = {(i, j)}, [(i, j)]
+    while todo:
+        a, b = todo.pop()
+        for g in group.generators:
+            if (g[a], g[b]) not in seen:
+                seen.add((g[a], g[b]))
+                todo.append((g[a], g[b]))
     return seen
 
 

