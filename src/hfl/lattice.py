@@ -194,17 +194,45 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
+class _WordTables(dict):
+    """Word tables by raw multiplier: self[x][i] is the word of x * cls[i],
+    built on the first lookup of x (shared with x mod M)."""
+
+    def __init__(self, digits, M: int, width: int):
+        super().__init__()
+        self._digits, self._M, self._shift = digits, M, 8 * width
+
+    def __missing__(self, x):
+        r, M, shift = x % self._M, self._M, self._shift
+        if r == x:
+            table = [sum(r * d % M << shift * t for t, d in enumerate(ds)) for ds in self._digits]
+        else:
+            table = self[r]
+        self[x] = table
+        return table
+
+
 class ClassWords:
     """The class map (mods, cls) of A_{n-1}/L, with its class sums as one
     integer add per nonzero entry.
 
     Component t of a class is scaled into Z_M, M = lcm(mods), by
     M // mods[t] and held as one little-endian digit of `width` bytes, so
-    x times the class of coordinate i is one int, table(x)[i], with digits
-    below M.  Up to `every` words added to a reduced sum keep each digit
-    below 256**width; reduce() takes each digit mod M (intmat.reduce_digits
-    when width is 1) and gives the class's key, zero bytes for the trivial
-    class.  A multiplier's table is built on first use.
+    x times the class of coordinate i is one int, tables[x][i], with
+    digits below M.  Up to `every` words added to a reduced sum keep each
+    digit below 256**width; reduce() takes each digit mod M
+    (intmat.reduce_digits when width is 1) and gives the class's key, zero
+    bytes for the trivial class.  key() counts down from `every` between
+    reductions, and looks a multiplier's table up by its raw value.
+
+    keys() keys a word sum plus each of many reduced words at once.  With
+    one-byte digits those words are stored by tail() tagged by position:
+    in chunks of `span` = 256 // M digits, byte t of a chunk holds
+    t * M + digit, which fits a byte, so one 256-byte table per chunk,
+    built from the sum's reduced digits, maps every tagged tail to its key
+    bytes in one bytes.translate; `chunks` of them cover the digits (one,
+    empty, for the trivial group).  Wider digits (M > 128) have no chunks:
+    their keys are added and reduced.  Tables are built on first use.
     """
 
     def __init__(self, mods, cls):
@@ -216,18 +244,11 @@ class ClassWords:
         self.size = w * len(mods)
         self.every = (256**w - 1) // max(M - 1, 1) - 1
         self.zero = bytes(self.size)
-        self._digits = [[c * s for c, s in zip(ci, self.scale)] for ci in cls]
+        self.span = 256 // M if w == 1 else 0
+        self.chunks = max(1, -(-len(mods) // self.span)) if w == 1 else 0
+        self._tags = sum(t % self.span * M << 8 * t for t in range(len(mods))) if w == 1 else 0
         self._mod = intmat.digit_mod_table(M)
-        self._tables = {}
-
-    def table(self, x):
-        """The words of x * cls[i], one per coordinate i."""
-        r, shift = x % self.M, 8 * self.width
-        if r not in self._tables:
-            self._tables[r] = [
-                sum(r * d % self.M << shift * t for t, d in enumerate(ds)) for ds in self._digits
-            ]
-        return self._tables[r]
+        self.tables = _WordTables([[c * s for c, s in zip(ci, self.scale)] for ci in cls], M, w)
 
     def reduce(self, acc: int) -> bytes:
         """The key of a word sum: each digit taken mod M."""
@@ -236,22 +257,43 @@ class ClassWords:
         raw = acc.to_bytes(self.size, "little")
         return b"".join((d % self.M).to_bytes(self.width, "little") for d in self._split(raw))
 
-    def keys(self, sums):
-        """reduce() over an iterable of word sums, in C when width is 1."""
-        if self.width > 1:
-            return map(self.reduce, sums)
-        raw = map(int.to_bytes, sums, itertools.repeat(self.size), itertools.repeat("little"))
-        return map(bytes.translate, raw, itertools.repeat(self._mod))
+    def tail(self, word: int):
+        """A reduced word as keys() takes it: the word itself without
+        chunks, else its tagged bytes, one bytes per chunk (a tuple of
+        them when there are two or more)."""
+        if not self.chunks:
+            return word
+        raw = (word + self._tags).to_bytes(self.size, "little")
+        if self.chunks == 1:
+            return raw
+        return tuple(raw[j : j + self.span] for j in range(0, self.size, self.span))
+
+    def keys(self, acc: int, tails):
+        """The keys of the word sum acc plus each reduced word, given in
+        tail() form."""
+        if not self.chunks:
+            return map(self.reduce, map(acc.__add__, tails))
+        M, span, digits = self.M, self.span, self.reduce(acc)
+        cycle = bytes(range(M)) * 2  # cycle[p : p + M] maps d to (p + d) mod M
+        tables = [
+            b"".join([cycle[p : p + M] for p in digits[j : j + span]]).ljust(256, b"\0")
+            for j in range(0, self.chunks * span, span)
+        ]
+        if self.chunks == 1:
+            return map(bytes.translate, tails, itertools.repeat(tables[0]))
+        return (b"".join(map(bytes.translate, tail, tables)) for tail in tails)
 
     def key(self, v) -> bytes:
         """The key of sum(v[i] * cls[i]) over the nonzero entries of v."""
-        if len(v) != len(self._digits):
-            raise DimensionMismatchError(f"vector length {len(v)} != n = {len(self._digits)}")
-        tables, M, acc = self._tables, self.M, 0
-        for j, i in enumerate(itertools.compress(range(len(v)), v)):
-            if j and not j % self.every:
-                acc = int.from_bytes(self.reduce(acc), "little")
-            acc += (tables.get(v[i] % M) or self.table(v[i]))[i]
+        if len(v) != len(self.cls):
+            raise DimensionMismatchError(f"vector length {len(v)} != n = {len(self.cls)}")
+        tables, every = self.tables, self.every
+        acc, left = 0, every
+        for i in itertools.compress(range(len(v)), v):
+            if not left:
+                acc, left = int.from_bytes(self.reduce(acc), "little"), every
+            left -= 1
+            acc += tables[v[i]][i]
         return self.reduce(acc)
 
     def decode(self, key: bytes) -> tuple:
@@ -303,19 +345,22 @@ def _keyed_passes(n: int, part, words: ClassWords):
     whose tails are the pairs i < j in combination order and whose words
     are the reduced sums table(v)[i] + table(v)[j], one word each;
     otherwise it is the last value alone.  The tails are grouped by their
-    word's first digit d, each group in combination order, and in the pass
-    for r a leaf extends only the group d = r - (acc's first digit) mod M,
-    so every placement is keyed in exactly one pass.  A group's tails from
-    coordinate `start` on are a suffix of it, so a leaf's idx is a range,
-    filtered only when a coordinate of its prefix lies in the suffix (a
-    larger value placed before), and its keys are reduced in one go."""
+    word's first digit d, each group in combination order and each word
+    stored once in ClassWords.tail form (position-tagged bytes when the
+    digits take one byte), and in the pass for r a leaf extends only the
+    group d = r - (acc's first digit) mod M, so every placement is keyed
+    in exactly one pass.  A group's tails from coordinate `start` on are a
+    suffix of it, so a leaf's idx is a range, filtered only when a
+    coordinate of its prefix lies in the suffix (a larger value placed
+    before), and its keys come from one ClassWords.keys call: a 256-byte
+    table per chunk built from acc's reduced digits, then one
+    bytes.translate per tail and chunk."""
     v, last = part[-1], len(part) - 1
-    vtab = words.table(v)
+    vtab = words.tables[v]
     if last and part[-2] == v:
         last -= 1
         tails = list(itertools.combinations(range(n), 2))
-        pairs = words.keys(vtab[i] + vtab[j] for i, j in tails)
-        tail_words = [int.from_bytes(key, "little") for key in pairs]
+        tail_words = (int.from_bytes(words.reduce(vtab[i] + vtab[j]), "little") for i, j in tails)
     else:
         tails, tail_words = [(i,) for i in range(n)], vtab
     M, first = words.M, 256**words.width - 1  # a word's first digit: word & first
@@ -323,13 +368,13 @@ def _keyed_passes(n: int, part, words: ClassWords):
     for t, word in zip(tails, tail_words):
         ts, ws = groups.setdefault(word & first, ([], []))
         ts.append(t)
-        ws.append(word)
+        ws.append(words.tail(word))
     # off[s]: index of the group's first tail whose coordinates are all >= s
     groups = {
         d: (ts, ws, [bisect_left(ts, (s,)) for s in range(n + 1)])
         for d, (ts, ws) in groups.items()
     }
-    plan = [(words.table(x), n - part[s + 1 :].count(x)) for s, x in enumerate(part[:last])]
+    plan = [(words.tables[x], n - part[s + 1 :].count(x)) for s, x in enumerate(part[:last])]
     # depth first from an explicit stack (no self-referencing closure, so
     # the keys are freed when the caller drops them, not at a later gc pass)
     leaves, stack = [], [(0, 0, (), 0)]
@@ -360,7 +405,7 @@ def _keyed_passes(n: int, part, words: ClassWords):
                 free = list(map(set(prefix).isdisjoint, ts[o:]))
                 idx, sel = list(itertools.compress(idx, free)), itertools.compress(sel, free)
             rows.append((len(keys), prefix, ts, idx))
-            keys.extend(words.keys(map(acc.__add__, sel)))
+            keys.extend(words.keys(acc, sel))
         yield keys, rows
 
 
@@ -399,6 +444,7 @@ def shape_vectors(L: Lattice, pos, neg, cap=None):
     Each side is walked once, in passes by the key's first class digit
     (_keyed_passes), and two matching keys share that digit, so pairing
     runs inside each pass and only one pass's keys are held at a time.
+    A key is one bytes.translate of a stored tail (ClassWords.keys).
     In a pass the keys shared by the two sides, or by two or more
     placements when pos == neg, are picked in C, and only their
     placements are read back as coordinate tuples (_buckets), so disjoint

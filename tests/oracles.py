@@ -184,10 +184,12 @@ def contains(L, v) -> bool:
 
 
 def class_of(L, v) -> tuple:
-    """The class of the sum-zero vector v in A_{n-1}/L, componentwise mod
-    the class map's mods: its packed class sum, decoded."""
-    words = L.class_words()
-    return words.decode(words.key(v))
+    """The class of v, sum(v[i] * cls[i]) over the class map (mods, cls),
+    summed component by component and taken mod mods, with no packing."""
+    if len(v) != L.n:
+        raise DimensionMismatchError(f"vector length {len(v)} != n = {L.n}")
+    mods, cls = L.class_map()
+    return tuple(sum(x * c[t] for x, c in zip(v, cls)) % m for t, m in enumerate(mods))
 
 
 def mult_order(F, a) -> int:

@@ -143,12 +143,6 @@ def test_quotient_and_index_consistency():
             assert len(group) == prod(q.divisors)
 
 
-def _class_of(L, v):
-    mods, cls = L.class_map()
-    acc = [sum(x * cls[i][t] for i, x in enumerate(v)) for t in range(len(mods))]
-    return tuple(a % m for a, m in zip(acc, mods))
-
-
 def _block_route_cases():
     rng = random.Random(29)
     for _ in range(40):
@@ -181,11 +175,12 @@ def test_block_smith_form_matches_dense_oracle():
         dense, _, Vinv = smith_normal_form([row[1:] for row in L.rows], n - 1)
         assert list(L.quotient().divisors) == dense
         mods, _ = L.class_map()
+        words = L.class_words()
         non_unit += bool(mods)
         # the oracle's quotient generator t, row t of V^-1, has a class of
         # order dense[t]
         for d, row in zip(dense, Vinv):
-            c = _class_of(L, [-sum(row)] + row)
+            c = class_of(L, [-sum(row)] + row)
             assert lcm(*(m // gcd(m, x) for m, x in zip(mods, c))) == d
         for _ in range(30):
             # a lattice vector plus, half the time, a random sum-zero offset
@@ -198,13 +193,13 @@ def test_block_smith_form_matches_dense_oracle():
                 v = [x + y for x, y in zip(v, w + [-sum(w)])]
             v = tuple(v)
             assert L.member_fast(v) == contains(L, v)
-            assert class_of(L, v) == _class_of(L, v)
-            assert (_class_of(L, v) == (0,) * len(mods)) == contains(L, v)
-        M = L.class_words().M
+            assert words.decode(words.key(v)) == class_of(L, v)
+            assert (class_of(L, v) == (0,) * len(mods)) == contains(L, v)
+        M = words.M
         for _ in range(5):
             w = [rng.randint(-3 * M, 3 * M) for _ in range(n - 1)]
             dense = tuple(w + [-sum(w)])
-            assert class_of(L, dense) == _class_of(L, dense)
+            assert words.decode(words.key(dense)) == class_of(L, dense)
             assert L.member_fast(dense) == contains(L, dense)
     assert non_unit > 30
 
@@ -318,41 +313,116 @@ def test_census_brute_oracle():
             assert set(lattice.census_pm1(L, q)) == expected
 
 
+def _check_keyed_walk(L, part):
+    """Walk the placements of `part` on L once, in passes: as many keys as
+    _placements charges, read back as distinct placements on distinct
+    coordinates, each under the key ClassWords.key gives it, and every key
+    of a pass starting with that pass's class digit, one digit a pass."""
+    n, words = L.n, L.class_words()
+    passes = list(lattice._keyed_passes(n, part, words))
+    assert len(passes) == (words.mods[0] if words.mods else 1), part
+    assert sum(len(keys) for keys, _ in passes) == lattice._placements(n, part), part
+    placed, digits = set(), []
+    for keys, rows in passes:
+        first = {key[: words.width] for key in keys}
+        assert len(first) <= 1, part
+        digits += first
+        buckets = lattice._buckets(keys, rows, set(keys))
+        for key, coords in buckets.items():
+            for c in coords:
+                assert len(set(c)) == len(c) == len(part), (part, c)
+                v = [0] * n
+                for i, x in zip(c, part):
+                    v[i] = x
+                assert words.key(v) == key, (part, c)
+                placed.add(tuple(v))
+    assert len(placed) == lattice._placements(n, part), part
+    assert len(set(digits)) == len(digits), part
+
+
 def test_walk_places_what_the_budget_charges():
     """Each side of every shape is walked once per placement, summed over
-    the passes: as many keys as _placements charges, read back as distinct
-    placements on distinct coordinates, each under its own class key, and
-    every key of a pass starts with that pass's class digit.  A_8 has one
-    class, so it runs one pass in which every placement shares a key;
-    Z_2 x Z_128 reduces after every word and Z_257 takes two-byte digits."""
+    the passes (_check_keyed_walk).  A_8 has one class, so it runs one
+    pass in which every placement shares a key; Z_2 x Z_128 reduces after
+    every word and Z_257 takes two-byte digits."""
     n = 9
     lattices = [full_root_lattice(n)]
     for moduli in ((2, 128), (257,)):
         lattices.append(abelian.lattice_for_subset(abelian.AbelianGroup(moduli), range(1, n)))
     for L in lattices:
-        words = L.class_words()
-        mods, _ = L.class_map()
         for part in {p for shape in lattice._shape_pairs(10, n) for p in shape}:
-            passes = list(lattice._keyed_passes(n, part, words))
-            assert len(passes) == (mods[0] if mods else 1), part
-            assert sum(len(keys) for keys, _ in passes) == lattice._placements(n, part), part
-            placed, digits = set(), []
-            for keys, rows in passes:
-                first = {key[: words.width] for key in keys}
-                assert len(first) <= 1, part
-                digits += first
-                buckets = lattice._buckets(keys, rows, set(keys))
-                for key, coords in buckets.items():
-                    for c in coords:
-                        assert len(set(c)) == len(c) == len(part), (part, c)
-                        v = [0] * n
-                        for i, x in zip(c, part):
-                            v[i] = x
-                        assert words.key(v) == key, (part, c)
-                        placed.add(tuple(v))
-            assert len(placed) == lattice._placements(n, part), part
-            assert len(set(digits)) == len(digits), part
+            _check_keyed_walk(L, part)
     assert lattices[0].class_map()[0] == ()  # A_8: the single pass above
+
+
+def test_tagged_keys_at_every_chunk_count(hl2):
+    """With one-byte digits the walk keys each tail by one translate per
+    chunk of 256 // M tagged digits; its keys equal ClassWords.key at
+    every chunk count: one empty chunk for the trivial group of A_8, one
+    exactly full chunk (len(mods) * M = 256), two, three, and none for
+    the two-byte digits of Z_257, which are added and reduced."""
+    z2_128 = abelian.AbelianGroup((2, 128))
+    G = abelian.AbelianGroup((2, 2, 2, 2, 128))
+    S = [G.encode(tuple(int(i == t) for i in range(5))) for t in range(5)]
+    S.append(G.encode((1, 1, 1, 1, 3)))
+    assert len(G.subgroup_generated(S)) == G.order
+    small = [(1, 1), (1, 1, 1), (2, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1)]
+    cases = [
+        # lattice, chunks, len(mods) * M, shapes
+        (full_root_lattice(9), 1, 0, small),
+        (abelian.lattice_for_subset(z2_128, range(1, 12)), 1, 256, small),
+        (abelian.lattice_for_subset(z2_128, range(1, 9)), 2, 384, small),
+        (hermlat.build(7).L, 2, 384, [(1, 1)]),
+        (abelian.lattice_for_subset(G, S), 3, 640, small),
+        (abelian.lattice_for_subset(abelian.AbelianGroup((257,)), range(1, 9)), 0, 257, small),
+        (hl2.L, 1, 6, small),
+    ]
+    for L, chunks, digits, shapes in cases:
+        words = L.class_words()
+        assert (words.chunks, len(words.mods) * words.M) == (chunks, digits), L
+        assert words.size == (0 if not digits else words.width * len(words.mods))
+        for part in shapes:
+            _check_keyed_walk(L, part)
+
+
+def _unit_class_vector(rng, words, k, member):
+    """A sum-zero vector with exactly k nonzero entries, of both signs and
+    some beyond +-M, for a cyclic class group in which every coordinate
+    but 0 has a unit class: k - 2 entries give the largest word, M - 1,
+    one more brings the class to 0 (plus its own class unless `member`),
+    and coordinate 0, of class 0, balances the sum."""
+    M, n = words.M, len(words.cls)
+    c = [ci[0] for ci in words.cls]
+    while True:
+        *rest, j = rng.sample(range(1, n), k - 1)
+        v = [0] * n
+        for i in rest:
+            v[i] = -pow(c[i], -1, M) % M + M * rng.randint(-3, 2)
+        s = sum(v[i] * c[i] for i in rest)
+        v[j] = -s * pow(c[j], -1, M) % M + M * rng.randint(-3, 2) + (not member)
+        v[0] = -sum(v)
+        if all(v[i] for i in rest + [j, 0]) and max(map(abs, v)) > M:
+            return tuple(v)
+
+
+def test_key_counts_down_between_reductions():
+    """ClassWords.key reduces after every `every` words: at every - 1,
+    every, every + 1 and 2 * every + 1 nonzeros, most of them the largest
+    word, its class is the componentwise oracle's and member_fast agrees
+    with contains, for a class group of one-byte digits (Z_60) and one of
+    two-byte digits (Z_15000), both with every = 3."""
+    rng = random.Random(34)
+    units = (1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # prime to 60 and to 15000
+    for M, width in ((60, 1), (15000, 2)):
+        L = abelian.lattice_for_subset(abelian.AbelianGroup((M,)), units)
+        words = L.class_words()
+        assert (words.mods, words.width, words.every) == ((M,), width, 3)
+        for k in (2, 3, 4, 7):
+            for t in range(20):
+                v = _unit_class_vector(rng, words, k, t % 2)
+                assert sum(map(bool, v)) == k and min(v) < 0 < max(v)
+                assert words.decode(words.key(v)) == class_of(L, v), v
+                assert L.member_fast(v) == contains(L, v) == bool(t % 2), v
 
 
 def test_census_holds_one_pass_of_keys():
