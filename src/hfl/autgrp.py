@@ -4,15 +4,16 @@ A permutation is its image tuple: g[i] is the index of the place that
 place i goes to, and _mul(a, b) is a after b.  Three explicit families
 act on the place list: translations by curve points, scalings compatible
 with the defining equation's weighting, and the inversion swapping the
-infinite place with the origin.  The group
-they generate is held as a base and strong generating set, built by
-deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
-Algorithms*, 2003).  Its order, point stabilizers, orbits, membership and
-the kernel of the induced action on the divisor class group are all
-computed exactly from the stabilizer chain, never assumed, and without
-listing the group, so no group order is refused.  ``closure`` lists every
-element by BFS, within ``max_order``, and is kept as the independent
-oracle that the tests compare the chain against.
+infinite place with the origin.  The full group is generated by one
+translation, the primitive scaling and the inversion, and is held as a
+base and strong generating set, built by deterministic Schreier-Sims
+(Sims 1970; Seress, *Permutation Group Algorithms*, 2003).  Its order,
+point stabilizers, orbits, membership and the kernel of the induced
+action on the divisor class group are all computed exactly from the
+stabilizer chain, never assumed, and without listing the group, so no
+group order is refused.  ``closure`` lists every element by BFS, within
+``max_order``, and stays as the independent oracle that the tests
+compare the chain against.
 """
 
 from dataclasses import dataclass
@@ -106,7 +107,8 @@ class PermGroup:
     """A permutation group as a base and strong generating set.
 
     Every permutation here is an image tuple: generators, strong[l] and
-    the coset representatives alike.  Level l of the stabilizer chain has
+    the coset representatives alike.  generators are the ones the group
+    was built from, as given.  Level l of the stabilizer chain has
     base point base[l]; strong[l] generates the pointwise stabilizer of
     base[:l], and transversals[l] maps each point p of the basic orbit of
     base[l] to a coset representative u with u(base[l]) = p.
@@ -137,20 +139,15 @@ class PermGroup:
 def _chain(gens, n: int, prefix=()):
     """Deterministic Schreier-Sims on image tuples.
 
-    Returns (kept, base, transversals, strong) with the base starting
-    with prefix.  Generators are added one at a time, each as its residue
-    after sifting, and only when that residue is not the identity; kept
-    lists those, each outside the group of the ones before it.  Coset
-    representatives are only ever added, never replaced, so a Schreier
-    generator that has been sifted once never needs sifting again;
-    done[l] records those (point, generator) pairs.
+    Returns (base, transversals, strong) with the base starting with
+    prefix.  Generators are added one at a time, each as its residue
+    after sifting, and only when that residue is not the identity.
     """
     ident = tuple(range(n))
     base = list(prefix)
     strong = [[] for _ in base]
     trans = [{b: ident} for b in base]
     invs = [{b: ident} for b in base]
-    done = [set() for _ in base]
 
     def extend_orbit(l):
         t, inv, pts = trans[l], invs[l], list(trans[l])
@@ -178,7 +175,6 @@ def _chain(gens, n: int, prefix=()):
             strong.append([])
             trans.append({b: ident})
             invs.append({b: ident})
-            done.append(set())
         for m in range(top, j + 1):
             strong[m].append(h)
             extend_orbit(m)
@@ -186,10 +182,8 @@ def _chain(gens, n: int, prefix=()):
     def schreier_generators(l):
         t, inv = trans[l], invs[l]
         for p, u in list(t.items()):
-            for k, s in enumerate(strong[l]):
-                if (p, k) not in done[l]:
-                    done[l].add((p, k))
-                    yield _mul(inv[s[p]], _mul(s, u))
+            for s in strong[l]:
+                yield _mul(inv[s[p]], _mul(s, u))
 
     def complete(l):
         """Make levels l, l-1, ..., 0 complete, given that levels below l are."""
@@ -203,25 +197,22 @@ def _chain(gens, n: int, prefix=()):
             else:
                 l -= 1
 
-    # generators that already sift through the chain so far are redundant
-    kept = []
     for g in gens:
         h, j = sift(g, 0)
         if j < len(base) or h != ident:
-            kept.append(g)
             add(h, 0, j)
             complete(j)
-    return tuple(kept), tuple(base), tuple(trans), tuple(tuple(s) for s in strong)
+    return tuple(base), tuple(trans), tuple(tuple(s) for s in strong)
 
 
 def schreier_sims(generators, base=()) -> PermGroup:
     """The group generated by image tuples, as a BSGS whose base starts
-    with `base`, keeping as its generators those that extend the chain."""
+    with `base`; its generators are the given ones."""
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
     n = len(generators[0])
-    return PermGroup(n, *_chain(generators, n, base))
+    return PermGroup(n, generators, *_chain(generators, n, base))
 
 
 @dataclass(frozen=True)
@@ -261,36 +252,31 @@ def closure(generators, max_order: int = DEFAULT_ORDER_CAP) -> ListedGroup:
     return ListedGroup(tuple(sorted(seen)), tuple(generators))
 
 
-def translation_generators(curve: Curve):
-    """A compact set generating all q^3 translations: one translation per
-    x-coordinate plus the vertical translations by trace-zero shifts."""
-    F = curve.field
-    gens = []
-    for a in range(F.order):
-        b = F.trace_fiber(F.norm(a))[0]
-        gens.append(translation(curve, a, b))
-    for rho in F.trace_fiber(0):
-        if rho != 0:
-            gens.append(translation(curve, 0, rho))
-    return gens
-
-
 def full_group(curve: Curve, max_order=None) -> PermGroup:
-    """The group generated by translations, scalings, and the inversion,
-    with the infinite place as first base point.  max_order is accepted
-    and ignored: the chain never lists the group, so no order is refused."""
+    """The group generated by the translation by (1, b), the scaling by a
+    primitive root and the inversion, with the infinite place as first
+    base point.  The scaling's conjugates of the translation shift x by
+    every power of the root, which span GF(q^2) over the prime field, so
+    the first two generate all q^3 translations and the stabilizer of the
+    infinite place; the inversion moves it.  The order is computed, not
+    assumed.  max_order is accepted and ignored: the chain never lists
+    the group, so no order is refused."""
     F = curve.field
-    gens = translation_generators(curve)
-    gens.append(scaling(curve, F.root_of_unity(F.order - 1)))
-    gens.append(inversion(curve))
-    return schreier_sims(gens, base=(0,))
+    return schreier_sims(
+        [
+            translation(curve, 1, F.trace_fiber(F.norm(1))[0]),
+            scaling(curve, F.root_of_unity(F.order - 1)),
+            inversion(curve),
+        ],
+        base=(0,),
+    )
 
 
 def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
     """The stabilizer of one place: level 1 of a chain whose base starts
     at index (the chain is rebuilt when it starts elsewhere)."""
     if group.base[:1] != (index,):
-        group = PermGroup(group.degree, *_chain(group.generators, group.degree, (index,)))
+        group = schreier_sims(group.generators, (index,))
     return PermGroup(
         group.degree,
         group.strong[1] if len(group.strong) > 1 else (),

@@ -58,11 +58,28 @@ def test_translation_requires_curve_point(curve2):
         autgrp.translation(curve2, *bad)
 
 
+def _all_translations(curve):
+    return [autgrp.translation(curve, a, b) for a, b in curve.places[1:]]
+
+
+def _three_maps(curve):
+    """The translation by (1, b), the primitive scaling and the inversion."""
+    F = curve.field
+    return (
+        autgrp.translation(curve, 1, F.trace_fiber(F.norm(1))[0]),
+        autgrp.scaling(curve, F.root_of_unity(F.order - 1)),
+        autgrp.inversion(curve),
+    )
+
+
 def test_translations_fix_infinity_and_close(curve2, curve3):
     for curve in (curve2, curve3):
-        T = autgrp.closure(autgrp.translation_generators(curve))
+        translations = _all_translations(curve)
+        T = autgrp.closure(translations)
         assert T.order == curve.q**3
         assert all(g[0] == 0 for g in T.elements)
+        G = autgrp.full_group(curve)
+        assert all(g in G for g in translations)
 
 
 def test_scaling_group(curve2, curve3):
@@ -102,23 +119,28 @@ def test_full_group_orders(G2, G3):
     assert G3.order == full_order(3) == 6048
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_full_group_keeps_only_chain_extending_generators(q):
-    """Each kept generator lies outside the group of the ones before it,
-    and at q = 2 and 3 the kept ones generate, by BFS closure, the group
-    of all q^2 + q + 1 translations, scaling and inversion."""
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_full_group_is_three_maps(q):
+    """Aut(H) is built from the translation by (1, b), the primitive
+    scaling and the inversion, and holds every scaling.  At q <= 4 the
+    chain over every translation, every scaling and the inversion, on the
+    same base, has the same order and transversal sizes, and at q <= 3
+    both generating sets give the same BFS closure.  The base is given
+    because a chain picks each base point after 0 from its generators."""
     curve = curve_make(q)
     F = curve.field
-    given = autgrp.translation_generators(curve)
-    given += [autgrp.scaling(curve, F.root_of_unity(F.order - 1)), autgrp.inversion(curve)]
-    assert len(given) == q * q + q + 1
-    kept = autgrp.full_group(curve).generators
-    assert set(kept) < set(given)
-    assert kept[0] != tuple(range(curve.n))
-    for i in range(1, len(kept)):
-        assert kept[i] not in autgrp.schreier_sims(kept[:i]), i
-    if q <= 3:
-        assert autgrp.closure(kept).elements == autgrp.closure(given).elements
+    G = autgrp.full_group(curve)
+    assert G.generators == _three_maps(curve)
+    scalings = [autgrp.scaling(curve, lam) for lam in range(1, F.order)]
+    assert all(g in G for g in scalings)
+    if q <= 4:
+        every = _all_translations(curve) + scalings + [autgrp.inversion(curve)]
+        big = autgrp.schreier_sims(every, base=G.base)
+        assert big.base == G.base
+        assert big.order == G.order == full_order(q)
+        assert [len(t) for t in big.transversals] == [len(t) for t in G.transversals]
+        if q <= 3:
+            assert autgrp.closure(every).elements == autgrp.closure(G.generators).elements
 
 
 def test_group_closure_properties(G2):
@@ -208,7 +230,7 @@ def test_tangent_divisors_permuted(G2, curve2, hl2):
 
 
 def test_closure_budget_and_validation(curve2):
-    gens = autgrp.translation_generators(curve2)
+    gens = _three_maps(curve2)
     with pytest.raises(OrderBudgetExceededError):
         autgrp.closure(gens, max_order=3)
     with pytest.raises(ValueError):
@@ -366,6 +388,20 @@ def test_chain_matches_closure_on_random_groups():
         fixing = [g for g in listed if g[i] == i]
         assert stab.order == len(fixing)
         assert all(g in stab for g in fixing)
+
+
+def test_duplicate_generator_changes_no_chain(G3):
+    """A generator given twice stays in generators, and the chain is the
+    one built without the repeat."""
+    rng = random.Random(29)
+    cases = [list(G3.generators)] + [_random_generators(rng, 7, 3) for _ in range(10)]
+    for gens in cases:
+        once = autgrp.schreier_sims(gens)
+        twice = autgrp.schreier_sims(gens + [gens[0]])
+        assert twice.generators == tuple(gens) + (gens[0],)
+        assert twice.base == once.base
+        assert [len(t) for t in twice.transversals] == [len(t) for t in once.transversals]
+        assert twice.order == once.order
 
 
 def test_kernel_search_needs_every_place_at_the_leaves():

@@ -400,6 +400,10 @@ PINNED_OUTPUTS = [
      "f31d0ca0c8d68c3f4ad3b8d8b8ceea2fdb38174d6215d7dcf779da755c9dfdb7"),
     ("export --kind aut --q 5",
      "b57e77837234033a25fb67a9dd1ce0e8dec7fb2f44d0f05686ea1084eff2513a"),
+    ("export --kind aut --q 7",
+     "a766841347d0e35472788335eb527a778927adc538192c717adf7ce6b7f72ba3"),
+    ("export --kind aut --q 8",
+     "3de0271280e5730f6b5d1a77c4c247c8c948724ed9299b9ca57097ae37263106"),
     ("group ls --moduli 7 --subset 1,2,4",
      "f042b2b483df0abeac57a6bdb875cebd0d85d6ab1dc67e8de7d36d707db62fee"),
     ("group ls --moduli 3,3 --subset 1,3,4",  # not well-rounded
