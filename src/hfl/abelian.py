@@ -125,8 +125,12 @@ class AbelianGroup:
 
         The work is at most the full listing, |Aut(G)| * |G| entries,
         charged from the closed form before any search; above AUT_MAX_WORK
-        the call raises GroupTooLargeError naming the cost and the cap.
+        the call raises GroupTooLargeError naming the cost and the cap.  An
+        encoding outside [0, |G|) in `preserving` raises ValueError.
         """
+        for s in preserving:
+            if not 0 <= s < self.order:
+                raise ValueError(f"preserved element {s} outside 0..{self.order - 1}")
         cost = self.automorphism_count() * self.order
         if cost > AUT_MAX_WORK:
             raise GroupTooLargeError(

@@ -7,7 +7,8 @@ with the defining equation's weighting, and the inversion swapping the
 infinite place with the origin.  The full group is generated by one
 translation, the primitive scaling and the inversion, and is held as a
 base and strong generating set, built by deterministic Schreier-Sims
-(Sims 1970; Seress, *Permutation Group Algorithms*, 2003).  Its order,
+(Sims 1970; Seress, *Permutation Group Algorithms*, 2003), whose
+transversals store each coset representative u once, as u^-1.  Its order,
 point stabilizers, orbits, membership and the kernel of the induced
 action on the divisor class group are all computed exactly from the
 stabilizer chain, never assumed, and without listing the group, so no
@@ -111,7 +112,8 @@ class PermGroup:
     was built from, as given.  Level l of the stabilizer chain has
     base point base[l]; strong[l] generates the pointwise stabilizer of
     base[:l], and transversals[l] maps each point p of the basic orbit of
-    base[l] to a coset representative u with u(base[l]) = p.
+    base[l] to the inverse u^-1 of the coset representative u with
+    u(base[l]) = p, the form that sifting applies.
     """
 
     degree: int
@@ -129,10 +131,10 @@ class PermGroup:
         if len(g) != self.degree:
             return False
         for b, t in zip(self.base, self.transversals):
-            u = t.get(g[b])
-            if u is None:
+            u_inv = t.get(g[b])
+            if u_inv is None:
                 return False
-            g = _mul(_inv(u), g)
+            g = _mul(u_inv, g)
         return all(i == j for i, j in enumerate(g))
 
 
@@ -140,23 +142,25 @@ def _chain(gens, n: int, prefix=()):
     """Deterministic Schreier-Sims on image tuples.
 
     Returns (base, transversals, strong) with the base starting with
-    prefix.  Generators are added one at a time, each as its residue
-    after sifting, and only when that residue is not the identity.
+    prefix, where transversals[l] maps each orbit point p to u^-1 for the
+    coset representative u with u(base[l]) = p: the sift needs only the
+    inverse, and each representative is stored once.  Generators are
+    added one at a time, each as its residue after sifting, and only when
+    that residue is not the identity.
     """
     ident = tuple(range(n))
     base = list(prefix)
     strong = [[] for _ in base]
-    trans = [{b: ident} for b in base]
     invs = [{b: ident} for b in base]
 
     def extend_orbit(l):
-        t, inv, pts = trans[l], invs[l], list(trans[l])
+        inv, pts = invs[l], list(invs[l])
+        pairs = [(s, _inv(s)) for s in strong[l]]
         for p in pts:
-            for s in strong[l]:
+            for s, s_inv in pairs:
                 r = s[p]
-                if r not in t:
-                    t[r] = u = _mul(s, t[p])
-                    inv[r] = _inv(u)
+                if r not in inv:
+                    inv[r] = _mul(inv[p], s_inv)  # (s u)^-1 = u^-1 s^-1
                     pts.append(r)
 
     def sift(g, start):
@@ -173,15 +177,15 @@ def _chain(gens, n: int, prefix=()):
             b = next(i for i in range(n) if h[i] != i)
             base.append(b)
             strong.append([])
-            trans.append({b: ident})
             invs.append({b: ident})
         for m in range(top, j + 1):
             strong[m].append(h)
             extend_orbit(m)
 
     def schreier_generators(l):
-        t, inv = trans[l], invs[l]
-        for p, u in list(t.items()):
+        inv = invs[l]
+        for p, u_inv in list(inv.items()):
+            u = _inv(u_inv)
             for s in strong[l]:
                 yield _mul(inv[s[p]], _mul(s, u))
 
@@ -202,7 +206,7 @@ def _chain(gens, n: int, prefix=()):
         if j < len(base) or h != ident:
             add(h, 0, j)
             complete(j)
-    return tuple(base), tuple(trans), tuple(tuple(s) for s in strong)
+    return tuple(base), tuple(invs), tuple(tuple(s) for s in strong)
 
 
 def schreier_sims(generators, base=()) -> PermGroup:
@@ -337,7 +341,8 @@ def _kernel_size(group: PermGroup, cls, mods) -> int:
     Backtracking over the transversals: g = u_0 u_1 ... u_k ... and the
     product of the first k + 1 factors already determines g(b_k), so a branch
     survives only while the identity holds at every base point fixed so
-    far.  A leaf counts only if it holds at every place.
+    far.  A leaf counts only if it holds at every place.  The transversals
+    hold each u^-1, so u is rebuilt only on a branch that survives.
     """
     base, trans, n = group.base, group.transversals, group.degree
     if not base:
@@ -354,14 +359,14 @@ def _kernel_size(group: PermGroup, cls, mods) -> int:
             count += all(cls[g[i]] == _shift(anchor, want[i], mods) for i in range(n))
             return
         t = targets[level]
-        for p, u in trans[level].items():
+        for p, u_inv in trans[level].items():
             if cid[g[p]] == t:  # g(u(b_level)) = g(p)
-                descend(level + 1, _mul(g, u), anchor, targets)
+                descend(level + 1, _mul(g, _inv(u_inv)), anchor, targets)
 
-    for p0, u0 in trans[0].items():
+    for p0, u0_inv in trans[0].items():
         anchor = cls[p0]
         targets = [ids.get(_shift(anchor, want[b], mods), -1) for b in base]
-        descend(1, u0, anchor, targets)
+        descend(1, _inv(u0_inv), anchor, targets)
     return count
 
 

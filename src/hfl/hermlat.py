@@ -306,21 +306,24 @@ def unital_families(curve: Curve) -> tuple[dict[str, int], bool]:
     by kind.  In a 2-design B and B' share only that place, so the norm^2
     is 2(q + 1) - 2 = 2q; and the q >= 2 places of the positive support lie
     in B' alone, as those of the negative lie in B: the vectors are distinct."""
-    n, pairs = curve.n, []
+    n, marks = curve.n, 0
+    seen = bytearray(n * n)  # seen[i * n + j] for each pair i < j in a block
     vert, slope = [0] * n, [0] * n
     for line in curve.all_lines():
         if (blk := curve.block(line)) is not None:
             through = slope if isinstance(line, Slope) else vert
             for i in blk:
                 through[i] += 1
-            pairs += [i * n + j for i, j in combinations(sorted(blk), 2)]
+            for i, j in combinations(sorted(blk), 2):
+                seen[i * n + j] = 1
+            marks += len(blk) * (len(blk) - 1) // 2
     sizes = {
         "pair_vertical": sum(v * (v - 1) for v in vert),
         "vertical_slope": sum(2 * v * s for v, s in zip(vert, slope)),
         "slope_slope": sum(s * (s - 1) for s in slope),
     }
     sizes["total"] = sum(sizes.values())
-    return sizes, len(set(pairs)) == len(pairs) == n * (n - 1) // 2
+    return sizes, marks == n * n - seen.count(0) == n * (n - 1) // 2
 
 
 def min_distance(hl: HermitianLattice) -> int:

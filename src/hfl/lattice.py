@@ -181,7 +181,10 @@ class Lattice:
 
         Checking that every permuted basis row lies in L is enough: perm
         has finite order k, so perm(L) <= L gives L = perm^k(L) <= perm(L).
+        A perm whose length is not n raises DimensionMismatchError.
         """
+        if len(perm) != self.n:
+            raise DimensionMismatchError(f"permutation length {len(perm)} != n = {self.n}")
         return all(self.member_fast(permute(row, perm)) for row in self.rows)
 
     def __eq__(self, other):

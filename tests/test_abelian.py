@@ -207,6 +207,10 @@ def test_subset_validation():
         abelian.lattice_for_subset(G, [0])
     with pytest.raises(ValueError):
         abelian.lattice_for_subset(G, [7])
+    # -1 is not read as 6, nor 7 as an IndexError
+    for bad in ([-1], [7], [1, 7]):
+        with pytest.raises(ValueError):
+            G.automorphisms(bad)
 
 
 def test_z7_single_element_subset():

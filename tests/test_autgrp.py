@@ -10,6 +10,7 @@ from hfl import autgrp, hermlat, lattice
 from hfl.curve import curve_make
 from hfl.autgrp import _inv, _mul
 from hfl.errors import (
+    DimensionMismatchError,
     LatticeNotStableError,
     NotOnCurveError,
     OrderBudgetExceededError,
@@ -141,6 +142,9 @@ def test_full_group_is_three_maps(q):
         assert [len(t) for t in big.transversals] == [len(t) for t in G.transversals]
         if q <= 3:
             assert autgrp.closure(every).elements == autgrp.closure(G.generators).elements
+    # each transversal holds u^-1, which sends its orbit point back to the base
+    for b, t in zip(G.base, G.transversals):
+        assert all(u_inv[p] == b for p, u_inv in t.items())
 
 
 def test_group_closure_properties(G2):
@@ -258,6 +262,9 @@ def test_chain_order_and_elements_match_closure(oracles, q):
     # the two element sets equal
     assert G.order == len(listed) == full_order(q)
     assert all(g in G for g in listed)
+    swap = list(range(G.degree))  # a transposition of two affine places
+    swap[1], swap[2] = 2, 1
+    assert tuple(swap) not in G and tuple(range(G.degree + 1)) not in G
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -355,6 +362,17 @@ def test_classgroup_action_needs_stable_lattice(G2, curve2):
     assert not autgrp.lattice_stable_under(G2, L)
     with pytest.raises(LatticeNotStableError):
         autgrp.induced_classgroup_action(G2, L)
+
+
+def test_fixed_by_refuses_a_permutation_of_another_length(G3, hl2):
+    """A permutation of 10 or 28 places on the 9-coordinate q = 2 lattice
+    is refused, directly and through the induced action of the q = 3 group."""
+    n = hl2.L.n
+    for perm in (tuple(range(n + 1)), tuple(range(n - 1))):
+        with pytest.raises(DimensionMismatchError):
+            hl2.L.fixed_by(perm)
+    with pytest.raises(DimensionMismatchError):
+        autgrp.induced_classgroup_action(G3, hl2.L)
 
 
 def _random_generators(rng, degree, count):

@@ -366,11 +366,46 @@ def test_verify_q7_peak_rss_bound():
 def test_verify_q8_peak_rss_bound():
     """`python -m hfl verify --q 8` passes 16 checks and skips only
     census_contains_families, and its report's own peak RSS stays below
-    66 MB: the curve keeps each line only as its support, and the build
-    holds one projected copy of the line divisors."""
+    56 MB: the curve keeps each line only as its support, the build
+    holds one projected copy of the line divisors, and the chain of
+    Aut(H) holds each coset representative once."""
     report = _verify_from_parent("", 8)
     assert report["counts"] == {"passed": 16, "failed": 0, "skipped": 1}
-    assert report["peak_rss_mb"] < 66, report["peak_rss_mb"]
+    assert report["peak_rss_mb"] < 56, report["peak_rss_mb"]
+
+
+_STAGE_RISE = """
+import sys
+from hfl import autgrp, hermlat
+from hfl.cli import _peak_rss_mb
+from hfl.curve import curve_make
+curve = curve_make(8)
+if sys.argv[1] == "unital_families":
+    for line in curve.all_lines():
+        curve.block(line)  # the build caches every block before this stage
+before = _peak_rss_mb()
+if sys.argv[1] == "full_group":
+    assert autgrp.full_group(curve).order == 16547328
+else:
+    assert hermlat.unital_families(curve)[1]
+print(_peak_rss_mb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
+@pytest.mark.parametrize("stage, bound", [("full_group", 8), ("unital_families", 4)])
+def test_q8_stage_peak_rss_rise_bound(stage, bound):
+    """At q = 8, in a child of its own, the chain of Aut(H) raises the
+    peak RSS by under 8 MB (about 3 MB), holding each coset representative
+    once as u^-1, and the unital's 2-design check by under 4 MB (about
+    0.4 MB), marking pairs in one bytearray(n^2) of 263 KB."""
+    src = os.path.dirname(os.path.dirname(hfl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGE_RISE, stage],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < bound, proc.stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
