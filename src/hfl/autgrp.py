@@ -130,12 +130,20 @@ class PermGroup:
         """Sift g through the chain."""
         if len(g) != self.degree:
             return False
-        for b, t in zip(self.base, self.transversals):
-            u_inv = t.get(g[b])
-            if u_inv is None:
-                return False
-            g = _mul(u_inv, g)
-        return all(i == j for i, j in enumerate(g))
+        g, l = _sift(self.base, self.transversals, g)
+        return l == len(self.base) and all(i == j for i, j in enumerate(g))
+
+
+def _sift(base, transversals, g, start=0):
+    """Sift g through levels start, start + 1, ... of a chain whose
+    transversals hold each u^-1: (residue, level), the level being where
+    g left the chain, or len(base) when it passed every level."""
+    for l in range(start, len(base)):
+        u_inv = transversals[l].get(g[base[l]])
+        if u_inv is None:
+            return g, l
+        g = _mul(u_inv, g)
+    return g, len(base)
 
 
 def _chain(gens, n: int, prefix=()):
@@ -145,8 +153,12 @@ def _chain(gens, n: int, prefix=()):
     prefix, where transversals[l] maps each orbit point p to u^-1 for the
     coset representative u with u(base[l]) = p: the sift needs only the
     inverse, and each representative is stored once.  Generators are
-    added one at a time, each as its residue after sifting, and only when
-    that residue is not the identity.
+    added one at a time, each as its residue after sifting (_sift), and
+    only when that residue is not the identity.  A new transversal entry
+    that does not send its point back to the base point, or a new base
+    point already in the base, raises InternalIdentityViolationError: on
+    permutations neither can happen, and either would let the chain grow
+    without bound.
     """
     ident = tuple(range(n))
     base = list(prefix)
@@ -161,20 +173,18 @@ def _chain(gens, n: int, prefix=()):
                 r = s[p]
                 if r not in inv:
                     inv[r] = _mul(inv[p], s_inv)  # (s u)^-1 = u^-1 s^-1
+                    if inv[r][r] != base[l]:
+                        raise InternalIdentityViolationError(
+                            f"transversal entry at level {l} does not send {r} to {base[l]}"
+                        )
                     pts.append(r)
-
-    def sift(g, start):
-        for l in range(start, len(base)):
-            u = invs[l].get(g[base[l]])
-            if u is None:
-                return g, l
-            g = _mul(u, g)
-        return g, len(base)
 
     def add(h, top, j):
         """Add h, which fixes base[:j], to levels top..j."""
         if j == len(base):
             b = next(i for i in range(n) if h[i] != i)
+            if b in base:
+                raise InternalIdentityViolationError(f"base point {b} repeats")
             base.append(b)
             strong.append([])
             invs.append({b: ident})
@@ -193,7 +203,7 @@ def _chain(gens, n: int, prefix=()):
         """Make levels l, l-1, ..., 0 complete, given that levels below l are."""
         while l >= 0:
             for h in schreier_generators(l):
-                h, j = sift(h, l + 1)
+                h, j = _sift(base, invs, h, l + 1)
                 if j < len(base) or h != ident:
                     add(h, l + 1, j)
                     l = j
@@ -202,7 +212,7 @@ def _chain(gens, n: int, prefix=()):
                 l -= 1
 
     for g in gens:
-        h, j = sift(g, 0)
+        h, j = _sift(base, invs, g)
         if j < len(base) or h != ident:
             add(h, 0, j)
             complete(j)
@@ -211,11 +221,17 @@ def _chain(gens, n: int, prefix=()):
 
 def schreier_sims(generators, base=()) -> PermGroup:
     """The group generated by image tuples, as a BSGS whose base starts
-    with `base`; its generators are the given ones."""
-    generators = tuple(generators)
+    with `base`; its generators are the given ones, as tuples.  Refused
+    with ValueError unless every generator is a permutation of range(n)
+    for one n and every base point lies in range(n)."""
+    generators = tuple(map(tuple, generators))
     if not generators:
         raise ValueError("need at least one generator")
     n = len(generators[0])
+    if any(sorted(g) != list(range(n)) for g in generators):
+        raise ValueError(f"a generator is not a permutation of range({n})")
+    if any(b not in range(n) for b in base):
+        raise ValueError(f"a base point is not in range({n})")
     return PermGroup(n, generators, *_chain(generators, n, base))
 
 
@@ -278,7 +294,8 @@ def full_group(curve: Curve, max_order=None) -> PermGroup:
 
 def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
     """The stabilizer of one place: level 1 of a chain whose base starts
-    at index (the chain is rebuilt when it starts elsewhere)."""
+    at index (the chain is rebuilt when it starts elsewhere, and
+    schreier_sims refuses an index outside [0, degree))."""
     if group.base[:1] != (index,):
         group = schreier_sims(group.generators, (index,))
     return PermGroup(
@@ -291,7 +308,10 @@ def stabilizer(group: PermGroup, index: int = 0) -> PermGroup:
 
 
 def orbit_of_index(group: PermGroup, index: int):
-    """The orbit of a place index, by BFS over the group's generators."""
+    """The orbit of a place index, by BFS over the group's generators.
+    An index outside [0, degree) raises ValueError."""
+    if index not in range(group.degree):
+        raise ValueError(f"place index {index} is not in [0, {group.degree})")
     seen, todo = {index}, [index]
     while todo:
         i = todo.pop()

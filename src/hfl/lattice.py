@@ -228,14 +228,14 @@ class ClassWords:
     bytes for the trivial class.  key() counts down from `every` between
     reductions, and looks a multiplier's table up by its raw value.
 
-    keys() keys a word sum plus each of many reduced words at once.  With
-    one-byte digits those words are stored by tail() tagged by position:
-    in chunks of `span` = 256 // M digits, byte t of a chunk holds
-    t * M + digit, which fits a byte, so one 256-byte table per chunk,
-    built from the sum's reduced digits, maps every tagged tail to its key
-    bytes in one bytes.translate; `chunks` of them cover the digits (one,
-    empty, for the trivial group).  Wider digits (M > 128) have no chunks:
-    their keys are added and reduced.  Tables are built on first use.
+    keys() keys a word sum plus each of many reduced words at once.  When
+    every position-tagged digit t * M + digit fits a byte (one-byte digits
+    and len(mods) * M <= 256), tail() stores each word tagged, and one
+    256-byte table, built from the sum's reduced digits, maps every tagged
+    tail to its key bytes in one bytes.translate (the trivial group has
+    empty tails).  Any other class group adds and reduces its keys: a
+    reduced sum plus a reduced word stays below 2M - 1, within its digits.
+    Tables are built on first use.
     """
 
     def __init__(self, mods, cls):
@@ -247,9 +247,8 @@ class ClassWords:
         self.size = w * len(mods)
         self.every = (256**w - 1) // max(M - 1, 1) - 1
         self.zero = bytes(self.size)
-        self.span = 256 // M if w == 1 else 0
-        self.chunks = max(1, -(-len(mods) // self.span)) if w == 1 else 0
-        self._tags = sum(t % self.span * M << 8 * t for t in range(len(mods))) if w == 1 else 0
+        tagged = w == 1 and len(mods) * M <= 256
+        self._tags = sum(t * M << 8 * t for t in range(len(mods))) if tagged else None
         self._mod = intmat.digit_mod_table(M)
         self.tables = _WordTables([[c * s for c, s in zip(ci, self.scale)] for ci in cls], M, w)
 
@@ -261,30 +260,21 @@ class ClassWords:
         return b"".join((d % self.M).to_bytes(self.width, "little") for d in self._split(raw))
 
     def tail(self, word: int):
-        """A reduced word as keys() takes it: the word itself without
-        chunks, else its tagged bytes, one bytes per chunk (a tuple of
-        them when there are two or more)."""
-        if not self.chunks:
+        """A reduced word as keys() takes it: its tagged bytes when the
+        tags fit a byte, else the word itself."""
+        if self._tags is None:
             return word
-        raw = (word + self._tags).to_bytes(self.size, "little")
-        if self.chunks == 1:
-            return raw
-        return tuple(raw[j : j + self.span] for j in range(0, self.size, self.span))
+        return (word + self._tags).to_bytes(self.size, "little")
 
     def keys(self, acc: int, tails):
         """The keys of the word sum acc plus each reduced word, given in
         tail() form."""
-        if not self.chunks:
+        if self._tags is None:
             return map(self.reduce, map(acc.__add__, tails))
-        M, span, digits = self.M, self.span, self.reduce(acc)
+        M = self.M
         cycle = bytes(range(M)) * 2  # cycle[p : p + M] maps d to (p + d) mod M
-        tables = [
-            b"".join([cycle[p : p + M] for p in digits[j : j + span]]).ljust(256, b"\0")
-            for j in range(0, self.chunks * span, span)
-        ]
-        if self.chunks == 1:
-            return map(bytes.translate, tails, itertools.repeat(tables[0]))
-        return (b"".join(map(bytes.translate, tail, tables)) for tail in tails)
+        table = b"".join([cycle[p : p + M] for p in self.reduce(acc)]).ljust(256, b"\0")
+        return map(bytes.translate, tails, itertools.repeat(table))
 
     def key(self, v) -> bytes:
         """The key of sum(v[i] * cls[i]) over the nonzero entries of v."""
@@ -350,14 +340,14 @@ def _keyed_passes(n: int, part, words: ClassWords):
     otherwise it is the last value alone.  The tails are grouped by their
     word's first digit d, each group in combination order and each word
     stored once in ClassWords.tail form (position-tagged bytes when the
-    digits take one byte), and in the pass for r a leaf extends only the
+    tags fit a byte), and in the pass for r a leaf extends only the
     group d = r - (acc's first digit) mod M, so every placement is keyed
     in exactly one pass.  A group's tails from coordinate `start` on are a
     suffix of it, so a leaf's idx is a range, filtered only when a
     coordinate of its prefix lies in the suffix (a larger value placed
-    before), and its keys come from one ClassWords.keys call: a 256-byte
-    table per chunk built from acc's reduced digits, then one
-    bytes.translate per tail and chunk."""
+    before), and its keys come from one ClassWords.keys call: one
+    256-byte table built from acc's reduced digits and one bytes.translate
+    per tail, or one add and reduce per tail when the tags do not fit."""
     v, last = part[-1], len(part) - 1
     vtab = words.tables[v]
     if last and part[-2] == v:

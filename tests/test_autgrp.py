@@ -2,6 +2,7 @@
 the BFS closure, and induced actions."""
 
 import random
+import time
 
 import pytest
 from oracles import class_of, contains, orbit_of_pair, orbit_of_vector, tangent_line_at
@@ -11,6 +12,7 @@ from hfl.curve import curve_make
 from hfl.autgrp import _inv, _mul
 from hfl.errors import (
     DimensionMismatchError,
+    InternalIdentityViolationError,
     LatticeNotStableError,
     NotOnCurveError,
     OrderBudgetExceededError,
@@ -241,6 +243,45 @@ def test_closure_budget_and_validation(curve2):
         autgrp.closure([])
     with pytest.raises(ValueError):
         autgrp.schreier_sims([])
+    for base in [(-1,), (3,), (0, 3)]:
+        with pytest.raises(ValueError):
+            autgrp.schreier_sims([(1, 0, 2)], base=base)
+    assert autgrp.schreier_sims([(1, 0, 2)], base=(2, 0)).order == 2
+
+
+# three non-bijections, then generators of two lengths and an image out of range
+MALFORMED = [
+    [(0, 0, 1)],
+    [(1, 1, 0, 2)],
+    [(0, 2, 2, 3, 1)],
+    [(0, 1, 2), (0, 1)],
+    [(1, 0, 2), (0, 1, 5)],
+]
+
+
+@pytest.mark.parametrize("gens", MALFORMED)
+def test_schreier_sims_refuses_malformed_generators(gens):
+    with pytest.raises(ValueError):
+        autgrp.schreier_sims(gens)
+
+
+@pytest.mark.parametrize("gens", MALFORMED[:3])
+def test_chain_stops_on_a_non_bijection(gens):
+    """Given a non-bijection, the chain's own checks end it at once: a
+    transversal entry that does not send its point back to the base
+    point raises, where the chain would otherwise grow without bound."""
+    start = time.perf_counter()
+    with pytest.raises(InternalIdentityViolationError):
+        autgrp._chain(gens, len(gens[0]))
+    assert time.perf_counter() - start < 1
+
+
+def test_place_index_outside_the_curve_is_refused(G2, curve2):
+    for index in (-1, curve2.n):
+        with pytest.raises(ValueError):
+            autgrp.stabilizer(G2, index)
+        with pytest.raises(ValueError):
+            autgrp.orbit_of_index(G2, index)
 
 
 # -- the stabilizer chain against the BFS closure -----------------------------------

@@ -276,12 +276,23 @@ def test_census_budget():
         lattice.census_pm1(L, 2, cap=10)
 
 
+def _lattice_of_640_tags():
+    """The lattice of Z_2^4 x Z_128 on its five unit vectors and
+    (1, 1, 1, 1, 3), which generate it: 5 * 128 = 640 tags."""
+    G = abelian.AbelianGroup((2, 2, 2, 2, 128))
+    S = [G.encode(tuple(int(i == t) for i in range(5))) for t in range(5)]
+    S.append(G.encode((1, 1, 1, 1, 3)))
+    assert len(G.subgroup_generated(S)) == G.order
+    return abelian.lattice_for_subset(G, S)
+
+
 def test_census_brute_oracle():
     """Census against direct support enumeration with contains;
     support size 3 checks the incremental class sums below the top level,
     size 4 the pair slot under a two-slot prefix, and the subset lattices
     give quotients with two and three factors.  Z_2 x Z_128 reduces after
-    every word and Z_257 takes two-byte digits, at n = 8 to 10."""
+    every word and Z_257 takes two-byte digits, at n = 8 to 10, and
+    Z_2^4 x Z_128 has 640 tags, so its keys are added."""
     rng = random.Random(29)
     lattices = [random_full_rank(rng, rng.randint(4, 8)) for _ in range(10)]
     lattices += [random_full_rank(rng, n) for n in (8, 9, 10)]
@@ -294,6 +305,7 @@ def test_census_brute_oracle():
         for n in (8, 9, 10):
             lattices.append(abelian.lattice_for_subset(G, range(1, n)))
         lattices.append(abelian.lattice_for_subset(G, rng.sample(range(1, G.order), 9)))
+    lattices.append(_lattice_of_640_tags())
     for L in lattices:
         n = L.n
         for q in (1, 2, 3, 4):
@@ -355,32 +367,32 @@ def test_walk_places_what_the_budget_charges():
     assert lattices[0].class_map()[0] == ()  # A_8: the single pass above
 
 
-def test_tagged_keys_at_every_chunk_count(hl2):
-    """With one-byte digits the walk keys each tail by one translate per
-    chunk of 256 // M tagged digits; its keys equal ClassWords.key at
-    every chunk count: one empty chunk for the trivial group of A_8, one
-    exactly full chunk (len(mods) * M = 256), two, three, and none for
-    the two-byte digits of Z_257, which are added and reduced."""
+def test_keys_by_one_table_or_by_adding(hl2):
+    """The walk keys each tail by one translate through one 256-byte table
+    when every tag t * M + digit fits a byte (len(mods) * M <= 256 with
+    one-byte digits), and otherwise adds and reduces it; either way its
+    keys equal ClassWords.key.  Tagged: the trivial group of A_8 (no
+    tags), Z_2 x Z_128 with exactly 256 tags, and q = 2 (6 tags).  Added:
+    Z_2 x Z_128 with 384 tags, q = 7 (384), Z_2^4 x Z_128 (640) and the
+    two-byte digits of Z_257.  tail() is the tagged bytes on the first
+    route and the word itself on the second."""
     z2_128 = abelian.AbelianGroup((2, 128))
-    G = abelian.AbelianGroup((2, 2, 2, 2, 128))
-    S = [G.encode(tuple(int(i == t) for i in range(5))) for t in range(5)]
-    S.append(G.encode((1, 1, 1, 1, 3)))
-    assert len(G.subgroup_generated(S)) == G.order
     small = [(1, 1), (1, 1, 1), (2, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1)]
     cases = [
-        # lattice, chunks, len(mods) * M, shapes
-        (full_root_lattice(9), 1, 0, small),
-        (abelian.lattice_for_subset(z2_128, range(1, 12)), 1, 256, small),
-        (abelian.lattice_for_subset(z2_128, range(1, 9)), 2, 384, small),
-        (hermlat.build(7).L, 2, 384, [(1, 1)]),
-        (abelian.lattice_for_subset(G, S), 3, 640, small),
-        (abelian.lattice_for_subset(abelian.AbelianGroup((257,)), range(1, 9)), 0, 257, small),
-        (hl2.L, 1, 6, small),
+        # lattice, tagged, len(mods) * M, shapes
+        (full_root_lattice(9), True, 0, small),
+        (abelian.lattice_for_subset(z2_128, range(1, 12)), True, 256, small),
+        (hl2.L, True, 6, small),
+        (abelian.lattice_for_subset(z2_128, range(1, 9)), False, 384, small),
+        (hermlat.build(7).L, False, 384, [(1, 1)]),
+        (_lattice_of_640_tags(), False, 640, small),
+        (abelian.lattice_for_subset(abelian.AbelianGroup((257,)), range(1, 9)), False, 257, small),
     ]
-    for L, chunks, digits, shapes in cases:
+    for L, tagged, tags, shapes in cases:
         words = L.class_words()
-        assert (words.chunks, len(words.mods) * words.M) == (chunks, digits), L
-        assert words.size == (0 if not digits else words.width * len(words.mods))
+        assert len(words.mods) * words.M == tags, L
+        assert words.size == words.width * len(words.mods)
+        assert isinstance(words.tail(words.tables[1][1]), bytes) == tagged, L
         for part in shapes:
             _check_keyed_walk(L, part)
 
