@@ -69,15 +69,24 @@ def _render(payload) -> str:
 
 
 def _emit(payload, out_path):
+    """Write the payload to stdout, or to out_path.  A regular file is
+    replaced whole through a temporary file beside the one a symlink names,
+    so the link stays a link; an existing FIFO, device or other non-regular
+    target is written in place, as renaming over it would replace it."""
     text = _render(payload)
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
         return
-    tmp = f"{out_path}.tmp{os.getpid()}"
+    target = os.path.realpath(out_path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    tmp = f"{target}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, out_path)
+        os.replace(tmp, target)
     except OSError:
         try:
             if os.path.exists(tmp):

@@ -1,12 +1,15 @@
 """The function-field lattice of a Hermitian curve.
 
-The lattice is spanned by the divisors of all lines.  A tangent line
-meets the curve only at its point P, so its divisor is (q+1)(P - P_inf):
-with coordinate 0, the place at infinity, dropped, the generators hold
-(q+1) e_j for every affine place j, and intmat.hnf reads the modulus
-q + 1 off them (it is not assumed) and builds L modulo q + 1.  Every
-other line's divisor is 1_B - (q+1) e_0 for its block B of the Hermitian
-unital, the 2-(q^3+1, q+1, 1) design (Curve.block).
+The lattice is spanned by the divisors of all lines, each read as its
+support, the nonzero entries of Curve.line_support (q + 2 of them, or 2
+for a tangent); no line divisor is made dense.  A tangent line meets
+the curve only at its point P, so its divisor is (q+1)(P - P_inf): with
+coordinate 0, the place at infinity, dropped, the generators hold
+(q+1) e_j for every affine place j, and intmat.hnf_of_supports reads
+the modulus q + 1 off them (it is not assumed) and builds L modulo
+q + 1, each support packed straight into a row of one byte per place.
+Every other line's divisor is 1_B - (q+1) e_0 for its block B of the
+Hermitian unital, the 2-(q^3+1, q+1, 1) design (Curve.block).
 
 Everything here is verified construction: two lines whose blocks share
 one place give a vector of squared norm exactly 2q (minimal_pair_vector),
@@ -63,8 +66,8 @@ class HermitianLattice:
 
     def __init__(self, curve: Curve):
         self.curve = curve
-        divs = (curve.divisor_of_line(line) for line in curve.all_lines())
-        self.L = lattice.Lattice.from_generators(divs, curve.n)
+        supports = map(curve.line_support, curve.all_lines())
+        self.L = lattice.Lattice.from_supports(supports, curve.n)
         self.quotient = self.L.quotient()
 
     @cached_property

@@ -4,7 +4,9 @@ m * Z^n, counted off Hermite forms modulo the prime powers of m.
 The Hermite form is the one normal form; everything runs on
 arbitrary-precision Python ints, no floating point.  A Hermite form
 whose input certifies m * Z^r in its span, for a small m, is built
-modulo m on rows packed one byte per column.
+modulo m on rows packed one byte per column, each packed from its
+nonzero entries: rows given dense (hnf) are read through nonzeros, and
+rows given sparse (hnf_of_supports) go in as they are.
 """
 
 from bisect import bisect_left
@@ -117,17 +119,13 @@ def _distinct_by_leading_column(vectors) -> list[tuple[int, ...]]:
 MODULAR_MAX = 16  # (m - 1) + (m - 1)**2 <= 255: a row operation mod m fits a byte per digit
 
 
-def _certified_modulus(vectors, width: int) -> int:
+def _certified_modulus(units, width: int) -> int:
     """The m <= MODULAR_MAX with m * Z^width inside the span that the
-    input's unit-multiple rows c * e_j certify, or 0 when some column has
-    no such row or m is larger.  Raises ValueError on a ragged row."""
+    rows' unit multiples c * e_j, given as their entries (j, c), certify,
+    or 0 when some column has no such row or m is larger."""
     g = [0] * width
-    for v in vectors:
-        if len(v) != width:
-            raise ValueError(f"row width {len(v)} != {width}")
-        if v.count(0) == width - 1:
-            j = next(compress(range(width), v))
-            g[j] = gcd(g[j], v[j])
+    for j, c in units:
+        g[j] = gcd(g[j], c)
     m = lcm(*g) if g else 0
     return m if 0 not in g and m <= MODULAR_MAX else 0
 
@@ -143,10 +141,13 @@ def reduce_digits(x: int, size: int, table: bytes) -> bytes:
     return x.to_bytes(size, "little").translate(table)
 
 
-def _howell_hnf(vectors, width: int, m: int) -> tuple[list[list[int]], list[int]]:
-    """hnf of a span that holds m * Z^width, built modulo m.
+def _howell_hnf(supports: list, width: int, m: int) -> tuple[list[list[int]], list[int]]:
+    """hnf of a span that holds m * Z^width, built modulo m from the rows'
+    nonzero entries, a list that it sorts and empties.
 
-    A row is one int with the digit of column c in byte c, each below m;
+    A row is one int with the digit of column c in byte c, each below m,
+    packed from its pairs only when the loop takes it, so the input rows
+    are freed as they go and no more than one of them is held packed;
     x - f*y is one multiply-add, x + (m - f)*y, and a reduction of every
     digit mod m (reduce_digits).  The rows are fed latest leading column
     first and put in Howell form (Howell 1986; Storjohann 2000): a new
@@ -181,15 +182,17 @@ def _howell_hnf(vectors, width: int, m: int) -> tuple[list[list[int]], list[int]
                 b = x.to_bytes(width, "little")
         return x
 
-    def pack(v):
+    def pack(sup):
         digits = bytearray(width)
-        for j in compress(range(width), v):
-            digits[j] = v[j] % m
+        for j, x in sup:
+            digits[j] = x % m
         return int.from_bytes(digits, "little")
 
-    todo = sorted(set(map(pack, vectors)), key=lambda x: x & -x)
-    while todo:
-        x = todo.pop()
+    # latest leading column (mod m) last, to be popped first; zero rows first
+    supports.sort(key=lambda sup: min((j for j, x in sup if x % m), default=-1))
+    todo = []  # rows made on the way, each taken before the next input row
+    while todo or supports:
+        x = todo.pop() if todo else pack(supports.pop())
         while x:
             c = ((x & -x).bit_length() - 1) >> 3
             a = (x >> 8 * c) & 255
@@ -223,6 +226,11 @@ def _howell_hnf(vectors, width: int, m: int) -> tuple[list[list[int]], list[int]
     return rows[::-1], list(range(width))
 
 
+def nonzeros(vec) -> tuple[tuple[int, int], ...]:
+    """The (column, value) pairs of the row's nonzero entries, by column."""
+    return tuple(zip(compress(range(len(vec)), vec), filter(None, vec)))
+
+
 def hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     """Canonical row-style Hermite form: positive pivots, entries above a
     pivot reduced into [0, pivot).  Unique per row span, so the output is
@@ -231,14 +239,42 @@ def hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:
     The input picks one of two routes.  When every column j has an input
     row c_j * e_j (c_j != 0), m = lcm over j of gcd|c_j| puts m * Z^width
     in the span, and for m <= MODULAR_MAX the span is read off its image
-    in (Z_m)^width: _howell_hnf.  Otherwise the rows go through the
-    integer echelon, fed in whichever order keeps its entries small.
-    Both routes raise ValueError on a row whose length is not width.
+    in (Z_m)^width, each row packed from its nonzero entries: _howell_hnf.
+    Otherwise the rows go through the integer echelon, fed in whichever
+    order keeps its entries small.  A row whose length is not width
+    raises ValueError.
     """
     if not isinstance(vectors, (list, tuple)):
         vectors = list(vectors)
-    m = _certified_modulus(vectors, width)
-    return _howell_hnf(vectors, width, m) if m else _echelon_hnf(vectors, width)
+    for v in vectors:
+        if len(v) != width:
+            raise ValueError(f"row width {len(v)} != {width}")
+    units = (nonzeros(v)[0] for v in vectors if v.count(0) == width - 1)
+    m = _certified_modulus(units, width)
+    if not m:
+        return _echelon_hnf(vectors, width)
+    return _howell_hnf(list(map(nonzeros, vectors)), width, m)
+
+
+def hnf_of_supports(supports, width: int) -> tuple[list[list[int]], list[int]]:
+    """hnf of the rows given by their nonzero entries: each row a sequence
+    of (column, value) pairs with distinct columns in [0, width), as
+    nonzeros gives them.  A certified span goes straight to _howell_hnf,
+    which packs each row from its pairs and frees it once packed (the
+    rows are read into a list of this call's own); any other is expanded
+    for the integer echelon."""
+    supports = list(supports)
+    m = _certified_modulus((sup[0] for sup in supports if len(sup) == 1), width)
+    if m:
+        return _howell_hnf(supports, width, m)
+    return _echelon_hnf([_dense(sup, width) for sup in supports], width)
+
+
+def _dense(sup, width: int) -> list[int]:
+    vec = [0] * width
+    for j, x in sup:
+        vec[j] = x
+    return vec
 
 
 def _echelon_hnf(vectors, width: int) -> tuple[list[list[int]], list[int]]:

@@ -3,10 +3,12 @@
 A lattice is stored once, as the Hermite form of its projection that
 drops coordinate 0 with each row lifted back to a sum-zero vector (the
 projection is injective on sum-zero vectors), which makes bases
-canonical; a generating set of lower rank is refused.  On top of that
-sit the class map of A_{n-1}/L, read off the inverse of the Hermite
-form's non-unit block and held in one object (ClassWords) that also
-runs the class sums, with membership through it, the
+canonical; a generating set of lower rank is refused.  Generators come
+dense (from_generators) or as their nonzero entries (from_supports).
+On top of that sit the class map of A_{n-1}/L, read off the inverse of
+the Hermite form's non-unit block and held in one object (ClassWords)
+that also runs the class sums, with membership through it in one pass
+over a vector's nonzero entries, dense or given as pairs, the
 elementary divisors of that block, counted off Hermite forms modulo the
 prime powers of the quotient's exponent, exact determinants,
 short vectors shape by shape, integral LLL with an integer sphere
@@ -19,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, gcd, lcm, perm, prod
-from operator import floordiv, mul
+from operator import floordiv, itemgetter, mul
 
 from . import intmat
 from .errors import (
@@ -48,12 +50,27 @@ class QuotientStructure:
         return tuple(d for d in self.divisors if d != 1)
 
 
-def permute(vec, perm):
-    """Move the value at coordinate i to coordinate perm[i]."""
-    out = [0] * len(vec)
-    for i, x in enumerate(vec):
-        out[perm[i]] = x
-    return tuple(out)
+def _entries(pairs, n: int) -> dict[int, int]:
+    """The (index, value) pairs as a dict; a repeated index raises
+    ValueError, one outside [0, n) DimensionMismatchError."""
+    values = dict(pairs)
+    if len(values) != len(pairs):
+        raise ValueError(f"repeated index in {pairs}")
+    if values and not 0 <= min(values) <= max(values) < n:
+        raise DimensionMismatchError(f"index outside [0, {n}) in {pairs}")
+    return values
+
+
+def _support_tails(supports, n: int):
+    """Each sum-zero vector, given by its nonzero (index, value) pairs, as
+    the same pairs without index 0: beside e_0 they span what the
+    projection dropping coordinate 0 spans, one column to the right, and
+    no pair is rebuilt."""
+    for sup in supports:
+        values = _entries(sup, n)
+        if sum(values.values()) != 0:
+            raise ValueError(f"generator does not sum to zero: {sup}")
+        yield tuple(filter(itemgetter(0), sup))
 
 
 class Lattice:
@@ -87,7 +104,35 @@ class Lattice:
             tails.append(v[1:])
         if not tails:
             raise EmptyGeneratorSetError("need at least one generator")
-        rows, _ = intmat.hnf(tails, n - 1)
+        return cls._of_rank(intmat.hnf(tails, n - 1)[0], n)
+
+    @classmethod
+    def from_supports(cls, supports, n: int) -> "Lattice":
+        """from_generators for vectors given by their nonzero entries, each a
+        sequence of (index, value) pairs as Curve.line_support gives them,
+        read once with no dense vector.  A repeated index raises
+        ValueError, one outside [0, n) DimensionMismatchError.
+
+        intmat.hnf_of_supports takes the pairs as they are, index 0 left
+        out, beside the row e_0, and frees each once packed.  That span
+        holds e_0, so its Hermite form is e_0 over the projection's form
+        put one column to the right; dropping row 0 and column 0 in place
+        leaves the projection's."""
+        if n < 2:
+            raise NotFullRankError(f"n = {n} < 2: A_{n - 1} is zero")
+        tails = _support_tails(supports, n)
+        first = next(tails, None)
+        if first is None:
+            raise EmptyGeneratorSetError("need at least one generator")
+        rows, _ = intmat.hnf_of_supports(itertools.chain((((0, 1),), first), tails), n)
+        del rows[0]
+        for r in rows:
+            del r[0]
+        return cls._of_rank(rows, n)
+
+    @classmethod
+    def _of_rank(cls, rows, n: int) -> "Lattice":
+        """The lattice of the projection's Hermite rows, refused below rank n - 1."""
         if len(rows) < n - 1:
             raise NotFullRankError(f"generators span rank {len(rows)} < n - 1 = {n - 1}")
         return cls(n, rows)
@@ -172,20 +217,39 @@ class Lattice:
 
     def member_fast(self, v) -> bool:
         """Membership through the quotient map: v sums to zero and its
-        class is trivial."""
+        class is trivial, both read in one pass over its nonzero entries."""
+        if len(v) != self.n:
+            raise DimensionMismatchError(f"vector length {len(v)} != n = {self.n}")
+        return self._member(itertools.compress(range(self.n), v), v)
+
+    def member_support(self, pairs) -> bool:
+        """member_fast for the vector given by its nonzero entries, a
+        sequence of (index, value) pairs; a repeated index raises
+        ValueError, one outside [0, n) DimensionMismatchError."""
+        values = _entries(pairs, self.n)
+        return self._member(values, values)
+
+    def _member(self, indices, values) -> bool:
+        """Sum zero and trivial class over distinct indices in [0, n), each
+        with the value values[i] (ClassWords.class_sum)."""
         words = self.class_words()
-        return words.key(v) == words.zero and sum(v) == 0
+        key, total = words.class_sum(indices, values)
+        return not total and key == words.zero
 
     def fixed_by(self, perm) -> bool:
         """Does the coordinate permutation perm map L onto itself?
 
         Checking that every permuted basis row lies in L is enough: perm
         has finite order k, so perm(L) <= L gives L = perm^k(L) <= perm(L).
-        A perm whose length is not n raises DimensionMismatchError.
+        Each row is mapped as its nonzero entries, perm[i] for each index
+        i.  A perm whose length is not n raises DimensionMismatchError.
         """
         if len(perm) != self.n:
             raise DimensionMismatchError(f"permutation length {len(perm)} != n = {self.n}")
-        return all(self.member_fast(permute(row, perm)) for row in self.rows)
+        return all(
+            self.member_support(tuple(zip(itertools.compress(perm, row), filter(None, row))))
+            for row in self.rows
+        )
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.n == other.n and self.rows == other.rows
@@ -225,8 +289,12 @@ class ClassWords:
     digits below M.  Up to `every` words added to a reduced sum keep each
     digit below 256**width; reduce() takes each digit mod M
     (intmat.reduce_digits when width is 1) and gives the class's key, zero
-    bytes for the trivial class.  key() counts down from `every` between
-    reductions, and looks a multiplier's table up by its raw value.
+    bytes for the trivial class.  class_sum() is the one loop over
+    nonzero entries: it adds their words, counting down from `every`
+    between reductions and looking a value's table up by its raw value,
+    and their values, so membership reads the class and the sum in one
+    pass.  key() and Lattice.member_fast feed it a dense vector's nonzero
+    indices, Lattice.member_support a dict of entries.
 
     keys() keys a word sum plus each of many reduced words at once.  When
     every position-tagged digit t * M + digit fits a byte (one-byte digits
@@ -280,14 +348,24 @@ class ClassWords:
         """The key of sum(v[i] * cls[i]) over the nonzero entries of v."""
         if len(v) != len(self.cls):
             raise DimensionMismatchError(f"vector length {len(v)} != n = {len(self.cls)}")
+        return self.class_sum(itertools.compress(range(len(v)), v), v)[0]
+
+    def class_sum(self, indices, values) -> tuple[bytes, int]:
+        """(key, total) over distinct indices i in [0, n), each with the
+        value values[i] (a dense vector and its nonzero indices, or a dict
+        of entries and itself): the key of sum(values[i] * cls[i]) and the
+        sum of the values, in one pass.  The callers vouch for the
+        indices."""
         tables, every = self.tables, self.every
-        acc, left = 0, every
-        for i in itertools.compress(range(len(v)), v):
+        acc, left, total = 0, every, 0
+        for i in indices:
+            x = values[i]
             if not left:
                 acc, left = int.from_bytes(self.reduce(acc), "little"), every
             left -= 1
-            acc += tables[v[i]][i]
-        return self.reduce(acc)
+            total += x
+            acc += tables[x][i]
+        return self.reduce(acc), total
 
     def decode(self, key: bytes) -> tuple:
         """The class tuple of a key, componentwise mod mods."""
@@ -702,28 +780,29 @@ def permutation_automorphisms(L: Lattice):
     One backtracking search over images (Plesken-Souvignier).  The
     coordinates are placed so that the basis rows with the fewest
     unplaced support coordinates are completed first, and each basis row
-    is checked once, with Lattice.member_fast, as soon as its support is
-    placed: a row mapped outside L drops the whole subtree.  A leaf has
-    mapped every basis row into L, which is enough: a permutation has
-    finite order, so one mapping L into L maps it onto L.  Every image
-    tried for a coordinate is one partial map; past PERM_MAX_WORK of them
-    the search raises SearchInfeasibleError naming the count and the cap.
+    is checked once, on its mapped nonzero entries as member_support
+    checks them, as soon as its support is placed: a row mapped outside L
+    drops the whole subtree.  A leaf has mapped every basis row into L,
+    which is enough: a permutation has finite order, so one mapping L
+    into L maps it onto L.  Every image tried for a coordinate is one
+    partial map; past PERM_MAX_WORK of them the search raises
+    SearchInfeasibleError naming the count and the cap.
     """
     n = L.n
-    supports = [[(i, x) for i, x in enumerate(row) if x] for row in L.rows]
+    supports = [(tuple(itertools.compress(range(n), r)), tuple(filter(None, r))) for r in L.rows]
     # next: the unplaced support of the row with the fewest unplaced
     # coordinates (row i has its pivot at coordinate i + 1, so every
     # coordinate is in some row's support)
     order, placed = [], {0}
     while len(placed) < n:
-        rest = [u for u in ({i for i, _ in sup} - placed for sup in supports) if u]
+        rest = [u for u in (set(idx) - placed for idx, _ in supports) if u]
         nxt = sorted(min(rest, key=len))
         order += nxt
         placed.update(nxt)
     level = {i: k for k, i in enumerate(order)}
     checks = [[] for _ in order]  # per level: the rows whose support it completes
-    for sup in supports:
-        checks[max(level.get(i, -1) for i, _ in sup)].append(sup)
+    for idx, vals in supports:
+        checks[max(level.get(i, -1) for i in idx)].append((idx, vals))
 
     out = []
     image = list(range(n))
@@ -732,10 +811,10 @@ def permutation_automorphisms(L: Lattice):
     tried = 0
 
     def maps_into_L(sup):
-        v = [0] * n
-        for i, x in sup:
-            v[image[i]] = x
-        return L.member_fast(v)
+        # the image is one-to-one into range(n), so its entries need no check
+        idx, vals = sup
+        values = dict(zip(map(image.__getitem__, idx), vals))
+        return L._member(values, values)
 
     def extend(k):
         nonlocal tried

@@ -4,10 +4,18 @@ import itertools
 from array import array
 from collections import Counter
 
-from hfl import hermlat
+from hfl import hermlat, intmat
 from hfl.curve import Slope, Vertical
 from hfl.errors import DimensionMismatchError, NotOnCurveError
-from hfl.lattice import permute
+from hfl.lattice import Lattice
+
+
+def permute(vec, perm):
+    """Move the value at coordinate i to coordinate perm[i], densely."""
+    out = [0] * len(vec)
+    for i, x in enumerate(vec):
+        out[perm[i]] = x
+    return tuple(out)
 
 
 def points_on_line_bruteforce(curve, line):
@@ -43,6 +51,15 @@ def dense_vector(n, support):
     for i, x in support.items():
         vec[i] = x
     return tuple(vec)
+
+
+def dense_lattice(curve):
+    """L built the dense way: every line's n-wide divisor, its projection
+    dropping coordinate 0, and the Hermite form of those rows, each row
+    lifted back to sum zero by Lattice."""
+    tails = [curve.divisor_of_line(line)[1:] for line in curve.all_lines()]
+    rows, _ = intmat.hnf(tails, curve.n - 1)
+    return Lattice(curve.n, rows)
 
 
 def family_pass(curve):

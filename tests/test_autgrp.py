@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from oracles import class_of, contains, orbit_of_pair, orbit_of_vector, tangent_line_at
+from oracles import class_of, contains, orbit_of_pair, orbit_of_vector, permute, tangent_line_at
 
 from hfl import autgrp, hermlat, lattice
 from hfl.curve import curve_make
@@ -18,7 +18,7 @@ from hfl.errors import (
     OrderBudgetExceededError,
     ZeroScalarError,
 )
-from hfl.lattice import Lattice, permute
+from hfl.lattice import Lattice
 
 
 @pytest.fixture(scope="module")

@@ -209,6 +209,45 @@ def test_out_to_bad_dir(capsys, tmp_path):
     assert rc == 3
 
 
+def test_out_writes_through_a_symlink(capsys, tmp_path):
+    """--out on a symlink writes the file it names and leaves the link a link."""
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    rc, want, _ = run_cli(capsys, "export", "--kind", "aut", "--q", "2")
+    assert rc == 0
+    rc, out, _ = run_cli(capsys, "export", "--kind", "aut", "--q", "2", "--out", str(link))
+    assert rc == 0 and out == ""
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_out_writes_a_fifo_in_place(capsys, tmp_path):
+    """--out on a FIFO writes into it, read by a thread, and leaves it a FIFO."""
+    import stat
+    import threading
+
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, encoding="utf-8") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    rc, want, _ = run_cli(capsys, "export", "--kind", "aut", "--q", "2")
+    assert rc == 0
+    rc, _, _ = run_cli(capsys, "export", "--kind", "aut", "--q", "2", "--out", str(fifo))
+    reader.join(timeout=30)
+    assert rc == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got == [want]
+
+
 def test_verify_needs_target(capsys):
     rc, _, _ = run_cli(capsys, "verify")
     assert rc == 2

@@ -366,12 +366,13 @@ def test_verify_q7_peak_rss_bound():
 def test_verify_q8_peak_rss_bound():
     """`python -m hfl verify --q 8` passes 16 checks and skips only
     census_contains_families, and its report's own peak RSS stays below
-    56 MB: the curve keeps each line only as its support, the build
-    holds one projected copy of the line divisors, and the chain of
-    Aut(H) holds each coset representative once."""
+    44 MB (about 37 MB): the curve keeps each line only as its support,
+    the build packs each support straight into a row of one byte per
+    place, and the chain of Aut(H) holds each coset representative
+    once."""
     report = _verify_from_parent("", 8)
     assert report["counts"] == {"passed": 16, "failed": 0, "skipped": 1}
-    assert report["peak_rss_mb"] < 56, report["peak_rss_mb"]
+    assert report["peak_rss_mb"] < 44, report["peak_rss_mb"]
 
 
 _STAGE_RISE = """
@@ -379,6 +380,11 @@ import sys
 from hfl import autgrp, hermlat
 from hfl.cli import _peak_rss_mb
 from hfl.curve import curve_make
+if sys.argv[1] == "build":
+    before = _peak_rss_mb()
+    assert hermlat.build(8).L.rank == 512
+    print(_peak_rss_mb() - before)
+    sys.exit()
 curve = curve_make(8)
 if sys.argv[1] == "unital_families":
     for line in curve.all_lines():
@@ -393,12 +399,17 @@ print(_peak_rss_mb() - before)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
-@pytest.mark.parametrize("stage, bound", [("full_group", 8), ("unital_families", 4)])
+@pytest.mark.parametrize(
+    "stage, bound", [("full_group", 8), ("unital_families", 4), ("build", 16)]
+)
 def test_q8_stage_peak_rss_rise_bound(stage, bound):
     """At q = 8, in a child of its own, the chain of Aut(H) raises the
     peak RSS by under 8 MB (about 3 MB), holding each coset representative
-    once as u^-1, and the unital's 2-design check by under 4 MB (about
-    0.4 MB), marking pairs in one bytearray(n^2) of 263 KB."""
+    once as u^-1, the unital's 2-design check by under 4 MB (about
+    0.4 MB), marking pairs in one bytearray(n^2) of 263 KB, and
+    hermlat.build(8), curve included, by under 16 MB (about 7 MB), as it
+    reads each line as its support and packs it straight into a Howell
+    row (dense divisors and their projections raised it by about 24 MB)."""
     src = os.path.dirname(os.path.dirname(hfl.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _STAGE_RISE, stage],
@@ -406,6 +417,34 @@ def test_q8_stage_peak_rss_rise_bound(stage, bound):
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < bound, proc.stdout
+
+
+_Q11_BUILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from hfl import curve, hermlat
+from hfl.cli import _peak_rss_mb
+curve.SUPPORTED_Q += (11,)
+hl = hermlat.build(11)
+assert hl.L.rank == 1331 and hl.quotient.nontrivial == (12,) * 110
+print(_peak_rss_mb())
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
+def test_q11_build_peak_rss_bound():
+    """With q = 11 admitted in a child of its own, under a 1 GiB address
+    space limit, building L (14,762 line supports packed into Howell rows
+    of 1,331 bytes, and the quotient Z_12^110) peaks below 100 MB, about
+    61 MB; the dense divisors and their projections took it to 217 MB."""
+    src = os.path.dirname(os.path.dirname(hfl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _Q11_BUILD],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100, proc.stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")

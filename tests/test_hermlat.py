@@ -7,9 +7,9 @@ import tracemalloc
 import pytest
 
 from hfl import hermlat, lattice
-from hfl.curve import Slope, Vertical, curve_make
+from hfl.curve import SUPPORTED_Q, Slope, Vertical, curve_make
 from hfl.errors import BudgetExceededError, InternalIdentityViolationError, NotMinimalPairError
-from oracles import contains, dense_vector, tangent_line_at
+from oracles import contains, dense_lattice, dense_vector, tangent_line_at
 
 
 def norm2(v):
@@ -44,6 +44,18 @@ def test_structure_q7():
     assert hl.L.rank == 343
     assert hl.L.index_in_ambient() == 8**42
     assert hl.quotient.nontrivial == (8,) * 42
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_sparse_build_matches_the_dense_oracle(q):
+    """The build packs each line support straight into a Howell row; its
+    Hermite rows are those of the dense line divisors, projected and put
+    in Hermite form, and from_generators on the dense divisors gives the
+    same lattice, at every supported q."""
+    hl = hermlat.build(q)
+    c = hl.curve
+    assert hl.L.rows == dense_lattice(c).rows
+    assert hl.L == lattice.Lattice.from_generators(map(c.divisor_of_line, c.all_lines()), c.n)
 
 
 def test_divisors_span_checked_at_build(hl2):

@@ -200,13 +200,20 @@ def test_echelon_rows_reduced_above_each_pivot():
 # -- the modular route: inputs with a row c_j * e_j in every column -----------
 
 
+def _certified(vecs, n):
+    """The modulus that the dense rows certify, read off the entries of
+    their unit multiples."""
+    supports = list(map(intmat.nonzeros, vecs))
+    return intmat._certified_modulus((sup[0] for sup in supports if len(sup) == 1), n)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_modular_hnf_matches_dense_on_line_divisors(q):
     """A tangent line's divisor is (q+1)(P - P_inf), so the line divisors
     certify m = q + 1, and the form built mod q + 1 is the integer
     echelon's."""
     divs, width = _line_divisor_rows(q)
-    assert intmat._certified_modulus(divs, width) == q + 1
+    assert _certified(divs, width) == q + 1
     assert intmat.hnf(divs, width) == intmat._echelon_hnf(divs, width)
 
 
@@ -236,7 +243,7 @@ def test_modular_hnf_matches_dense_on_certified_inputs():
             for _ in range(rng.randint(0, n + 4))
         ]
         vecs = _with_unit_multiples(rng, m, vecs, n)
-        certified = intmat._certified_modulus(vecs, n)
+        certified = _certified(vecs, n)
         assert certified and m % certified == 0
         moduli[certified] += 1
         assert intmat.hnf(vecs, n) == intmat._echelon_hnf(vecs, n)
@@ -249,7 +256,7 @@ def test_hnf_reads_a_one_shot_iterator_on_both_routes():
     random rows (the integer echelon): the rows are read once, before
     the certificate and the route consume them."""
     divs, width = _line_divisor_rows(3)
-    assert intmat._certified_modulus(divs, width) == 4
+    assert _certified(divs, width) == 4
     cases = [(divs, width)]
     rng = random.Random(23)
     for _ in range(20):
@@ -259,7 +266,7 @@ def test_hnf_reads_a_one_shot_iterator_on_both_routes():
             [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
             for _ in range(rng.randint(1, n + 2))
         ]
-        assert intmat._certified_modulus(vecs, n) == 0
+        assert _certified(vecs, n) == 0
         cases.append((vecs, n))
     for vecs, n in cases:
         want = intmat.hnf(vecs, n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from oracles import class_of, contains, smith_normal_form
+from oracles import class_of, contains, permute, smith_normal_form
 
 from hfl import abelian, curve, hermlat, intmat, lattice
 from hfl.errors import (
@@ -77,6 +77,38 @@ def test_scaled_a2_example():
     assert len(mv) == 6
     assert all(sum(x * x for x in v) == 8 for v in mv)
     assert lattice.generated_by_minimals_index(L, mv) == 1
+
+
+def test_from_supports_matches_from_generators():
+    """The same generators, dense or as their nonzero entries in shuffled
+    order, give the same lattice: on random full-rank sets with no zero
+    entry, so that no row certifies a modulus (the integer echelon, with
+    e_0 beside them), and on the rows of the block-route lattices, the
+    q = 2, 3, 4 lattices among them (the Howell form); one generator
+    alone spans too low a rank on both."""
+    rng = random.Random(44)
+    cases = []
+    while len(cases) < 30:
+        n = rng.randint(3, 7)
+        gens = [[rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(n - 1)] for _ in range(n)]
+        gens = [(-sum(v), *v) for v in gens if sum(v)]
+        try:
+            lattice.Lattice.from_generators(gens, n)
+        except NotFullRankError:
+            continue
+        cases.append(gens)
+    cases += [L.rows for _, L in _block_route_cases()]
+    for gens in cases:
+        n = len(gens[0])
+        supports = []
+        for v in gens:
+            pairs = [(i, x) for i, x in enumerate(v) if x]
+            rng.shuffle(pairs)
+            supports.append(pairs)
+        L = lattice.Lattice.from_generators(gens, n)
+        assert lattice.Lattice.from_supports(supports, n) == L
+        with pytest.raises(NotFullRankError):
+            lattice.Lattice.from_supports(supports[:1], n)
 
 
 def test_contains_and_member_fast_agree():
@@ -437,6 +469,102 @@ def test_key_counts_down_between_reductions():
                 assert L.member_fast(v) == contains(L, v) == bool(t % 2), v
 
 
+def _pairs(v):
+    """The (index, value) pairs of v's nonzero entries."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def test_trivial_class_with_nonzero_sum_is_refused():
+    """e_0 has the trivial class, so the sum, read in the same pass as the
+    class, is all that refuses e_0, 3 e_0 and e_0 plus a basis row, on the
+    dense and the pair entry, at q = 2 and on an Abelian lattice."""
+    cases = [
+        hermlat.build(2).L,
+        abelian.lattice_for_subset(abelian.AbelianGroup((2, 2, 4)), (1, 2, 5, 6, 11)),
+    ]
+    for L in cases:
+        words = L.class_words()
+        e0 = (1,) + (0,) * (L.n - 1)
+        for v in (e0, tuple(3 * x for x in e0), tuple(x + y for x, y in zip(e0, L.rows[0]))):
+            assert words.key(v) == words.zero and sum(v)
+            assert not L.member_fast(v) and not L.member_support(_pairs(v))
+            assert not contains(L, v)
+
+
+def test_one_pass_past_every_at_both_digit_widths():
+    """Membership reduces its class sum every `every` words on both entries:
+    with more nonzeros than every = 3, for one-byte digits (Z_60) and
+    two-byte digits (Z_15000), member_fast and member_support agree with
+    contains on members, on non-members, and on members moved off sum
+    zero at coordinate 0, whose class is trivial."""
+    rng = random.Random(38)
+    units = (1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for M, width in ((60, 1), (15000, 2)):
+        L = abelian.lattice_for_subset(abelian.AbelianGroup((M,)), units)
+        words = L.class_words()
+        assert (words.width, words.every) == (width, 3)
+        for k in (4, 7, 10):
+            for t in range(20):
+                v = _unit_class_vector(rng, words, k, t % 2)
+                off = (v[0] + 1,) + v[1:]
+                assert sum(map(bool, v)) == k > words.every
+                for w, want in ((v, bool(t % 2)), (off, False)):
+                    assert L.member_fast(w) == L.member_support(_pairs(w)) == want
+                    assert contains(L, w) == want
+
+
+def test_dense_and_pair_entries_agree_with_contains():
+    """On random vectors, lattice vectors with a random offset half the
+    time and a nonzero sum a third of the time, member_fast and
+    member_support, fed the pairs in shuffled order, agree with
+    contains."""
+    checked = 0
+    for rng, L in _block_route_cases():
+        for _ in range(10):
+            v = [0] * L.n
+            for row in L.rows:
+                c = rng.randint(-2, 2)
+                v = [x + c * y for x, y in zip(v, row)]
+            if rng.random() < 0.5:
+                v[rng.randrange(L.n)] += rng.randint(-3, 3)
+                v[rng.randrange(L.n)] -= rng.randint(-3, 3)
+            if rng.random() < 1 / 3:
+                v[rng.randrange(L.n)] += rng.choice((-1, 1))
+            pairs = _pairs(v)
+            rng.shuffle(pairs)
+            want = contains(L, v)
+            assert L.member_fast(v) == L.member_support(pairs) == want, v
+            checked += want
+    assert checked > 100
+
+
+def test_membership_entries_refuse_bad_input():
+    """A dense vector of the wrong length is a DimensionMismatchError on
+    member_fast and ClassWords.key; pairs with a repeated index are a
+    ValueError, and an index outside [0, n) a DimensionMismatchError, on
+    member_support and on Lattice.from_supports."""
+    L = hermlat.build(2).L
+    row = L.rows[0]
+    for bad in (row + (0,), row[:-1]):
+        with pytest.raises(DimensionMismatchError):
+            L.member_fast(bad)
+        with pytest.raises(DimensionMismatchError):
+            L.class_words().key(bad)
+    pairs = _pairs(row)
+    i, x = pairs[-1]
+    with pytest.raises(ValueError, match="repeated"):
+        L.member_support(pairs + [(i, 0)])
+    with pytest.raises(ValueError, match="repeated"):
+        lattice.Lattice.from_supports([pairs + [(i, 0)]], L.n)
+    for j in (L.n, -1):
+        with pytest.raises(DimensionMismatchError):
+            L.member_support(pairs + [(j, 0)])
+        with pytest.raises(DimensionMismatchError):
+            lattice.Lattice.from_supports([pairs + [(j, 0)]], L.n)
+    with pytest.raises(ValueError, match="sum to zero"):
+        lattice.Lattice.from_supports([[(0, 1)]], L.n)
+
+
 def test_census_holds_one_pass_of_keys():
     """The q = 4 census keys its 677,040 placements in five passes by the
     first class digit and pairs each pass before the next is walked, so
@@ -614,8 +742,8 @@ def test_enumeration_is_a_second_route_to_min_at_q3(monkeypatch):
 def test_permute_moves_values():
     v = (5, 6, 7)
     # value at position i lands at position perm[i]
-    assert lattice.permute(v, (1, 2, 0)) == (7, 5, 6)
-    assert lattice.permute(v, (0, 1, 2)) == v
+    assert permute(v, (1, 2, 0)) == (7, 5, 6)
+    assert permute(v, (0, 1, 2)) == v
 
 
 def test_permutation_automorphisms_full_root():
@@ -671,7 +799,7 @@ def _brute_perm_automorphisms(L):
     out = []
     for images in itertools.permutations(range(1, L.n)):
         perm = (0, *images)
-        if all(contains(L, lattice.permute(row, perm)) for row in L.rows):
+        if all(contains(L, permute(row, perm)) for row in L.rows):
             out.append(perm)
     return sorted(out)
 
@@ -714,23 +842,23 @@ def test_profile_search_matches_brute_force(hl2):
 def test_permutation_search_prunes_by_basis_rows(hl2, monkeypatch):
     """On the q = 2 Hermitian lattice and the Z_3 x Z_3 lattice of S = G,
     checking each basis row once its support is placed makes far fewer
-    member_fast calls than the 8! = 40,320 leaves of an unpruned search."""
+    membership checks than the 8! = 40,320 leaves of an unpruned search."""
     G = abelian.AbelianGroup((3, 3))
     L9 = abelian.lattice_for_subset(G, list(range(1, 9)))
     cases = [hl2.L, L9]
     calls = []
-    member_fast = lattice.Lattice.member_fast
+    member = lattice.Lattice._member
 
-    def counted(self, v):
-        calls.append(v)
-        return member_fast(self, v)
+    def counted(self, indices, values):
+        calls.append(values)
+        return member(self, indices, values)
 
-    monkeypatch.setattr(lattice.Lattice, "member_fast", counted)
+    monkeypatch.setattr(lattice.Lattice, "_member", counted)
     for L in cases:
         calls.clear()
         perms = lattice.permutation_automorphisms(L)
         assert len(perms) == 48
-        assert len(calls) < 40320 // 20, len(calls)
+        assert 0 < len(calls) < 40320 // 20, len(calls)
 
 
 def test_zero_lattice():
